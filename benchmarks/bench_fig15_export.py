@@ -23,6 +23,7 @@ from repro import Database
 from repro.bench.reporting import format_series
 from repro.export import TableExporter
 from repro.storage.constants import BlockState
+from repro.storage.layout import BlockLayout
 from repro.workloads.tpcc.schema import TPCC_TABLES
 
 from conftest import publish, scaled, worker_counts
@@ -41,7 +42,11 @@ _METHOD_KEY = {
     "Vectorized": "vectorized",
     "PostgreSQL": "postgres",
 }
-ROWS = scaled(6000, minimum=2000)
+BLOCK_SIZE = 1 << 15
+_SLOTS = BlockLayout(TPCC_TABLES["order_line"], BLOCK_SIZE).num_slots
+#: Whole blocks only: a partly filled insertion block never freezes, so
+#: the 100 %-frozen point would still materialize it tuple by tuple.
+ROWS = _SLOTS * max(1, round(scaled(6000, minimum=2000) / _SLOTS))
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +54,7 @@ def order_line_db():
     """An order_line table, fully frozen, reused across the sweep."""
     db = Database(logging_enabled=False, cold_threshold_epochs=1)
     info = db.create_table(
-        "order_line", TPCC_TABLES["order_line"], block_size=1 << 15, watch_cold=True
+        "order_line", TPCC_TABLES["order_line"], block_size=BLOCK_SIZE, watch_cold=True
     )
     import random
 

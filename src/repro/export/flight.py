@@ -2,26 +2,32 @@
 
 Flight transmits Arrow record batches with no per-value serialization: the
 batch body *is* the storage buffers.  For FROZEN blocks the server takes a
-read lock (the reader counter), wraps the block's buffers zero-copy, and
-streams them.  For hot blocks it must start a transaction and materialize a
+read lock (the reader counter) and streams the record batch the freeze
+built over the block's buffers — views, not copies — until the stream is
+joined.  For hot blocks it must start a transaction and materialize a
 snapshot first — the cost that makes Flight degrade to the vectorized
 protocol when everything is hot (Figure 15).
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.arrowfmt import ipc
+from repro.arrowfmt.array import DictionaryArray, VarBinaryArray
+from repro.arrowfmt.buffer import Bitmap, Buffer
 from repro.arrowfmt.table import RecordBatch, Table
+from repro.errors import ArrowFormatError
 from repro.obs import trace
 from repro.storage.constants import BlockState
-from repro.transform.arrow_view import block_to_record_batch, table_schema
+from repro.transform.arrow_view import frozen_batch, table_schema
 from repro.transform.transformer import snapshot_transform
 
 if TYPE_CHECKING:
+    from repro.storage.block import RawBlock
     from repro.storage.data_table import DataTable
     from repro.txn.manager import TransactionManager
 
@@ -36,16 +42,6 @@ class FlightStream:
     materialized_blocks: int
 
 
-def _write_header(out: io.BytesIO, schema) -> None:
-    import json
-    import struct
-
-    out.write(ipc.MAGIC)
-    header = json.dumps(schema.to_json()).encode("utf-8")
-    out.write(struct.pack("<i", len(header)))
-    out.write(header)
-
-
 def export_stream(
     txn_manager: "TransactionManager", table: "DataTable", pool=None
 ) -> FlightStream:
@@ -58,126 +54,127 @@ def export_stream(
     (hot, dictionary-compressed, fragment lost to a worker crash) are
     encoded in-process.
     """
-    out = io.BytesIO()
+    return encode_blocks(txn_manager, table, list(table.blocks), pool)
+
+
+def encode_blocks(
+    txn_manager: "TransactionManager",
+    table: "DataTable",
+    blocks: list["RawBlock"],
+    pool=None,
+) -> FlightStream:
+    """Encode ``blocks`` (in order) as one IPC stream; empty blocks are skipped.
+
+    Every frozen block is pinned up front and stays pinned until the parts
+    are joined into the payload: the stream holds views of block memory,
+    and the pin is what keeps a writer from changing it underneath.
+    """
     schema = table_schema(table.layout)
-    _write_header(out, schema)
-    frozen = materialized = batches = 0
-    if pool is None:
-        for block in list(table.blocks):
-            batch = _block_batch(txn_manager, table, block)
-            if batch is None:
-                continue
-            if batch.num_rows == 0:
-                continue
-            was_frozen = block.state is BlockState.FROZEN
-            # Dictionary-encoded frozen batches use a different schema; for
-            # a homogeneous stream we decode them through the zero-copy view.
-            if batch.schema != schema:
-                batch = _decode_dictionary_batch(batch, schema)
-            ipc.write_batch(out, batch)
-            batches += 1
-            if was_frozen:
-                frozen += 1
-            else:
-                materialized += 1
-        out.write(b"EOS\x00")
-        return FlightStream(out.getvalue(), batches, frozen, materialized)
-
-    from repro.parallel.placement import descriptor_if_valid
-
-    blocks = list(table.blocks)
-    plan: list[tuple[str, object]] = []  # ("worker", desc) | ("frozen"|"hot", None)
-    pinned = []
+    parts: list[ipc.Part] = [ipc.schema_header(schema)]
+    frozen = materialized = 0
+    pinned: dict[int, "RawBlock"] = {}
     try:
         for block in blocks:
             if block.begin_frozen_read():
-                pinned.append(block)
-                descriptor = descriptor_if_valid(block)
-                if descriptor is not None and descriptor.num_rows > 0:
-                    plan.append(("worker", descriptor))
-                else:
-                    plan.append(("frozen", None))
-            else:
-                plan.append(("hot", None))
-        jobs = [
-            (i, descriptor)
-            for i, (kind, descriptor) in enumerate(plan)
-            if kind == "worker"
-        ]
-        payloads_by_index: dict[int, bytes] = {}
-        if jobs:
-            workers = max(1, getattr(pool, "num_workers", 1))
-            size = max(1, -(-len(jobs) // (2 * workers)))
-            fragments = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-            with trace.span("export.parallel_dispatch", fragments=len(fragments)):
-                answers = pool.run_fragments(
-                    "serialize", [([d for _, d in frag],) for frag in fragments]
-                )
-            for fragment, answer in zip(fragments, answers):
-                if answer is None:
-                    continue  # fallback: encoded in-process below
-                for (block_index, _), result in zip(fragment, answer):
-                    payloads_by_index[block_index] = result["payload"]
-        for block_index, (kind, _descriptor) in enumerate(plan):
-            block = blocks[block_index]
-            payload = payloads_by_index.get(block_index)
+                pinned[block.block_id] = block
+        shipped = _serialize_in_pool(pool, pinned.values()) if pool is not None else {}
+        for block in blocks:
+            payload = shipped.get(block.block_id)
             if payload is not None:
-                out.write(payload)
-                batches += 1
+                parts.append(payload)
                 frozen += 1
                 continue
-            if kind == "hot":
-                batch = snapshot_transform(txn_manager, table, block)
-                was_frozen = False
+            is_frozen = block.block_id in pinned
+            if is_frozen:
+                batch = frozen_batch(block)
             else:
-                # Pin still held: in-place view is safe (also the fallback
-                # for worker fragments the pool failed to complete).
-                batch = block_to_record_batch(block)
-                was_frozen = True
-            if batch is None or batch.num_rows == 0:
+                batch = snapshot_transform(txn_manager, table, block)
+            if batch.num_rows == 0:
                 continue
             if batch.schema != schema:
                 batch = _decode_dictionary_batch(batch, schema)
-            ipc.write_batch(out, batch)
-            batches += 1
-            if was_frozen:
+            parts += ipc.batch_parts(batch)
+            if is_frozen:
                 frozen += 1
             else:
                 materialized += 1
+        parts.append(ipc.END_MARKER)
+        payload = b"".join(parts)
     finally:
-        for block in pinned:
+        for block in pinned.values():
             block.end_frozen_read()
-    out.write(b"EOS\x00")
-    return FlightStream(out.getvalue(), batches, frozen, materialized)
+    return FlightStream(payload, frozen + materialized, frozen, materialized)
 
 
-def _block_batch(txn_manager, table, block) -> RecordBatch | None:
-    if block.begin_frozen_read():
-        try:
-            return block_to_record_batch(block)
-        finally:
-            block.end_frozen_read()
-    # Hot (or cooling/freezing) block: materialize transactionally.
-    return snapshot_transform(txn_manager, table, block)
+def _serialize_in_pool(pool, blocks) -> dict[int, bytes]:
+    """Encoded batches from worker processes, by block id, for the pinned
+    blocks whose shared-memory copy matches the current freeze.  Blocks
+    missing from the result (no descriptor, fragment lost) are encoded
+    in-process by the caller."""
+    from repro.parallel.placement import descriptor_if_valid
+
+    descriptors = [descriptor_if_valid(block) for block in blocks]
+    jobs = [d for d in descriptors if d is not None and d.num_rows > 0]
+    if not jobs:
+        return {}
+    workers = max(1, getattr(pool, "num_workers", 1))
+    size = max(1, -(-len(jobs) // (2 * workers)))
+    fragments = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+    with trace.span("export.parallel_dispatch", fragments=len(fragments)):
+        answers = pool.run_fragments("serialize", [(fragment,) for fragment in fragments])
+    shipped: dict[int, bytes] = {}
+    for answer in answers:
+        for result in answer or ():  # None: encoded in-process instead
+            shipped[result["block_id"]] = result["payload"]
+    return shipped
 
 
 def _decode_dictionary_batch(batch: RecordBatch, schema) -> RecordBatch:
-    from repro.arrowfmt.array import DictionaryArray
-    from repro.arrowfmt.builder import VarBinaryBuilder
-
-    columns = []
-    for field, column in zip(schema, batch.columns):
-        if isinstance(column, DictionaryArray):
-            builder = VarBinaryBuilder(field.dtype)
-            builder.extend(column.to_pylist())
-            columns.append(builder.finish())
-        else:
-            columns.append(column)
+    """Re-express dictionary-encoded columns as plain varbinary arrays, so a
+    stream mixing both cold formats has one schema."""
+    columns = [
+        _decode_dictionary(field.dtype, column)
+        if isinstance(column, DictionaryArray)
+        else column
+        for field, column in zip(schema, batch.columns)
+    ]
     return RecordBatch(schema, columns)
 
 
+def _decode_dictionary(dtype, column: DictionaryArray) -> VarBinaryArray:
+    """Take each valid row's word out of the dictionary with numpy gathers;
+    NULL rows get empty values and a cleared validity bit."""
+    n = column.length
+    valid = (
+        column.validity.to_numpy()[:n]
+        if column.validity is not None
+        else np.ones(n, dtype=bool)
+    )
+    codes = column.codes.to_numpy()[valid].astype(np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() >= column.dictionary.length):
+        raise ArrowFormatError("dictionary code out of range")
+    word_offsets = column.dictionary.offsets_numpy().astype(np.int64)
+    starts = word_offsets[codes]
+    lengths = word_offsets[codes + 1] - starts
+    row_lengths = np.zeros(n, dtype=np.int64)
+    row_lengths[valid] = lengths
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(row_lengths, out=offsets[1:])
+    # Output byte j of a row that starts at output position p and word
+    # position s comes from word byte s + (j - p).
+    positions = offsets[:-1][valid].astype(np.int64)
+    source = np.arange(int(offsets[-1])) + np.repeat(starts - positions, lengths)
+    words = column.dictionary.values.view(0, column.dictionary.values.size)
+    values = words[source]
+    validity = None if valid.all() else Bitmap.from_numpy(valid)
+    return VarBinaryArray(
+        dtype, n, Buffer.from_numpy(offsets), Buffer.from_numpy(values), validity
+    )
+
+
 def client_receive(payload: bytes) -> Table:
-    """The client side: land the stream as Arrow with zero value parsing."""
+    """The client side: land the stream as Arrow with zero value parsing —
+    the received arrays are read-only views of ``payload``."""
     return ipc.read_table(payload)
 
 
@@ -208,25 +205,18 @@ def incremental_export(
     This replaces the nightly ETL job the paper's introduction criticizes:
     repeated exports cost O(changed data), not O(database).
     """
-    out = io.BytesIO()
-    schema = table_schema(table.layout)
-    _write_header(out, schema)
     cursor = txn_manager.timestamps.checkpoint()
-    frozen = hot = skipped = 0
-    for block in list(table.blocks):
-        if block.state is BlockState.FROZEN and block.frozen_at <= since:
-            skipped += 1
-            continue
-        batch = _block_batch(txn_manager, table, block)
-        if batch is None or batch.num_rows == 0:
-            continue
-        was_frozen = block.state is BlockState.FROZEN
-        if batch.schema != schema:
-            batch = _decode_dictionary_batch(batch, schema)
-        ipc.write_batch(out, batch)
-        if was_frozen:
-            frozen += 1
-        else:
-            hot += 1
-    out.write(b"EOS\x00")
-    return IncrementalStream(out.getvalue(), cursor, frozen, hot, skipped)
+    blocks = list(table.blocks)
+    changed = [
+        block
+        for block in blocks
+        if not (block.state is BlockState.FROZEN and block.frozen_at <= since)
+    ]
+    stream = encode_blocks(txn_manager, table, changed)
+    return IncrementalStream(
+        stream.payload,
+        cursor,
+        stream.frozen_blocks,
+        stream.materialized_blocks,
+        len(blocks) - len(changed),
+    )

@@ -17,16 +17,14 @@ health-gated writes, deadlines, and graceful drain — and
 
 from __future__ import annotations
 
-import io
 import json
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.arrowfmt import ipc
 from repro.arrowfmt.table import Table
 from repro.errors import SerializationError
-from repro.export.flight import _block_batch, _decode_dictionary_batch
+from repro.export.flight import encode_blocks
 from repro.transform.arrow_view import table_schema
 
 if TYPE_CHECKING:
@@ -104,7 +102,6 @@ class FlightServer:
         if isinstance(ticket, bytes):
             ticket = FlightTicket.decode(ticket)
         table = self.db.catalog.table(ticket.table)
-        schema = table_schema(table.layout)
         blocks = list(table.blocks)
         end = (
             len(blocks)
@@ -112,20 +109,7 @@ class FlightServer:
             else ticket.block_start + ticket.block_count
         )
         selected = blocks[ticket.block_start : end]
-        out = io.BytesIO()
-        out.write(ipc.MAGIC)
-        header = json.dumps(schema.to_json()).encode("utf-8")
-        out.write(struct.pack("<i", len(header)))
-        out.write(header)
-        for block in selected:
-            batch = _block_batch(self.db.txn_manager, table, block)
-            if batch is None or batch.num_rows == 0:
-                continue
-            if batch.schema != schema:
-                batch = _decode_dictionary_batch(batch, schema)
-            ipc.write_batch(out, batch)
-        out.write(b"EOS\x00")
-        return out.getvalue()
+        return encode_blocks(self.db.txn_manager, table, selected).payload
 
 
 class FlightClient:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.transform.arrow_view import block_to_record_batch
+from repro.transform.arrow_view import frozen_batch
 from repro.transform.transformer import snapshot_transform
 
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ def export_rdma(
     for block in list(table.blocks):
         if block.begin_frozen_read():
             try:
-                batch = block_to_record_batch(block)
+                batch = frozen_batch(block)
                 frozen_bytes += batch.nbytes()
                 frozen_blocks += 1
             finally:

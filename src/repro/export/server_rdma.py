@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import StorageError
 from repro.storage.constants import BlockState
-from repro.transform.arrow_view import block_to_record_batch
+from repro.transform.arrow_view import frozen_batch
 
 if TYPE_CHECKING:
     from repro.storage.block import RawBlock
@@ -143,11 +143,14 @@ class RdmaDirectory:
         if self.leases.lease_remaining(block_id) <= 0:
             raise StorageError(f"lease on block {block_id} expired")
         block = self.table._block(block_id)
-        if block.state is not BlockState.FROZEN:
+        if not block.begin_frozen_read():
             raise StorageError(
                 f"block {block_id} was reheated despite an active lease"
             )
-        return block_to_record_batch(block)
+        try:
+            return frozen_batch(block)
+        finally:
+            block.end_frozen_read()
 
 
 def guarded_touch_hot(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.export.network import NetworkProfile, SimulatedNetwork
-from repro.transform.arrow_view import block_to_record_batch
+from repro.transform.arrow_view import frozen_batch
 from repro.transform.transformer import snapshot_transform
 
 if TYPE_CHECKING:
@@ -71,7 +71,7 @@ def stream_blocks(
     for block in list(table.blocks):
         if block.begin_frozen_read():
             try:
-                batch = block_to_record_batch(block)
+                batch = frozen_batch(block)
             finally:
                 block.end_frozen_read()
         else:

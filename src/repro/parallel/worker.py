@@ -17,7 +17,6 @@ code, so scan results and IPC payloads are byte-identical to serial output.
 
 from __future__ import annotations
 
-import io
 import os
 import signal
 from time import perf_counter
@@ -170,18 +169,14 @@ def run_serialize_fragment(
     cache: _SegmentCache, descriptors: list[BlockDescriptor]
 ) -> list[dict[str, Any]]:
     """Arrow-IPC-encode each descriptor's batch; one payload per block."""
-    results = []
-    for desc in descriptors:
-        out = io.BytesIO()
-        ipc.write_batch(out, descriptor_record_batch(cache, desc))
-        results.append(
-            {
-                "block_id": desc.block_id,
-                "num_rows": desc.num_rows,
-                "payload": out.getvalue(),
-            }
-        )
-    return results
+    return [
+        {
+            "block_id": desc.block_id,
+            "num_rows": desc.num_rows,
+            "payload": ipc.write_batch(descriptor_record_batch(cache, desc)),
+        }
+        for desc in descriptors
+    ]
 
 
 # ---------------------------------------------------------------------- #

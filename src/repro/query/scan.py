@@ -36,7 +36,7 @@ from repro.obs import trace
 from repro.obs.slo import stamp_phase
 from repro.storage.tuple_slot import TupleSlot
 from repro.storage.varlen import read_value
-from repro.transform.arrow_view import block_to_record_batch
+from repro.transform.arrow_view import frozen_batch
 
 if TYPE_CHECKING:
     from repro.storage.data_table import DataTable
@@ -526,7 +526,7 @@ class TableScanner:
     # ------------------------------------------------------------------ #
 
     def _frozen_batch(self, block) -> ColumnBatch:
-        record_batch = block_to_record_batch(block)
+        record_batch = frozen_batch(block)
         columns: dict[int, Any] = {}
         null_masks: dict[int, np.ndarray] = {}
         n = record_batch.num_rows

@@ -86,6 +86,10 @@ class RawBlock:
         #: transformer at freeze time.  Only trustworthy while FROZEN with a
         #: matching ``frozen_at`` (checked under the frozen-read pin).
         self.shm_descriptor: Any = None
+        #: ``(frozen_at, RecordBatch)`` built during the FREEZING window
+        #: (:func:`repro.transform.arrow_view.frozen_batch`); cleared when a
+        #: writer reheats the block.
+        self.arrow_batch: tuple[int, Any] | None = None
         self.allocation_bitmap = Bitmap(
             self._region(layout.allocation_bitmap_offset, self._bitmap_nbytes()),
             layout.num_slots,
@@ -162,11 +166,15 @@ class RawBlock:
         so future readers materialize, then wait for lingering in-place
         readers to leave.  A COOLING block is preempted directly (Section
         4.3); a FREEZING block makes the writer wait until the gather
-        critical section ends.
+        critical section ends.  A HOT block that still has in-place readers
+        (another writer flipped it and is waiting for them) makes this
+        writer wait too: a frozen-read pin means the buffers do not change.
         """
         while True:
             state = self._state
             if state is BlockState.HOT:
+                if self._reader_count:
+                    self.wait_for_readers()
                 return
             if state is BlockState.FROZEN:
                 if self.compare_and_swap_state(BlockState.FROZEN, BlockState.HOT):
@@ -174,6 +182,7 @@ class RawBlock:
                     # must materialize now) but are kept alive: relaxed
                     # varlen entries may still point into them until the
                     # next gather rewrites every entry.
+                    self.arrow_batch = None
                     _record_event(
                         "block.reheated", block_id=self.block_id, from_state="FROZEN"
                     )

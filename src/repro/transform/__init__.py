@@ -19,7 +19,11 @@ from repro.transform.compaction import (
 )
 from repro.transform.gather import gather_block
 from repro.transform.dictionary import dictionary_compress_block
-from repro.transform.arrow_view import block_to_record_batch, table_schema
+from repro.transform.arrow_view import (
+    block_to_record_batch,
+    frozen_batch,
+    table_schema,
+)
 from repro.transform.transformer import (
     BlockTransformer,
     inplace_transform,
@@ -34,6 +38,7 @@ __all__ = [
     "block_to_record_batch",
     "dictionary_compress_block",
     "execute_compaction",
+    "frozen_batch",
     "gather_block",
     "inplace_transform",
     "plan_compaction",

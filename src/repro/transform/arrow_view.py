@@ -4,7 +4,9 @@ A FROZEN block *is* Arrow data: its fixed-width column regions are valid
 Arrow buffers in place, and the gather phase produced canonical offsets and
 values buffers for varlen columns.  This module materializes that fact as
 :class:`~repro.arrowfmt.table.RecordBatch` objects whose buffers alias the
-block's memory — what the export layer ships without serialization.
+block's memory — what the export layer ships without serialization.  A
+frozen block is immutable until a writer reheats it, so its batch is built
+once per freeze (:func:`frozen_batch`) and every pinned reader reuses it.
 """
 
 from __future__ import annotations
@@ -54,14 +56,44 @@ def table_schema(layout: BlockLayout, dictionary_columns: set[int] | None = None
     return Schema(fields)
 
 
+def frozen_batch(block: "RawBlock"):
+    """The block's record batch, built once per freeze and shared by readers.
+
+    The transformer calls this inside the FREEZING window, right after it
+    stamps ``frozen_at``; the batch is memoised on the block keyed by that
+    stamp (a fresh timestamp on every freeze, so a re-frozen block never
+    matches an old batch) and dropped when a writer reheats the block.
+    Readers must hold a frozen-read pin (:meth:`RawBlock.begin_frozen_read`):
+    the pin, not the racy state flag, guarantees the buffers are unchanged,
+    so a writer that has already flipped the block HOT and is waiting for
+    the pin to drain does not fail the read.  A block frozen without the
+    transformer has no memo and is rebuilt on every call.
+    """
+    if block.reader_count <= 0 and block.state is not BlockState.FREEZING:
+        raise BlockStateError(
+            f"block {block.block_id}: frozen_batch needs a frozen-read pin "
+            f"(block is {block.state.name})"
+        )
+    memo = block.arrow_batch
+    if memo is not None and memo[0] == block.frozen_at:
+        return memo[1]
+    batch = block_to_record_batch(block, require_frozen=False)
+    if block.state is BlockState.FREEZING:
+        block.arrow_batch = (block.frozen_at, batch)
+    return batch
+
+
 def block_to_record_batch(block: "RawBlock", require_frozen: bool = True):
     """Expose a frozen block as a record batch without copying buffers.
 
     Fixed columns alias the block's column regions; varlen columns alias the
     gathered offsets/values buffers; dictionary-compressed columns come back
-    as :class:`DictionaryArray`.  Raises :class:`BlockStateError` unless the
-    block is FROZEN (pass ``require_frozen=False`` only from the gather
-    path, which holds exclusive access).
+    as :class:`DictionaryArray`.  Every call re-derives the batch from the
+    block and re-runs the checks (dense live prefix, offsets, schema) —
+    readers want the memoised :func:`frozen_batch`; this is its builder and
+    the integrity checker's.  Raises :class:`BlockStateError` unless the
+    block is FROZEN (pass ``require_frozen=False`` only with exclusive
+    access or a frozen-read pin).
     """
     from repro.arrowfmt.table import RecordBatch
 

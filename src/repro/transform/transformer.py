@@ -8,7 +8,8 @@ commits; the group then waits in ``freeze_pending`` until the GC has pruned
 the compaction transaction's own version records — the signal that every
 transaction that overlapped it has ended.  ``process_freeze_pending`` then
 takes the short exclusive FREEZING section, gathers (or dictionary-
-compresses), and marks blocks FROZEN.
+compresses), builds the block's Arrow record batch once for every later
+reader, and marks blocks FROZEN.
 
 Also implemented here are the two baselines of Section 6.2:
 ``snapshot_transform`` (copy the whole block through a transactional read)
@@ -29,7 +30,7 @@ from repro.obs.recorder import Recorder, get_recorder
 from repro.obs.registry import STATE, MetricRegistry
 from repro.storage.constants import BlockState
 from repro.transform.access_observer import AccessObserver
-from repro.transform.arrow_view import rows_to_record_batch
+from repro.transform.arrow_view import frozen_batch, rows_to_record_batch
 from repro.transform.compaction import (
     CompactionPlan,
     execute_compaction,
@@ -339,6 +340,9 @@ class BlockTransformer:
                 with trace.span("transform.gather"):
                     gather_block(block, defer)
             block.frozen_at = self.txn_manager.timestamps.checkpoint()
+            # Built once here, under exclusive access; every frozen reader
+            # reuses it until the next reheat.
+            frozen_batch(block)
             if self.arena is not None:
                 self._place_in_arena(table, block)
             block.set_state(BlockState.FROZEN)

@@ -1,5 +1,6 @@
 """Tests for the IPC stream serialization."""
 
+import numpy as np
 import pytest
 
 from repro.arrowfmt.builder import DictionaryBuilder, array_from_pylist
@@ -13,13 +14,38 @@ from repro.arrowfmt.datatypes import (
     Schema,
     UTF8,
 )
-from repro.arrowfmt.ipc import MAGIC, read_table, write_table
+from repro.arrowfmt.ipc import MAGIC, read_file, read_table, write_file, write_table
 from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import ArrowFormatError
 
 
 def roundtrip(table):
     return read_table(write_table(table))
+
+
+def mixed_table():
+    """Two batches over every array kind, NULLs included."""
+    schema = Schema(
+        [
+            Field("id", INT64, False),
+            Field("name", UTF8),
+            Field("city", DictionaryType(INT32, UTF8)),
+            Field("active", BOOL),
+        ]
+    )
+    batches = [
+        RecordBatch(
+            schema,
+            [
+                array_from_pylist(ids, INT64),
+                array_from_pylist(["a", None, "ccc"][: len(ids)], UTF8),
+                DictionaryBuilder(UTF8).extend(["nyc", None, "sf"][: len(ids)]).finish(),
+                array_from_pylist([True, None, False][: len(ids)], BOOL),
+            ],
+        )
+        for ids in ([1, 2, 3], [4])
+    ]
+    return Table(schema, batches)
 
 
 class TestIpcRoundtrip:
@@ -75,17 +101,49 @@ class TestIpcRoundtrip:
         assert dict(back.schema.metadata) == {"origin": "block-7"}
 
 
+class TestZeroCopyRead:
+    def received_buffers(self, table):
+        for batch in table.batches:
+            for column in batch.columns:
+                yield from (b for b in column.buffers() if b is not None)
+
+    def test_buffers_are_aligned_read_only_views_of_the_payload(self):
+        raw = write_table(mixed_table())
+        payload = np.frombuffer(raw, dtype=np.uint8)
+        back = read_table(raw)
+        assert back.to_pydict() == mixed_table().to_pydict()
+        buffers = list(self.received_buffers(back))
+        assert buffers
+        for buffer in buffers:
+            assert buffer.data.ctypes.data % 8 == 0
+            assert np.shares_memory(buffer.data, payload)
+            assert not buffer.data.flags.writeable
+
+    def test_misaligned_payload_is_realigned(self):
+        raw = write_table(mixed_table())
+        shifted = memoryview(b"\x00" + raw)[1:]
+        back = read_table(shifted)
+        assert back.to_pydict() == mixed_table().to_pydict()
+        for buffer in self.received_buffers(back):
+            assert buffer.data.ctypes.data % 8 == 0
+
+    def test_file_format_buffers_are_aligned(self):
+        back = read_file(write_file(mixed_table()))
+        assert back.to_pydict() == mixed_table().to_pydict()
+        for buffer in self.received_buffers(back):
+            assert buffer.data.ctypes.data % 8 == 0
+
+
 class TestIpcErrors:
     def test_bad_magic(self):
         with pytest.raises(ArrowFormatError):
             read_table(b"NOTMAGIC" + b"\x00" * 32)
 
     def test_truncated_stream(self):
-        schema = Schema([Field("x", INT64)])
-        table = Table(schema, [RecordBatch(schema, [array_from_pylist([1], INT64)])])
-        raw = write_table(table)
-        with pytest.raises(ArrowFormatError):
-            read_table(raw[: len(raw) // 2])
+        raw = write_table(mixed_table())
+        for cut in range(len(raw)):
+            with pytest.raises(ArrowFormatError):
+                read_table(raw[:cut])
 
     def test_magic_prefix_present(self):
         schema = Schema([Field("x", INT64)])

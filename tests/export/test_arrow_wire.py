@@ -1,10 +1,13 @@
 """Tests for the Arrow-as-wire-protocol export path."""
 
-import pytest
+import numpy as np
 
 from repro import ColumnSpec, Database, INT64, UTF8
+from repro.arrowfmt import ipc
 from repro.export import TableExporter
 from repro.export.arrow_wire import client_receive, export_arrow_wire
+from repro.export.flight import export_stream
+from repro.storage.constants import BlockState
 
 
 def build(rows=400, freeze=True):
@@ -55,19 +58,29 @@ class TestArrowWire:
         assert result.rows == 800
         assert result.method == "arrow-wire"
 
-    def test_paper_claim_native_storage_beats_wire_conversion(self):
-        # Section 6.3's closing point: Arrow as a drop-in wire protocol does
-        # not achieve the potential of Arrow-native storage.  Best-of-3 per
-        # method: single timings can catch a scheduling hiccup under load.
+    def test_paper_claim_native_storage_beats_wire_conversion(self, monkeypatch):
+        # Section 6.3's closing point, as the structure behind it: the wire
+        # path encodes fresh buffers built value by value, while Arrow-native
+        # storage encodes every frozen block's own memory.  (Timings are the
+        # benchmarks' job.)
         db, info = build(rows=4000)
-        exporter = TableExporter(db.txn_manager, info.table)
-        wire = min(
-            (exporter.export("arrow-wire") for _ in range(3)),
-            key=lambda r: r.serialization_seconds,
+        encoded = []
+        encode = ipc.batch_parts
+        monkeypatch.setattr(
+            ipc, "batch_parts", lambda batch: encoded.append(batch) or encode(batch)
         )
-        native = min(
-            (exporter.export("flight") for _ in range(3)),
-            key=lambda r: r.serialization_seconds,
+
+        def aliases_a_block(batch):
+            ids = batch.column("id").to_numpy()
+            return any(np.shares_memory(ids, b.buffer.data) for b in info.table.blocks)
+
+        wire_payload = export_arrow_wire(db.txn_manager, info.table)
+        wire, encoded[:] = list(encoded), []
+        native_payload = export_stream(db.txn_manager, info.table).payload
+        frozen = [b for b in info.table.blocks if b.state is BlockState.FROZEN]
+        assert frozen
+        assert not any(aliases_a_block(batch) for batch in wire)
+        assert sum(aliases_a_block(batch) for batch in encoded) == len(frozen)
+        assert sorted(client_receive(wire_payload).column_values("id")) == sorted(
+            client_receive(native_payload).column_values("id")
         )
-        assert native.serialization_seconds < wire.serialization_seconds
-        assert native.throughput_mb_per_sec > wire.throughput_mb_per_sec

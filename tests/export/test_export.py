@@ -1,24 +1,34 @@
 """Tests for the export protocols and the unified exporter."""
 
+import numpy as np
 import pytest
 
 from repro import Database, ColumnSpec, FLOAT64, INT64, UTF8
+from repro.arrowfmt import ipc
+from repro.arrowfmt.array import DictionaryArray
+from repro.arrowfmt.builder import VarBinaryBuilder
+from repro.arrowfmt.table import RecordBatch
 from repro.export import NetworkProfile, SimulatedNetwork, TableExporter
 from repro.export import postgres_wire, vectorized
-from repro.export.flight import client_receive, export_stream
+from repro.export.flight import _decode_dictionary_batch, client_receive, export_stream
 from repro.export.rdma import CACHE_BYPASS_PENALTY, export_rdma
 from repro.errors import SerializationError
 from repro.storage.constants import BlockState
+from repro.transform.arrow_view import frozen_batch, table_schema
 
 
-def build_db(rows=500, freeze=True, block_size=1 << 14):
-    db = Database(cold_threshold_epochs=1)
+def build_db(rows=500, freeze=True, block_size=1 << 14, full_blocks=None, **db_kwargs):
+    """``full_blocks`` overrides ``rows`` with exactly that many full
+    blocks, so that (frozen) no block is left hot."""
+    db = Database(cold_threshold_epochs=1, **db_kwargs)
     info = db.create_table(
         "t",
         [ColumnSpec("id", INT64), ColumnSpec("name", UTF8), ColumnSpec("x", FLOAT64)],
         block_size=block_size,
         watch_cold=freeze,
     )
+    if full_blocks is not None:
+        rows = info.table.layout.num_slots * full_blocks
     with db.transaction() as txn:
         for i in range(rows):
             name = None if i % 17 == 0 else f"name-{i}-padded-for-out-of-line"
@@ -122,6 +132,36 @@ class TestFlight:
         table = client_receive(export_stream(db.txn_manager, info.table).payload)
         assert 999 not in table.column_values("id")
 
+    def test_dictionary_decode_matches_the_builder_byte_for_byte(self):
+        # Reference: the per-value decode the numpy take replaced.
+        db, info = build_db(full_blocks=2, cold_format="dictionary")
+        schema = table_schema(info.table.layout)
+        frozen = [b for b in info.table.blocks if b.state is BlockState.FROZEN]
+        assert frozen
+        for block in frozen:
+            assert block.begin_frozen_read()
+            try:
+                batch = frozen_batch(block)
+            finally:
+                block.end_frozen_read()
+            names = batch.column("name")
+            assert isinstance(names, DictionaryArray) and names.null_count > 0
+            reference = RecordBatch(
+                schema,
+                [
+                    VarBinaryBuilder(field.dtype).extend(column.to_pylist()).finish()
+                    if isinstance(column, DictionaryArray)
+                    else column
+                    for field, column in zip(schema, batch.columns)
+                ],
+            )
+            decoded = _decode_dictionary_batch(batch, schema)
+            assert ipc.write_batch(decoded) == ipc.write_batch(reference)
+        received = client_receive(export_stream(db.txn_manager, info.table).payload)
+        reader = db.begin()
+        expected = sorted((r.get(0), r.get(1)) for _, r in info.table.scan(reader))
+        assert sorted(zip(*(received.column_values(c) for c in ("id", "name")))) == expected
+
 
 class TestRdma:
     def test_frozen_blocks_are_pure_bandwidth(self):
@@ -150,16 +190,45 @@ class TestTableExporter:
         assert pg.rows == vec.rows == fl.rows == 400
 
     def test_paper_ordering_when_frozen(self):
-        # Figure 15 at high %frozen: flight and rdma beat the wire formats.
-        db, info = build_db(rows=2000)
-        exporter = TableExporter(db.txn_manager, info.table)
-        results = {m: exporter.export(m) for m in ["postgres", "vectorized", "flight", "rdma"]}
-        assert (
-            results["postgres"].throughput_mb_per_sec
-            < results["vectorized"].throughput_mb_per_sec
-            < results["flight"].throughput_mb_per_sec
-        )
-        assert results["rdma"].throughput_mb_per_sec > results["vectorized"].throughput_mb_per_sec
+        # Figure 15 at 100 % frozen, as the structure behind the ordering:
+        # Flight and RDMA do no per-value work on frozen blocks — they ship
+        # the blocks' own memory.  The timed ordering is measured by
+        # bench_fig15_export.py and the e2e benchmark, not by a unit test.
+        db, info = build_db(full_blocks=3)
+        blocks = info.table.blocks
+        assert all(b.state is BlockState.FROZEN for b in blocks)
+
+        stream = export_stream(db.txn_manager, info.table)
+        assert stream.frozen_blocks == stream.batches == len(blocks)
+        assert stream.materialized_blocks == 0
+        transfer = export_rdma(db.txn_manager, info.table)
+        assert transfer.frozen_blocks == len(blocks)
+        assert transfer.materialized_blocks == 0
+        assert TableExporter(db.txn_manager, info.table).export("rdma").client_seconds == 0
+
+        for block in blocks:
+            assert block.begin_frozen_read()
+            try:
+                batch = frozen_batch(block)
+                assert frozen_batch(block) is batch  # built once, at freeze
+                assert np.shares_memory(
+                    batch.column("id").to_numpy(), block.column_view(0)
+                )
+                offsets, values = block.gathered[1]
+                names = batch.column("name")
+                assert np.shares_memory(names.offsets.data, offsets)
+                assert np.shares_memory(names.values.data, values)
+            finally:
+                block.end_frozen_read()
+
+        payload = np.frombuffer(stream.payload, dtype=np.uint8)
+        received = client_receive(stream.payload)
+        assert received.num_rows == info.table.live_tuple_count()
+        for batch in received.batches:
+            for column in batch.columns:
+                for buffer in column.buffers():
+                    if buffer is not None:
+                        assert np.shares_memory(buffer.data, payload)
 
     def test_unknown_method_rejected(self):
         db, info = build_db(rows=10, freeze=False)

@@ -199,7 +199,7 @@ class TestFrozenReadStress:
                 for i in range(info.table.layout.num_slots * 2)
             ]
         db.freeze_table("t")
-        from repro.transform.arrow_view import block_to_record_batch
+        from repro.transform.arrow_view import frozen_batch
 
         read_errors = []
 
@@ -208,7 +208,7 @@ class TestFrozenReadStress:
                 for block in list(info.table.blocks):
                     if block.begin_frozen_read():
                         try:
-                            batch = block_to_record_batch(block)
+                            batch = frozen_batch(block)
                             assert batch.num_rows >= 0
                         except Exception as exc:
                             read_errors.append(exc)
