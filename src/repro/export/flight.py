@@ -5,7 +5,8 @@ batch body *is* the storage buffers.  For FROZEN blocks the server takes a
 read lock (the reader counter) and streams the record batch the freeze
 built over the block's buffers — views, not copies — until the stream is
 joined.  For hot blocks it must start a transaction and materialize a
-snapshot first — the cost that makes Flight degrade to the vectorized
+snapshot first — one transaction per stream, one latched block copy per
+hot block — the cost that makes Flight degrade toward the vectorized
 protocol when everything is hot (Figure 15).
 """
 
@@ -23,8 +24,7 @@ from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import ArrowFormatError
 from repro.obs import trace
 from repro.storage.constants import BlockState
-from repro.transform.arrow_view import frozen_batch, table_schema
-from repro.transform.transformer import snapshot_transform
+from repro.transform.arrow_view import ExportSnapshot, frozen_batch, table_schema
 
 if TYPE_CHECKING:
     from repro.storage.block import RawBlock
@@ -67,7 +67,8 @@ def encode_blocks(
 
     Every frozen block is pinned up front and stays pinned until the parts
     are joined into the payload: the stream holds views of block memory,
-    and the pin is what keeps a writer from changing it underneath.
+    and the pin is what keeps a writer from changing it underneath.  Hot
+    blocks are materialized under one snapshot for the whole stream.
     """
     schema = table_schema(table.layout)
     parts: list[ipc.Part] = [ipc.schema_header(schema)]
@@ -78,26 +79,24 @@ def encode_blocks(
             if block.begin_frozen_read():
                 pinned[block.block_id] = block
         shipped = _serialize_in_pool(pool, pinned.values()) if pool is not None else {}
-        for block in blocks:
-            payload = shipped.get(block.block_id)
-            if payload is not None:
-                parts.append(payload)
-                frozen += 1
-                continue
-            is_frozen = block.block_id in pinned
-            if is_frozen:
-                batch = frozen_batch(block)
-            else:
-                batch = snapshot_transform(txn_manager, table, block)
-            if batch.num_rows == 0:
-                continue
-            if batch.schema != schema:
-                batch = _decode_dictionary_batch(batch, schema)
-            parts += ipc.batch_parts(batch)
-            if is_frozen:
-                frozen += 1
-            else:
-                materialized += 1
+        with ExportSnapshot(txn_manager) as snapshot:
+            for block in blocks:
+                payload = shipped.get(block.block_id)
+                if payload is not None:
+                    parts.append(payload)
+                    frozen += 1
+                    continue
+                is_frozen = block.block_id in pinned
+                batch = frozen_batch(block) if is_frozen else snapshot.batch(block)
+                if batch.num_rows == 0:
+                    continue
+                if batch.schema != schema:
+                    batch = _decode_dictionary_batch(batch, schema)
+                parts += ipc.batch_parts(batch)
+                if is_frozen:
+                    frozen += 1
+                else:
+                    materialized += 1
         parts.append(ipc.END_MARKER)
         payload = b"".join(parts)
     finally:

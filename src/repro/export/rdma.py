@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.transform.arrow_view import frozen_batch
-from repro.transform.transformer import snapshot_transform
+from repro.transform.arrow_view import ExportSnapshot, frozen_batch
 
 if TYPE_CHECKING:
     from repro.storage.data_table import DataTable
@@ -52,24 +51,25 @@ def export_rdma(
     """Compute the buffers an RDMA export would push to the client.
 
     Frozen blocks are read in place under the reader counter; hot blocks
-    pay a transactional materialization (real CPU work happens here — the
-    caller times it), after which their byte counts are charged at the
-    cache-bypass rate.
+    pay a transactional materialization under one snapshot for the whole
+    export (real CPU work happens here — the caller times it), after which
+    their byte counts are charged at the cache-bypass rate.
     """
     frozen_bytes = materialized_bytes = 0
     frozen_blocks = materialized_blocks = 0
-    for block in list(table.blocks):
-        if block.begin_frozen_read():
-            try:
-                batch = frozen_batch(block)
-                frozen_bytes += batch.nbytes()
-                frozen_blocks += 1
-            finally:
-                block.end_frozen_read()
-        else:
-            batch = snapshot_transform(txn_manager, table, block)
-            materialized_bytes += batch.nbytes()
-            materialized_blocks += 1
+    with ExportSnapshot(txn_manager) as snapshot:
+        for block in list(table.blocks):
+            if block.begin_frozen_read():
+                try:
+                    batch = frozen_batch(block)
+                    frozen_bytes += batch.nbytes()
+                    frozen_blocks += 1
+                finally:
+                    block.end_frozen_read()
+            else:
+                batch = snapshot.batch(block)
+                materialized_bytes += batch.nbytes()
+                materialized_blocks += 1
     return RdmaTransfer(
         frozen_bytes, materialized_bytes, frozen_blocks, materialized_blocks
     )

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.export.network import NetworkProfile, SimulatedNetwork
-from repro.transform.arrow_view import frozen_batch
-from repro.transform.transformer import snapshot_transform
+from repro.transform.arrow_view import ExportSnapshot, frozen_batch
 
 if TYPE_CHECKING:
     from repro.arrowfmt.table import RecordBatch
@@ -67,17 +66,19 @@ class PipelineResult:
 def stream_blocks(
     txn_manager: "TransactionManager", table: "DataTable"
 ) -> "Iterator[RecordBatch]":
-    """Yield one record batch per block (zero-copy when frozen)."""
-    for block in list(table.blocks):
-        if block.begin_frozen_read():
-            try:
-                batch = frozen_batch(block)
-            finally:
-                block.end_frozen_read()
-        else:
-            batch = snapshot_transform(txn_manager, table, block)
-        if batch.num_rows:
-            yield batch
+    """Yield one record batch per block (zero-copy when frozen); every hot
+    block is read under the same snapshot."""
+    with ExportSnapshot(txn_manager) as snapshot:
+        for block in list(table.blocks):
+            if block.begin_frozen_read():
+                try:
+                    batch = frozen_batch(block)
+                finally:
+                    block.end_frozen_read()
+            else:
+                batch = snapshot.batch(block)
+            if batch.num_rows:
+                yield batch
 
 
 def pipelined_rdma_export(

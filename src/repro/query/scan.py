@@ -5,10 +5,12 @@ column vectors.  For FROZEN blocks the fixed-width vectors are zero-copy
 numpy views of the block buffer and varlen columns are lazy
 :class:`ArrowColumnView` facades over the gathered Arrow arrays; for hot
 blocks the scanner materializes a transactional snapshot *block at a
-time*: one write-latch acquisition bulk-copies the requested fixed-width
-columns (plus validity/allocation bitmaps) and snapshots the version
-pointers, then version chains are walked only for the (typically few)
-slots that have one, overlaying before-images into the copied arrays.
+time* through the export path's kernel
+(:func:`repro.transform.arrow_view.materialize_hot`): one write-latch
+acquisition bulk-copies the requested columns (plus validity/allocation
+bitmaps) and snapshots the version pointers, then version chains are
+walked only for the (typically few) slots that have one, overlaying
+before-images into the copied arrays.
 This turns the O(rows) latched per-tuple loop into O(chained-slots)
 patching over numpy bulk operations — the "elide version checking for
 cold blocks" fast path of Sections 3.1/4.1, extended so even hot blocks
@@ -30,13 +32,11 @@ import numpy as np
 
 from repro.arrowfmt.array import VarBinaryArray
 from repro.arrowfmt.buffer import Bitmap, Buffer
-from repro.arrowfmt.datatypes import VarBinaryType
 from repro.errors import StorageError
 from repro.obs import trace
 from repro.obs.slo import stamp_phase
 from repro.storage.tuple_slot import TupleSlot
-from repro.storage.varlen import read_value
-from repro.transform.arrow_view import frozen_batch
+from repro.transform.arrow_view import frozen_batch, materialize_hot
 
 if TYPE_CHECKING:
     from repro.storage.data_table import DataTable
@@ -112,7 +112,7 @@ def compute_selection(
 
 
 class ArrowColumnView(Sequence):
-    """A lazy list facade over an Arrow array (frozen varlen columns).
+    """A lazy list facade over an Arrow array (varlen columns).
 
     Point lookups go straight to the array (no full decode); the first
     full iteration materializes ``to_pylist()`` once and caches it, so
@@ -165,7 +165,8 @@ class ColumnBatch:
 
     Fixed-width columns are numpy arrays (zero-copy for frozen blocks,
     latched bulk copies for hot ones); varlen columns are
-    :class:`ArrowColumnView` sequences (frozen) or Python lists (hot).
+    :class:`ArrowColumnView` sequences (the gathered buffers for frozen
+    blocks, freshly gathered ones for hot blocks).
     ``null_masks[column_id]`` is a boolean array marking NULL rows of a
     fixed-width column — the key is absent when the column has no NULLs,
     so ``null_masks.get(cid)`` doubles as a has-nulls test.  ``selection``
@@ -548,98 +549,25 @@ class TableScanner:
     # ------------------------------------------------------------------ #
 
     def _hot_batch(self, block, txn: "TransactionContext") -> ColumnBatch:
-        """Materialize the snapshot of a hot block under one latch.
-
-        Phase 1 (latched): bulk-copy the requested fixed-width column
-        regions and bitmaps as numpy arrays, decode varlen candidates, and
-        snapshot the version-pointer array.  Phase 2 (unlatched): walk the
-        version chains of the few slots that have one, overlaying
-        before-images into the copies — exactly the newest-to-oldest
-        traversal ``DataTable.select`` performs, amortized over the block.
-        """
-        layout = self.table.layout
-        fixed_ids = [c for c in self.column_ids if not layout.columns[c].is_varlen]
-        varlen_ids = [c for c in self.column_ids if layout.columns[c].is_varlen]
-        with trace.span("query.scan.hot_copy"):
-            with block.write_latch:
-                n = block.insert_head
-                present = block.allocation_bitmap.to_numpy()[:n]
-                ptrs = block.version_ptrs[:n]
-                fixed: dict[int, np.ndarray] = {}
-                nulls: dict[int, np.ndarray] = {}
-                for column_id in fixed_ids:
-                    fixed[column_id] = block.column_view(column_id)[:n].copy()
-                    nulls[column_id] = ~block.validity_bitmaps[column_id].to_numpy()[:n]
-                varlen: dict[int, list] = {
-                    column_id: self._decode_varlen_column(
-                        block, column_id, n, present, ptrs
-                    )
-                    for column_id in varlen_ids
-                }
-        patched = 0
-        with trace.span("query.scan.hot_patch"):
-            for offset, head in enumerate(ptrs):
-                if head is None:
-                    continue
-                patched += 1
-                alive = bool(present[offset])
-                record = head
-                while record is not None and not record.is_visible_to(txn):
-                    alive = record.undo_presence(alive)
-                    before = getattr(record, "before", None)
-                    if before is not None:
-                        for column_id, value in before.items():
-                            if column_id in fixed:
-                                if value is None:
-                                    nulls[column_id][offset] = True
-                                else:
-                                    nulls[column_id][offset] = False
-                                    fixed[column_id][offset] = value
-                            elif column_id in varlen:
-                                varlen[column_id][offset] = value
-                    record = record.next
-                present[offset] = alive
-        self.rows_patched += patched
-        if self._m_patched is not None and patched:
-            self._m_patched.inc(patched)
-        live = np.flatnonzero(present)
-        columns: dict[int, Any] = {}
-        null_masks: dict[int, np.ndarray] = {}
-        for column_id in fixed_ids:
-            columns[column_id] = fixed[column_id][live]
-            live_nulls = nulls[column_id][live]
-            if live_nulls.any():
-                null_masks[column_id] = live_nulls
-        for column_id in varlen_ids:
-            values = varlen[column_id]
-            columns[column_id] = [values[i] for i in live]
-        return ColumnBatch(columns, len(live), from_frozen=False, null_masks=null_masks)
-
-    def _decode_varlen_column(
-        self, block, column_id: int, n: int, present: np.ndarray, ptrs: list
-    ) -> list:
-        """Decode the in-place varlen values of every candidate slot.
-
-        Runs under the block latch (heap frees race with unlatched reads);
-        only slots that are allocated or version-chained are decoded, so
-        never-used and recycled gaps cost nothing."""
-        spec = self.table.layout.columns[column_id]
-        heap = block.varlen_heaps[column_id]
-        gathered = block.gathered.get(column_id)
-        gathered_values = gathered[1] if gathered is not None else None
-        valid = block.validity_bitmaps[column_id].to_numpy()[:n]
-        decode = isinstance(spec.dtype, VarBinaryType) and spec.dtype.is_utf8
-        values: list = [None] * n
-        for offset in range(n):
-            if not valid[offset]:
-                continue
-            if not present[offset] and ptrs[offset] is None:
-                continue
-            raw = read_value(
-                block.varlen_entry_view(column_id, offset), heap, gathered_values
+        """Materialize the snapshot of a hot block under one latch
+        (:func:`~repro.transform.arrow_view.materialize_hot`, the same
+        kernel the exports use): fixed-width columns as numpy arrays,
+        varlen columns as :class:`ArrowColumnView` facades."""
+        hot = materialize_hot(block, txn, self.column_ids)
+        self.rows_patched += hot.rows_patched
+        if self._m_patched is not None and hot.rows_patched:
+            self._m_patched.inc(hot.rows_patched)
+        columns: dict[int, Any] = {
+            column_id: (
+                hot.fixed[column_id]
+                if column_id in hot.fixed
+                else ArrowColumnView(hot.varlen[column_id])
             )
-            values[offset] = raw.decode("utf-8") if decode else raw
-        return values
+            for column_id in self.column_ids
+        }
+        return ColumnBatch(
+            columns, hot.num_rows, from_frozen=False, null_masks=hot.null_masks
+        )
 
     def _hot_batch_rowwise(self, block, txn: "TransactionContext") -> ColumnBatch:
         """Row-at-a-time reference path: one ``select`` per candidate slot.

@@ -23,6 +23,8 @@ storage do not own their bytes.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +33,12 @@ from repro.storage.constants import VARLEN_ENTRY_SIZE, VARLEN_INLINE_LIMIT
 
 _HEADER = struct.Struct("<i4s8s")  # size, prefix, pointer-or-inline-suffix
 _POINTER = struct.Struct("<q")
+
+#: The same 16 bytes as a numpy record, for reading a whole entry region at
+#: once (``region.view(ENTRY_DTYPE)``).  An inlined value's bytes start at
+#: byte 4 of its entry (prefix, then the pointer field).
+ENTRY_DTYPE = np.dtype([("size", "<i4"), ("prefix", "S4"), ("pointer", "<i8")])
+INLINE_VALUE_OFFSET = 4
 
 
 class VarlenEntry:
@@ -175,6 +183,16 @@ class VarlenHeap:
             return self._values[heap_id]
         except KeyError:
             raise StorageError(f"dangling varlen heap id {heap_id}") from None
+
+    def get_many(self, heap_ids: Sequence[int]) -> tuple[bytes, ...]:
+        """The bytes behind each of ``heap_ids``, in order, in one lookup."""
+        if not heap_ids:
+            return ()
+        try:
+            found = itemgetter(*heap_ids)(self._values)
+        except KeyError as exc:
+            raise StorageError(f"dangling varlen heap id {exc.args[0]}") from None
+        return found if len(heap_ids) > 1 else (found,)
 
     def free(self, heap_id: int) -> None:
         """Release one entry; freeing an unknown id is an error."""

@@ -1,4 +1,4 @@
-"""Zero-copy Arrow views of frozen blocks.
+"""Arrow record batches of blocks: zero-copy when frozen, one snapshot copy when hot.
 
 A FROZEN block *is* Arrow data: its fixed-width column regions are valid
 Arrow buffers in place, and the gather phase produced canonical offsets and
@@ -7,11 +7,20 @@ values buffers for varlen columns.  This module materializes that fact as
 block's memory — what the export layer ships without serialization.  A
 frozen block is immutable until a writer reheats it, so its batch is built
 once per freeze (:func:`frozen_batch`) and every pinned reader reuses it.
+
+A HOT block must be read through a transactional snapshot instead
+(:func:`materialize_hot`), block at a time: one latched copy, version
+chains walked only where they exist, and numpy gathers into fresh
+buffers.  Every MVCC block read — Flight, RDMA, streaming exports and
+``TableScanner`` — goes through it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro.arrowfmt.array import (
     Array,
@@ -30,12 +39,16 @@ from repro.arrowfmt.datatypes import (
     VarBinaryType,
 )
 from repro.errors import BlockStateError, StorageError
-from repro.storage.constants import BlockState
+from repro.storage.constants import VARLEN_ENTRY_SIZE, VARLEN_INLINE_LIMIT, BlockState
 from repro.storage.layout import BlockLayout
+from repro.storage.varlen import ENTRY_DTYPE, INLINE_VALUE_OFFSET
 from repro.transform.gather import live_prefix_length
 
 if TYPE_CHECKING:
+    from repro.arrowfmt.table import RecordBatch
     from repro.storage.block import RawBlock
+    from repro.txn.context import TransactionContext
+    from repro.txn.manager import TransactionManager
 
 
 def table_schema(layout: BlockLayout, dictionary_columns: set[int] | None = None) -> Schema:
@@ -169,3 +182,256 @@ def _prefix_validity(block: "RawBlock", column_id: int, n: int) -> Bitmap | None
     if n and int(bitmap.to_numpy()[:n].sum()) == n:
         return None  # no nulls: Arrow allows omitting the validity buffer
     return Bitmap(bitmap.buffer, n)
+
+
+# ---------------------------------------------------------------------- #
+# hot blocks: block-at-a-time snapshot materialization                    #
+# ---------------------------------------------------------------------- #
+
+
+@dataclass
+class HotColumns:
+    """The rows of one hot block visible to a snapshot, in slot order.
+
+    Fixed-width columns are numpy arrays whose NULL slots are zeroed (the
+    bytes a builder writes); ``null_masks`` holds the NULL mask of each
+    fixed-width column that has a NULL.  Varlen columns are canonical
+    :class:`VarBinaryArray` s over fresh buffers.  ``rows_patched`` counts
+    the slots whose version chain was walked.
+    """
+
+    num_rows: int
+    fixed: dict[int, np.ndarray]
+    null_masks: dict[int, np.ndarray]
+    varlen: dict[int, VarBinaryArray]
+    rows_patched: int
+
+
+class _VarlenCopy(NamedTuple):
+    """What the latched phase copies of one varlen column."""
+
+    region: np.ndarray  # the 16-byte entries of slots [0, n)
+    valid: np.ndarray
+    wanted: np.ndarray  # valid and allocated-or-chained: the slots read
+    gathered: np.ndarray | None  # the column's gathered values, if any
+    heap_values: tuple[bytes, ...]  # out-of-line bytes of wanted slots
+
+
+def materialize_hot(
+    block: "RawBlock", txn: "TransactionContext", column_ids: list[int]
+) -> HotColumns:
+    """Materialize ``txn``'s snapshot of a hot block, block at a time.
+
+    Phase 1 (one write-latch section): copy the insert head, the
+    allocation and validity bitmaps, the version-pointer slice, the
+    requested fixed-width columns and each requested varlen column's
+    entry region, and fetch the heap bytes of every out-of-line value a
+    snapshot could read (slots that are allocated or have a version
+    chain) in one call — heap frees race with unlatched reads.  Phase 2
+    (unlatched): walk the version chains of the slots that have one,
+    overlaying before-images onto the copies — the newest-to-oldest
+    traversal ``DataTable.select`` performs.  Phase 3: keep the live
+    rows; varlen offsets are one ``cumsum`` and values one numpy gather
+    out of [entry region | gathered buffer | heap bytes | before-images].
+    """
+    layout = block.layout
+    fixed_ids = [c for c in column_ids if not layout.columns[c].is_varlen]
+    varlen_ids = [c for c in column_ids if layout.columns[c].is_varlen]
+    varlen: dict[int, _VarlenCopy] = {}
+    with block.write_latch:
+        n = block.insert_head
+        present = block.allocation_bitmap.to_numpy()[:n]
+        ptrs = block.version_ptrs[:n]
+        chained = [offset for offset, head in enumerate(ptrs) if head is not None]
+        fixed = {c: block.column_view(c)[:n].copy() for c in fixed_ids}
+        nulls = {c: ~block.validity_bitmaps[c].to_numpy()[:n] for c in fixed_ids}
+        if varlen_ids:
+            readable = present.copy()
+            readable[chained] = True
+            for column_id in varlen_ids:
+                varlen[column_id] = _copy_varlen(block, column_id, n, readable)
+
+    overrides: dict[int, dict[int, object]] = {c: {} for c in varlen_ids}
+    for offset in chained:
+        alive = bool(present[offset])
+        record = ptrs[offset]
+        while record is not None and not record.is_visible_to(txn):
+            alive = record.undo_presence(alive)
+            before = getattr(record, "before", None)
+            if before is not None:
+                for column_id, value in before.items():
+                    if column_id in fixed:
+                        if value is None:
+                            nulls[column_id][offset] = True
+                        else:
+                            nulls[column_id][offset] = False
+                            fixed[column_id][offset] = value
+                    elif column_id in overrides:
+                        overrides[column_id][offset] = value
+            record = record.next
+        present[offset] = alive
+
+    live = np.flatnonzero(present)
+    live_fixed: dict[int, np.ndarray] = {}
+    null_masks: dict[int, np.ndarray] = {}
+    for column_id in fixed_ids:
+        values = fixed[column_id][live]
+        live_nulls = nulls[column_id][live]
+        if live_nulls.any():
+            values[live_nulls] = np.zeros(1, dtype=values.dtype)
+            null_masks[column_id] = live_nulls
+        live_fixed[column_id] = values
+    arrays = {
+        column_id: _varlen_array(
+            layout.columns[column_id].dtype,  # type: ignore[arg-type]
+            varlen[column_id],
+            overrides[column_id],
+            live,
+        )
+        for column_id in varlen_ids
+    }
+    return HotColumns(len(live), live_fixed, null_masks, arrays, len(chained))
+
+
+def _copy_varlen(
+    block: "RawBlock", column_id: int, n: int, readable: np.ndarray
+) -> _VarlenCopy:
+    """Phase 1 for one varlen column; runs under the block's write latch."""
+    region = block.varlen_region_view(column_id)[: n * VARLEN_ENTRY_SIZE].copy()
+    valid = block.validity_bitmaps[column_id].to_numpy()[:n]
+    wanted = valid & readable
+    entries = region.view(ENTRY_DTYPE)
+    in_heap = wanted & (entries["size"] > VARLEN_INLINE_LIMIT) & (entries["pointer"] >= 0)
+    heap_values = block.varlen_heaps[column_id].get_many(
+        entries["pointer"][in_heap].tolist()
+    )
+    gathered = block.gathered.get(column_id)
+    return _VarlenCopy(
+        region, valid, wanted, gathered[1] if gathered is not None else None, heap_values
+    )
+
+
+def _varlen_array(
+    dtype: VarBinaryType,
+    copy: _VarlenCopy,
+    overrides: dict[int, object],
+    live: np.ndarray,
+) -> VarBinaryArray:
+    """Phase 3 for one varlen column: the live rows as a canonical array.
+
+    Every value is one run of bytes in a single source buffer — inline
+    values inside their entry, the rest in the gathered buffer, the heap
+    bytes or the before-images — so the values buffer is one gather."""
+    entries = copy.region.view(ENTRY_DTYPE)
+    sizes = entries["size"].astype(np.int64)
+    pointers = entries["pointer"]
+    wanted = copy.wanted
+    if (sizes[wanted] < 0).any():
+        raise StorageError("corrupt varlen entry: negative size")
+    out_of_line = wanted & (sizes > VARLEN_INLINE_LIMIT)
+    in_heap = out_of_line & (pointers >= 0)
+    in_gathered = out_of_line & (pointers < 0)
+
+    starts = np.arange(len(sizes), dtype=np.int64) * VARLEN_ENTRY_SIZE
+    starts += INLINE_VALUE_OFFSET
+    sources = [copy.region]
+    base = copy.region.size
+    if in_gathered.any():
+        gathered = copy.gathered
+        if gathered is None:
+            raise StorageError("entry references a gathered buffer that is absent")
+        positions = -pointers[in_gathered] - 1
+        if (positions + sizes[in_gathered] > gathered.size).any():
+            raise StorageError("gathered buffer shorter than entry size")
+        starts[in_gathered] = base + positions
+        sources.append(gathered)
+        base += gathered.size
+
+    heap_sizes = sizes[in_heap]
+    heap_lengths = np.fromiter(map(len, copy.heap_values), np.int64, len(copy.heap_values))
+    if not np.array_equal(heap_lengths, heap_sizes):
+        raise StorageError("varlen heap bytes do not match their entry sizes")
+    starts[in_heap] = base + np.cumsum(heap_sizes) - heap_sizes
+    base += int(heap_sizes.sum())
+
+    valid = copy.valid
+    pieces = list(copy.heap_values)
+    for offset, value in overrides.items():
+        if value is None:
+            valid[offset] = False
+            continue
+        raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)  # type: ignore[arg-type]
+        valid[offset] = True
+        sizes[offset] = len(raw)
+        starts[offset] = base
+        base += len(raw)
+        pieces.append(raw)
+    if pieces:
+        sources.append(np.frombuffer(b"".join(pieces), dtype=np.uint8))
+
+    keep = valid[live]
+    lengths = np.where(keep, sizes[live], 0)
+    offsets = np.zeros(len(live) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    # Output byte j of a row that starts at output position p and source
+    # position s comes from source byte s + (j - p).
+    shift = starts[live][keep] - offsets[:-1][keep]
+    source = np.arange(int(offsets[-1]), dtype=np.int64) + np.repeat(shift, lengths[keep])
+    values = np.concatenate(sources)[source]
+    validity = None if keep.all() else Bitmap.from_numpy(keep)
+    return VarBinaryArray(
+        dtype, len(live), Buffer.from_numpy(offsets), Buffer.from_numpy(values), validity
+    )
+
+
+def hot_batch(block: "RawBlock", txn: "TransactionContext") -> "RecordBatch":
+    """A hot block's rows under ``txn``'s snapshot as a record batch.
+
+    Byte for byte the batch :func:`rows_to_record_batch` builds from the
+    same snapshot's rows: NULL fixed slots are zero and a column with no
+    NULLs has no validity buffer."""
+    from repro.arrowfmt.table import RecordBatch
+
+    layout = block.layout
+    hot = materialize_hot(block, txn, list(range(layout.num_columns)))
+    columns: list[Array] = []
+    for column_id, spec in enumerate(layout.columns):
+        if spec.is_varlen:
+            columns.append(hot.varlen[column_id])
+            continue
+        nulls = hot.null_masks.get(column_id)
+        columns.append(
+            FixedSizeArray(
+                spec.dtype,  # type: ignore[arg-type]
+                hot.num_rows,
+                Buffer.from_numpy(hot.fixed[column_id]),
+                None if nulls is None else Bitmap.from_numpy(~nulls),
+            )
+        )
+    return RecordBatch(table_schema(layout), columns)
+
+
+class ExportSnapshot:
+    """Hot-block batches of one export, all read under one transaction.
+
+    The transaction begins at the first hot block, so an all-frozen
+    export never starts one; leaving the ``with`` block commits it.
+    """
+
+    def __init__(self, txn_manager: "TransactionManager") -> None:
+        self.txn_manager = txn_manager
+        self.txn: "TransactionContext | None" = None
+
+    def batch(self, block: "RawBlock") -> "RecordBatch":
+        """``block``'s rows under the export's snapshot."""
+        if self.txn is None:
+            self.txn = self.txn_manager.begin()
+        return hot_batch(block, self.txn)
+
+    def __enter__(self) -> "ExportSnapshot":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.txn is not None:
+            self.txn_manager.commit(self.txn)
+            self.txn = None

@@ -12,8 +12,9 @@ compresses), builds the block's Arrow record batch once for every later
 reader, and marks blocks FROZEN.
 
 Also implemented here are the two baselines of Section 6.2:
-``snapshot_transform`` (copy the whole block through a transactional read)
-and ``inplace_transform`` (do everything as transactional updates).
+``snapshot_transform`` (copy the whole block through a transactional read,
+tuple by tuple) and ``inplace_transform`` (do everything as transactional
+updates).  They exist for Figures 12 and 13 only.
 """
 
 from __future__ import annotations
@@ -426,7 +427,9 @@ def snapshot_transform(
     Every live tuple is read through the Data Table API and appended to
     builders — simple, but it copies the whole block and (because the copy
     lives at new addresses) would invalidate every index entry, the cost
-    Figure 13 charges it for.
+    Figure 13 charges it for.  This is only the transformation baseline of
+    Figures 12 and 13; readers of hot blocks (exports, scans) use
+    :func:`repro.transform.arrow_view.materialize_hot` instead.
     """
     txn = txn_manager.begin()
     column_ids = list(range(table.layout.num_columns))

@@ -12,8 +12,11 @@ from repro.export import NetworkProfile, SimulatedNetwork, TableExporter
 from repro.export import postgres_wire, vectorized
 from repro.export.flight import _decode_dictionary_batch, client_receive, export_stream
 from repro.export.rdma import CACHE_BYPASS_PENALTY, export_rdma
+from repro.export.streaming import stream_blocks
 from repro.errors import SerializationError
 from repro.storage.constants import BlockState
+from repro.storage.tuple_slot import TupleSlot
+from repro.transform import arrow_view
 from repro.transform.arrow_view import frozen_batch, table_schema
 
 
@@ -161,6 +164,62 @@ class TestFlight:
         reader = db.begin()
         expected = sorted((r.get(0), r.get(1)) for _, r in info.table.scan(reader))
         assert sorted(zip(*(received.column_values(c) for c in ("id", "name")))) == expected
+
+
+class TestOneSnapshotPerExport:
+    """Every hot block of one export is read under the same snapshot: a row
+    moved between blocks mid-export is seen exactly once, where it was."""
+
+    def move_row_after_first_hot_block(self, monkeypatch, db, info):
+        table = info.table
+        first, last = table.blocks[0], table.blocks[-1]
+        with db.transaction() as txn:  # open a gap in the first block
+            table.delete(txn, TupleSlot(first.block_id, 0))
+        db.quiesce()
+        source = TupleSlot(last.block_id, 0)
+        gap = TupleSlot(first.block_id, 0)
+        moved = []
+        materialize = arrow_view.hot_batch
+
+        def hot_batch_then_move(block, txn):
+            batch = materialize(block, txn)
+            if not moved:
+                with db.transaction() as mover:
+                    row = table.select(mover, source).to_dict()
+                    table.delete(mover, source)
+                    table.insert_into(mover, gap, row)
+                moved.append(block.block_id)
+            return batch
+
+        monkeypatch.setattr(arrow_view, "hot_batch", hot_batch_then_move)
+        return moved
+
+    def rows_and_sum(self, db, info):
+        reader = db.begin()
+        ids = [row.get(0) for _, row in info.table.scan(reader)]
+        db.txn_manager.commit(reader)
+        return len(ids), sum(ids)
+
+    def test_export_stream(self, monkeypatch):
+        db, info = build_db(full_blocks=3, freeze=False)
+        moved = self.move_row_after_first_hot_block(monkeypatch, db, info)
+        expected = self.rows_and_sum(db, info)
+        received = client_receive(export_stream(db.txn_manager, info.table).payload)
+        assert moved == [info.table.blocks[0].block_id]
+        ids = received.column_values("id")
+        assert (len(ids), sum(ids)) == expected
+        assert self.rows_and_sum(db, info) == expected  # the move committed
+
+    def test_stream_blocks(self, monkeypatch):
+        db, info = build_db(full_blocks=3, freeze=False)
+        moved = self.move_row_after_first_hot_block(monkeypatch, db, info)
+        expected = self.rows_and_sum(db, info)
+        ids = [
+            i for batch in stream_blocks(db.txn_manager, info.table)
+            for i in batch.column("id").to_pylist()
+        ]
+        assert moved
+        assert (len(ids), sum(ids)) == expected
 
 
 class TestRdma:

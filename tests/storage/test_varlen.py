@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.errors import StorageError
 from repro.storage.constants import VARLEN_ENTRY_SIZE, VARLEN_INLINE_LIMIT
 from repro.storage.varlen import (
+    ENTRY_DTYPE,
+    INLINE_VALUE_OFFSET,
     VarlenHeap,
     read_entry,
     read_value,
@@ -91,6 +93,45 @@ class TestOutOfLineValues:
     def test_heap_dangling_read_detected(self):
         with pytest.raises(StorageError):
             VarlenHeap().get(0)
+
+
+class TestHeapGetMany:
+    def test_empty(self):
+        assert VarlenHeap().get_many([]) == ()
+
+    def test_single_id(self):
+        heap = VarlenHeap()
+        heap_id = heap.put(b"x" * 20)
+        assert heap.get_many([heap_id]) == (b"x" * 20,)
+
+    def test_many_ids_in_request_order(self):
+        heap = VarlenHeap()
+        ids = [heap.put(bytes([65 + i]) * (13 + i)) for i in range(5)]
+        order = [ids[3], ids[0], ids[4], ids[0]]
+        assert heap.get_many(order) == tuple(heap.get(i) for i in order)
+
+    def test_dangling_id_detected(self):
+        heap = VarlenHeap()
+        kept = heap.put(b"k" * 20)
+        freed = heap.put(b"f" * 20)
+        heap.free(freed)
+        with pytest.raises(StorageError, match=f"dangling varlen heap id {freed}"):
+            heap.get_many([kept, freed])
+        with pytest.raises(StorageError):
+            heap.get_many([freed])
+
+
+def test_entry_dtype_matches_the_struct_layout():
+    heap = VarlenHeap()
+    region = np.zeros(2 * VARLEN_ENTRY_SIZE, dtype=np.uint8)
+    write_entry(region[:VARLEN_ENTRY_SIZE], b"inline", heap)
+    write_entry(region[VARLEN_ENTRY_SIZE:], b"an out-of-line value", heap)
+    entries = region.view(ENTRY_DTYPE)
+    assert entries["size"].tolist() == [6, 20]
+    assert entries["prefix"].tolist() == [b"inli", b"an o"]
+    assert entries["pointer"][1] == read_entry(region[VARLEN_ENTRY_SIZE:]).pointer
+    start = INLINE_VALUE_OFFSET
+    assert region[start : start + 6].tobytes() == b"inline"
 
 
 class TestGatheredEntries:
