@@ -12,6 +12,7 @@ protocol when everything is hot (Figure 15).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,11 +25,14 @@ from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import ArrowFormatError
 from repro.obs import trace
 from repro.storage.constants import BlockState
-from repro.transform.arrow_view import ExportSnapshot, frozen_batch, table_schema
+from repro.transform.arrow_view import BlockWalk, table_schema
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from repro.storage.block import RawBlock
     from repro.storage.data_table import DataTable
+    from repro.storage.layout import BlockLayout
     from repro.txn.manager import TransactionManager
 
 
@@ -40,6 +44,7 @@ class FlightStream:
     batches: int
     frozen_blocks: int
     materialized_blocks: int
+    rows: int
 
 
 def export_stream(
@@ -54,78 +59,70 @@ def export_stream(
     (hot, dictionary-compressed, fragment lost to a worker crash) are
     encoded in-process.
     """
-    return encode_blocks(txn_manager, table, list(table.blocks), pool)
+    return encode_blocks(table.layout, [(txn_manager, table.blocks)], pool)
 
 
 def encode_blocks(
-    txn_manager: "TransactionManager",
-    table: "DataTable",
-    blocks: list["RawBlock"],
+    layout: "BlockLayout",
+    sources: "Iterable[tuple[TransactionManager, Iterable[RawBlock]]]",
     pool=None,
 ) -> FlightStream:
-    """Encode ``blocks`` (in order) as one IPC stream; empty blocks are skipped.
+    """Encode the blocks of each ``(txn_manager, blocks)`` source, in order,
+    as one IPC stream with one schema header; empty blocks are skipped.
 
-    Every frozen block is pinned up front and stays pinned until the parts
-    are joined into the payload: the stream holds views of block memory,
-    and the pin is what keeps a writer from changing it underneath.  Hot
-    blocks are materialized under one snapshot for the whole stream.
+    A source — a table, a block range of one, or one shard's part of a
+    sharded table — is read as one :class:`BlockWalk`: its frozen blocks
+    stay pinned until the parts are joined into the payload (the stream
+    holds views of block memory, and the pin is what keeps a writer from
+    changing it underneath), and its hot blocks are materialized under one
+    snapshot.
     """
-    schema = table_schema(table.layout)
+    schema = table_schema(layout)
     parts: list[ipc.Part] = [ipc.schema_header(schema)]
-    frozen = materialized = 0
-    pinned: dict[int, "RawBlock"] = {}
-    try:
-        for block in blocks:
-            if block.begin_frozen_read():
-                pinned[block.block_id] = block
-        shipped = _serialize_in_pool(pool, pinned.values()) if pool is not None else {}
-        with ExportSnapshot(txn_manager) as snapshot:
-            for block in blocks:
-                payload = shipped.get(block.block_id)
-                if payload is not None:
-                    parts.append(payload)
+    frozen = materialized = rows = 0
+    with ExitStack() as walks:
+        for txn_manager, blocks in sources:
+            walk = walks.enter_context(BlockWalk(txn_manager, blocks))
+            shipped = _serialize_in_pool(pool, walk.pinned) if pool is not None else {}
+            for block, is_frozen in walk:
+                result = shipped.get(block.block_id)
+                if result is not None:
+                    parts.append(result["payload"])
+                    rows += result["num_rows"]
                     frozen += 1
                     continue
-                is_frozen = block.block_id in pinned
-                batch = frozen_batch(block) if is_frozen else snapshot.batch(block)
+                batch = walk.batch(block, is_frozen)
                 if batch.num_rows == 0:
                     continue
                 if batch.schema != schema:
                     batch = _decode_dictionary_batch(batch, schema)
                 parts += ipc.batch_parts(batch)
+                rows += batch.num_rows
                 if is_frozen:
                     frozen += 1
                 else:
                     materialized += 1
         parts.append(ipc.END_MARKER)
         payload = b"".join(parts)
-    finally:
-        for block in pinned.values():
-            block.end_frozen_read()
-    return FlightStream(payload, frozen + materialized, frozen, materialized)
+    return FlightStream(payload, frozen + materialized, frozen, materialized, rows)
 
 
-def _serialize_in_pool(pool, blocks) -> dict[int, bytes]:
+def _serialize_in_pool(pool, blocks) -> dict[int, dict]:
     """Encoded batches from worker processes, by block id, for the pinned
     blocks whose shared-memory copy matches the current freeze.  Blocks
     missing from the result (no descriptor, fragment lost) are encoded
     in-process by the caller."""
     from repro.parallel.placement import descriptor_if_valid
 
-    descriptors = [descriptor_if_valid(block) for block in blocks]
-    jobs = [d for d in descriptors if d is not None and d.num_rows > 0]
-    if not jobs:
+    descriptors = [
+        descriptor
+        for descriptor in map(descriptor_if_valid, blocks)
+        if descriptor is not None and descriptor.num_rows > 0
+    ]
+    if not descriptors:
         return {}
-    workers = max(1, getattr(pool, "num_workers", 1))
-    size = max(1, -(-len(jobs) // (2 * workers)))
-    fragments = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-    with trace.span("export.parallel_dispatch", fragments=len(fragments)):
-        answers = pool.run_fragments("serialize", [(fragment,) for fragment in fragments])
-    shipped: dict[int, bytes] = {}
-    for answer in answers:
-        for result in answer or ():  # None: encoded in-process instead
-            shipped[result["block_id"]] = result["payload"]
-    return shipped
+    with trace.span("export.parallel_dispatch", blocks=len(descriptors)):
+        return pool.run_blocks("serialize", descriptors)
 
 
 def _decode_dictionary_batch(batch: RecordBatch, schema) -> RecordBatch:
@@ -211,7 +208,7 @@ def incremental_export(
         for block in blocks
         if not (block.state is BlockState.FROZEN and block.frozen_at <= since)
     ]
-    stream = encode_blocks(txn_manager, table, changed)
+    stream = encode_blocks(table.layout, [(txn_manager, changed)])
     return IncrementalStream(
         stream.payload,
         cursor,

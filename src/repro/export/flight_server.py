@@ -109,7 +109,7 @@ class FlightServer:
             else ticket.block_start + ticket.block_count
         )
         selected = blocks[ticket.block_start : end]
-        return encode_blocks(self.db.txn_manager, table, selected).payload
+        return encode_blocks(table.layout, [(self.db.txn_manager, selected)]).payload
 
 
 class FlightClient:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.transform.arrow_view import ExportSnapshot, frozen_batch
+from repro.transform.arrow_view import BlockWalk
 
 if TYPE_CHECKING:
     from repro.storage.data_table import DataTable
@@ -55,21 +55,14 @@ def export_rdma(
     export (real CPU work happens here — the caller times it), after which
     their byte counts are charged at the cache-bypass rate.
     """
-    frozen_bytes = materialized_bytes = 0
-    frozen_blocks = materialized_blocks = 0
-    with ExportSnapshot(txn_manager) as snapshot:
-        for block in list(table.blocks):
-            if block.begin_frozen_read():
-                try:
-                    batch = frozen_batch(block)
-                    frozen_bytes += batch.nbytes()
-                    frozen_blocks += 1
-                finally:
-                    block.end_frozen_read()
+    transfer = RdmaTransfer(0, 0, 0, 0)
+    with BlockWalk(txn_manager, table.blocks) as walk:
+        for block, frozen in walk:
+            nbytes = walk.batch(block, frozen).nbytes()
+            if frozen:
+                transfer.frozen_bytes += nbytes
+                transfer.frozen_blocks += 1
             else:
-                batch = snapshot.batch(block)
-                materialized_bytes += batch.nbytes()
-                materialized_blocks += 1
-    return RdmaTransfer(
-        frozen_bytes, materialized_bytes, frozen_blocks, materialized_blocks
-    )
+                transfer.materialized_bytes += nbytes
+                transfer.materialized_blocks += 1
+    return transfer

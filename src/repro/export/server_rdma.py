@@ -84,9 +84,7 @@ class LeaseManager:
                 self._leases.get(block.block_id, 0.0), expires
             )
             self.grants += 1
-        batch = None  # size without materializing values
-        nbytes = block.layout.used_bytes
-        return Lease(block.block_id, expires, nbytes)
+        return Lease(block.block_id, expires, block.layout.used_bytes)
 
     def lease_remaining(self, block_id: int) -> float:
         """Seconds until the last lease on ``block_id`` expires (≤ 0 = none)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.export.network import NetworkProfile, SimulatedNetwork
-from repro.transform.arrow_view import ExportSnapshot, frozen_batch
+from repro.transform.arrow_view import BlockWalk
 
 if TYPE_CHECKING:
     from repro.arrowfmt.table import RecordBatch
@@ -67,16 +67,11 @@ def stream_blocks(
     txn_manager: "TransactionManager", table: "DataTable"
 ) -> "Iterator[RecordBatch]":
     """Yield one record batch per block (zero-copy when frozen); every hot
-    block is read under the same snapshot."""
-    with ExportSnapshot(txn_manager) as snapshot:
-        for block in list(table.blocks):
-            if block.begin_frozen_read():
-                try:
-                    batch = frozen_batch(block)
-                finally:
-                    block.end_frozen_read()
-            else:
-                batch = snapshot.batch(block)
+    block is read under the same snapshot.  Frozen blocks stay pinned until
+    the generator is exhausted or closed: the batches alias their memory."""
+    with BlockWalk(txn_manager, table.blocks) as walk:
+        for block, frozen in walk:
+            batch = walk.batch(block, frozen)
             if batch.num_rows:
                 yield batch
 

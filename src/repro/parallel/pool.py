@@ -391,6 +391,21 @@ class WorkerPool:
         self._reap_and_respawn()
         return results
 
+    def run_blocks(self, kind: str, descriptors: list, *args: Any) -> dict[int, Any]:
+        """Run a per-block fragment ``kind`` over block ``descriptors``.
+
+        The descriptors go out in contiguous runs, about two per worker for
+        balance, each as the payload ``(run, *args)``; the per-block results
+        come back keyed by block id.  Blocks of a run the pool could not
+        complete are absent — the caller reads exactly those in-process.
+        """
+        size = max(1, -(-len(descriptors) // (2 * self.num_workers)))
+        runs = [descriptors[i : i + size] for i in range(0, len(descriptors), size)]
+        answers = self.run_fragments(kind, [(run, *args) for run in runs])
+        return {
+            result["block_id"]: result for answer in answers for result in answer or ()
+        }
+
     def _note_slow_fragment(
         self,
         kind: str,

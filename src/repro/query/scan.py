@@ -36,7 +36,7 @@ from repro.errors import StorageError
 from repro.obs import trace
 from repro.obs.slo import stamp_phase
 from repro.storage.tuple_slot import TupleSlot
-from repro.transform.arrow_view import frozen_batch, materialize_hot
+from repro.transform.arrow_view import BlockWalk, frozen_batch, materialize_hot
 
 if TYPE_CHECKING:
     from repro.storage.data_table import DataTable
@@ -249,8 +249,9 @@ class TableScanner:
         still be applied by the caller; the pushed bounds are inclusive.
 
         ``txn`` pins the scan to a caller-owned snapshot (the scanner will
-        not commit it); when omitted, one transaction spans the *whole*
-        scan, so every hot block is read under the same snapshot.
+        not commit it); when omitted, one transaction, begun at the first
+        hot block, spans the rest of the scan, so every hot block is read
+        under the same snapshot.
 
         ``vectorized=False`` selects the row-at-a-time reference path (one
         ``DataTable.select`` per slot) — kept as the correctness oracle and
@@ -304,166 +305,74 @@ class TableScanner:
             self._m_patched = self._m_selectivity = None
 
     def batches(self) -> Iterator[ColumnBatch]:
-        """Yield one batch per block that has any visible rows.
+        """Yield one batch per block that has any visible rows, in order.
 
-        The whole iteration runs under a single transactional snapshot
-        (the caller's ``txn`` if one was supplied), so a multi-block scan
-        is consistent: hot blocks materialized early and late see the same
-        committed state.
+        The scan is one :class:`~repro.transform.arrow_view.BlockWalk`:
+        every frozen block is pinned up front and stays pinned until the
+        iteration is exhausted or closed (frozen batches alias block
+        memory), and every hot block is read under one snapshot — the
+        caller's ``txn`` if one was supplied — so hot blocks materialized
+        early and late see the same committed state.  With a ``pool``,
+        pinned blocks whose shared-memory copy matches the current freeze
+        are scanned by worker processes first; any block the pool did not
+        complete is read in place under its still-held pin, so a worker
+        crash degrades throughput, not results.
         """
-        txn = self.txn
-        owns_txn = txn is None
-        if owns_txn:
-            txn = self.txn_manager.begin()
-        try:
-            # One root span per scan: fragment dispatch captures this
-            # span's trace context, so worker-process spans join the same
-            # causal tree (and a caller's enclosing span adopts the scan).
-            with trace.span("query.scan", parallel=self.pool is not None):
-                if self.pool is not None:
-                    yield from self._batches_parallel(txn)
-                else:
-                    yield from self._batches_serial(txn)
-        finally:
-            if owns_txn:
-                self.txn_manager.commit(txn)
-
-    def _batches_serial(self, txn: "TransactionContext") -> Iterator[ColumnBatch]:
-        for block in list(self.table.blocks):
-            if block.begin_frozen_read():
-                try:
-                    if self._pruned_by_zone_map(block.zone_maps):
-                        self._count_pruned()
-                        continue
-                    with trace.span("query.scan.frozen"):
-                        batch = self._frozen_batch(block)
-                finally:
-                    block.end_frozen_read()
-                self.frozen_blocks_scanned += 1
-                if self._m_frozen is not None:
-                    self._m_frozen.inc()
-            else:
-                if self._pruned_by_zone_map(block.hot_zone_maps):
+        # One root span per scan: fragment dispatch captures this span's
+        # trace context, so worker-process spans join the same causal tree
+        # (and a caller's enclosing span adopts the scan).
+        walk = BlockWalk(self.txn_manager, self.table.blocks, self.txn)
+        with walk, trace.span("query.scan", parallel=self.pool is not None):
+            results = self._scan_in_pool(walk.pinned) if self.pool is not None else {}
+            for block, frozen in walk:
+                if self._pruned_by_zone_map(
+                    block.zone_maps if frozen else block.hot_zone_maps
+                ):
                     self._count_pruned()
                     continue
-                with trace.span("query.scan.hot"):
-                    if self.vectorized:
-                        batch = self._hot_batch(block, txn)
-                    else:
-                        batch = self._hot_batch_rowwise(block, txn)
-                self.hot_blocks_scanned += 1
-                if self._m_hot is not None:
-                    self._m_hot.inc()
-            self._apply_selection(batch)
-            if batch.num_rows:
-                yield batch
-
-    # ------------------------------------------------------------------ #
-    # parallel path: frozen fragments out to the worker pool              #
-    # ------------------------------------------------------------------ #
-
-    def _batches_parallel(self, txn: "TransactionContext") -> Iterator[ColumnBatch]:
-        """Fan frozen blocks out to workers; keep hot/MVCC work here.
-
-        Snapshot correctness: visibility of frozen data is decided *in
-        this process* by pinning blocks whose shared-memory descriptor
-        matches the current freeze (the pin blocks reheating, so the slot
-        payload cannot go stale while a worker reads it).  Workers never
-        see transactions or version chains.  Any fragment the pool fails
-        to complete is recomputed in-process under the still-held pins, so
-        a worker crash degrades throughput, not results.
-        """
-        from repro.parallel.placement import descriptor_if_valid
-
-        blocks = list(self.table.blocks)
-        #: per block: ("worker", descriptor) with the pin HELD, or
-        #: ("frozen", None) pinned without a descriptor, or ("hot", None).
-        plan: list[tuple[str, Any]] = []
-        pinned: list[Any] = []
-        try:
-            for block in blocks:
-                if block.begin_frozen_read():
-                    pinned.append(block)
-                    descriptor = descriptor_if_valid(block)
-                    if descriptor is not None:
-                        plan.append(("worker", descriptor))
-                    else:
-                        plan.append(("frozen", None))
+                result = results.get(block.block_id)
+                if result is not None:
+                    batch = self._batch_from_result(result)
                 else:
-                    plan.append(("hot", None))
-
-            jobs = [
-                (i, descriptor)
-                for i, (kind, descriptor) in enumerate(plan)
-                if kind == "worker"
-            ]
-            results: dict[int, Any] = {}
-            if jobs:
-                fragments = self._partition(jobs)
-                payloads = [
-                    ([d for _, d in fragment], self.column_ids, self.range_filters)
-                    for fragment in fragments
-                ]
-                # Time spent waiting on worker processes is its own phase
-                # on the surrounding request's critical path.
-                with stamp_phase("worker.fragment"), trace.span(
-                    "query.scan.parallel_dispatch"
-                ):
-                    answers = self.pool.run_fragments("scan", payloads)
-                for fragment, answer in zip(fragments, answers):
-                    if answer is None:
-                        continue  # pool fallback: recompute below
-                    for (block_index, _), result in zip(fragment, answer):
-                        results[block_index] = result
-
-            for block_index, (kind, descriptor) in enumerate(plan):
-                block = blocks[block_index]
-                if kind == "hot":
-                    if self._pruned_by_zone_map(block.hot_zone_maps):
-                        self._count_pruned()
-                        continue
-                    with trace.span("query.scan.hot"):
-                        if self.vectorized:
-                            batch = self._hot_batch(block, txn)
+                    with trace.span("query.scan.frozen" if frozen else "query.scan.hot"):
+                        if frozen:
+                            batch = self._frozen_batch(block)
+                        elif self.vectorized:
+                            batch = self._hot_batch(block, walk.txn)
                         else:
-                            batch = self._hot_batch_rowwise(block, txn)
+                            batch = self._hot_batch_rowwise(block, walk.txn)
+                    self._apply_selection(batch)
+                if frozen:
+                    self.frozen_blocks_scanned += 1
+                    if self._m_frozen is not None:
+                        self._m_frozen.inc()
+                else:
                     self.hot_blocks_scanned += 1
                     if self._m_hot is not None:
                         self._m_hot.inc()
-                    self._apply_selection(batch)
-                    if batch.num_rows:
-                        yield batch
-                    continue
-                result = results.get(block_index)
-                if result is not None:
-                    if result["pruned"]:
-                        self._count_pruned()
-                        continue
-                    batch = self._batch_from_result(result)
-                else:
-                    # In-process fallback (no descriptor, or the pool did
-                    # not complete this fragment); the pin is still held,
-                    # so the block is safely readable in place.
-                    if self._pruned_by_zone_map(block.zone_maps):
-                        self._count_pruned()
-                        continue
-                    with trace.span("query.scan.frozen"):
-                        batch = self._frozen_batch(block)
-                    self._apply_selection(batch)
-                self.frozen_blocks_scanned += 1
-                if self._m_frozen is not None:
-                    self._m_frozen.inc()
                 if batch.num_rows:
                     yield batch
-        finally:
-            for block in pinned:
-                block.end_frozen_read()
 
-    def _partition(self, jobs: list) -> list[list]:
-        """Contiguous block-range fragments, ~2 per worker for balance."""
-        target = max(1, 2 * getattr(self.pool, "num_workers", 1))
-        size = max(1, -(-len(jobs) // target))
-        return [jobs[i : i + size] for i in range(0, len(jobs), size)]
+    def _scan_in_pool(self, pinned: list) -> dict[int, dict]:
+        """Worker scan results, by block id, of the pinned blocks whose
+        shared-memory copy matches the current freeze and that zone maps
+        do not prune."""
+        from repro.parallel.placement import descriptor_if_valid
+
+        descriptors = [
+            descriptor
+            for descriptor in map(descriptor_if_valid, pinned)
+            if descriptor is not None
+            and not self._pruned_by_zone_map(descriptor.zone_maps)
+        ]
+        if not descriptors:
+            return {}
+        # Time spent waiting on worker processes is its own phase on the
+        # surrounding request's critical path.
+        with stamp_phase("worker.fragment"), trace.span("query.scan.parallel_dispatch"):
+            return self.pool.run_blocks(
+                "scan", descriptors, self.column_ids, self.range_filters
+            )
 
     def _batch_from_result(self, result: dict) -> ColumnBatch:
         """Rebuild a ColumnBatch from a worker's scan result — the same

@@ -20,8 +20,11 @@ this repo's row codec already mimics:
     (and the same per-value text cost) as the Figure 15 baseline.
 
 ``A`` (Arrow payload)
-    An Arrow IPC stream (``repro.arrowfmt.ipc``) — the columnar export
-    path; frozen blocks ship through the zero-copy Flight serializer.
+    An Arrow IPC stream from the Flight encoder
+    (:func:`repro.export.flight.encode_blocks`): one schema header, then
+    one record batch per non-empty block of every shard — frozen blocks
+    ship their own buffers, hot blocks a snapshot materialized block at a
+    time.
 
 ``E`` (error)
     A JSON document ``{"status": "error", "code": ..., "message": ...}``.

@@ -5,7 +5,7 @@ One :class:`TransactionalServer` fronts one engine — a plain
 (the request path only touches the surface the two share) — and speaks the
 framed protocol of :mod:`repro.service.protocol`: point reads and scans
 answered through the postgres-wire row codec, whole-table exports through
-the Arrow-IPC path, and simple write transactions (upsert/delete through
+the Flight encoder, and simple write transactions (upsert/delete through
 an index) run under :func:`~repro.txn.retry.retry_transaction`.
 
 The interesting part is not the request dispatch but the failure shape:
@@ -62,7 +62,7 @@ from repro.errors import (
     TransactionAborted,
     TwoPhaseInDoubt,
 )
-from repro.export import postgres_wire
+from repro.export import flight, postgres_wire
 from repro.obs.registry import STATE
 from repro.obs.slo import RequestLifecycle, RequestLog, SloTracker
 from repro.obs.trace import TailSampler, current_context, get_tracer, span
@@ -99,14 +99,17 @@ class ServiceConfig:
                                         # this (None = keep every trace)
 
 
-def _layout(db: Any, table_name: str):
-    """The block layout for ``table_name`` on either engine flavour (a
-    sharded catalog's table objects carry no layout; shard 0's does)."""
-    table = db.catalog.table(table_name)
-    layout = getattr(table, "layout", None)
-    if layout is None:
-        layout = db.shards[0].catalog.table(table_name).layout
-    return layout
+def _shard_tables(db: Any, table_name: str) -> list[tuple[Any, Any]]:
+    """``(txn_manager, table)`` for each local table holding ``table_name``'s
+    rows: the table itself on a plain database, every shard's partition on
+    a sharded one — and only the first replica of a replicated table, the
+    row set ``ShardedTable.scan`` returns."""
+    shards = getattr(db, "shards", None)
+    if shards is None:
+        return [(db.txn_manager, db.catalog.table(table_name))]
+    if db.router.route(table_name).replicated:
+        shards = shards[:1]
+    return [(shard.txn_manager, shard.catalog.table(table_name)) for shard in shards]
 
 
 class TransactionalServer:
@@ -631,6 +634,17 @@ class TransactionalServer:
             meta["trace_id"] = lifecycle.trace_hex
         return protocol.encode_result(meta)
 
+    def _encode_payload(
+        self, lifecycle: RequestLifecycle, meta: dict[str, Any],
+        kind: bytes, payload: bytes,
+    ) -> bytes:
+        """An ok header, followed by the payload frame only when
+        ``meta["rows"]`` is non-zero — the only case a client reads one."""
+        header = self._encode_result(lifecycle, meta)
+        if not meta["rows"]:
+            return header
+        return header + protocol.encode_frame(kind, payload)
+
     def _require(self, request: Request, *fields: str) -> None:
         for name in fields:
             if getattr(request, name) is None:
@@ -652,9 +666,10 @@ class TransactionalServer:
                 self._record_txn(request, txn)
             rows = [self._row_values(row, column_ids) for _, row in matches]
         payload, count = postgres_wire.encode_rows(rows)
-        return self._encode_result(
-            lifecycle, {"rows": count, "format": "postgres_wire"}
-        ) + protocol.encode_frame(protocol.KIND_ROWS, payload)
+        return self._encode_payload(
+            lifecycle, {"rows": count, "format": "postgres_wire"},
+            protocol.KIND_ROWS, payload,
+        )
 
     def _do_scan(self, request: Request, lifecycle: RequestLifecycle) -> bytes:
         self._require(request, "table")
@@ -669,33 +684,26 @@ class TransactionalServer:
                         break
                 self._record_txn(request, txn)
         payload, count = postgres_wire.encode_rows(rows)
-        return self._encode_result(
-            lifecycle, {"rows": count, "format": "postgres_wire"}
-        ) + protocol.encode_frame(protocol.KIND_ROWS, payload)
+        return self._encode_payload(
+            lifecycle, {"rows": count, "format": "postgres_wire"},
+            protocol.KIND_ROWS, payload,
+        )
 
     def _do_export(self, request: Request, lifecycle: RequestLifecycle) -> bytes:
-        """Whole-table export as one Arrow IPC stream (a transactional
-        materialization — works identically on both engine flavours)."""
-        from repro.arrowfmt import ipc
-        from repro.arrowfmt.table import Table
-        from repro.transform.arrow_view import rows_to_record_batch, table_schema
-
+        """Whole-table export as one Arrow IPC stream from the Flight
+        encoder: frozen blocks ship their own buffers, hot blocks are read
+        under one snapshot per shard."""
         self._require(request, "table")
         with span("service.export", table=request.table):
-            layout = _layout(self.db, request.table)
-            table = self.db.catalog.table(request.table)
-            with self.db.transaction() as txn:
-                rows = [row.to_dict() for _, row in table.scan(txn)]
-                self._record_txn(request, txn)
-            batch_rows = 4096
-            batches = [
-                rows_to_record_batch(layout, rows[start : start + batch_rows])
-                for start in range(0, len(rows), batch_rows)
-            ]
-            payload = ipc.write_table(Table(table_schema(layout), batches))
-        return self._encode_result(
-            lifecycle, {"rows": len(rows), "format": "arrow_ipc"}
-        ) + protocol.encode_frame(protocol.KIND_ARROW, payload)
+            tables = _shard_tables(self.db, request.table)
+            layout = tables[0][1].layout
+            stream = flight.encode_blocks(
+                layout, [(tm, table.blocks) for tm, table in tables]
+            )
+        return self._encode_payload(
+            lifecycle, {"rows": stream.rows, "format": "arrow_ipc"},
+            protocol.KIND_ARROW, stream.payload,
+        )
 
     def _do_write(
         self,

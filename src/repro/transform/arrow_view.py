@@ -13,6 +13,10 @@ A HOT block must be read through a transactional snapshot instead
 chains walked only where they exist, and numpy gathers into fresh
 buffers.  Every MVCC block read — Flight, RDMA, streaming exports and
 ``TableScanner`` — goes through it.
+
+Those readers all walk a table the same way, through one
+:class:`BlockWalk`: frozen blocks pinned up front and held until the walk
+closes, hot blocks read under one snapshot for the whole walk.
 """
 
 from __future__ import annotations
@@ -411,27 +415,72 @@ def hot_batch(block: "RawBlock", txn: "TransactionContext") -> "RecordBatch":
     return RecordBatch(table_schema(layout), columns)
 
 
-class ExportSnapshot:
-    """Hot-block batches of one export, all read under one transaction.
+# ---------------------------------------------------------------------- #
+# the block walk every table reader shares                                #
+# ---------------------------------------------------------------------- #
 
-    The transaction begins at the first hot block, so an all-frozen
-    export never starts one; leaving the ``with`` block commits it.
+
+class BlockWalk:
+    """One in-order pass over a table's blocks: the only table-level pin site.
+
+    Opening the walk pins every block whose ``begin_frozen_read()``
+    succeeds (:attr:`pinned`, in block order — the set a worker pool fans
+    out before the first block is read).  Iterating yields ``(block,
+    frozen)`` in order: a frozen block is read in place, a hot one under
+    :attr:`txn` — the caller's transaction, or one begun at the first hot
+    read (an all-frozen walk never starts one) and committed on close, so
+    a row moved between blocks mid-walk is seen exactly once.
+
+    Every pin is held until :meth:`close` (or the end of the ``with``
+    block): frozen batches alias block memory, and the pin is what keeps a
+    writer from reheating and rewriting a block a consumer still reads.
+    Writers to a pinned block wait until then, so a thread that writes the
+    table from inside its own walk waits forever.
     """
 
-    def __init__(self, txn_manager: "TransactionManager") -> None:
+    __slots__ = ("txn_manager", "_plan", "pinned", "_txn", "_owns_txn")
+
+    def __init__(
+        self,
+        txn_manager: "TransactionManager",
+        blocks,
+        txn: "TransactionContext | None" = None,
+    ) -> None:
         self.txn_manager = txn_manager
-        self.txn: "TransactionContext | None" = None
+        self._plan = [(block, block.begin_frozen_read()) for block in blocks]
+        self.pinned: list["RawBlock"] = [
+            block for block, pinned in self._plan if pinned
+        ]
+        self._txn = txn
+        self._owns_txn = False
 
-    def batch(self, block: "RawBlock") -> "RecordBatch":
-        """``block``'s rows under the export's snapshot."""
-        if self.txn is None:
-            self.txn = self.txn_manager.begin()
-        return hot_batch(block, self.txn)
+    def __iter__(self):
+        return iter(self._plan)
 
-    def __enter__(self) -> "ExportSnapshot":
+    @property
+    def txn(self) -> "TransactionContext":
+        """The snapshot every hot block of the walk is read under."""
+        if self._txn is None:
+            self._txn = self.txn_manager.begin()
+            self._owns_txn = True
+        return self._txn
+
+    def batch(self, block: "RawBlock", frozen: bool) -> "RecordBatch":
+        """``block``'s record batch: the per-freeze batch when pinned, the
+        walk snapshot's rows otherwise."""
+        return frozen_batch(block) if frozen else hot_batch(block, self.txn)
+
+    def close(self) -> None:
+        """Release every pin and commit the walk's own transaction."""
+        pinned, self.pinned = self.pinned, []
+        for block in pinned:
+            block.end_frozen_read()
+        if self._owns_txn:
+            self._owns_txn = False
+            self.txn_manager.commit(self._txn)
+
+    def __enter__(self) -> "BlockWalk":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self.txn is not None:
-            self.txn_manager.commit(self.txn)
-            self.txn = None
+        self.close()

@@ -8,11 +8,12 @@ import pytest
 
 from repro import ColumnSpec, Database, INT64, UTF8
 from repro.errors import BlockStateError
-from repro.export import flight
 from repro.export.flight import client_receive, export_stream
+from repro.export.streaming import stream_blocks
 from repro.query import scan
 from repro.query.scan import TableScanner
 from repro.storage.constants import BlockState
+from repro.transform import arrow_view
 from repro.transform.arrow_view import frozen_batch
 
 
@@ -119,7 +120,7 @@ class TestPinnedReader:
             with db.transaction() as txn:
                 info.table.update(txn, slots[0], {1: "written"})
 
-        module, read = (flight, exported) if reader == "export" else (scan, scanned)
+        module, read = (arrow_view, exported) if reader == "export" else (scan, scanned)
         threads = self.start_writer_on_first_read(monkeypatch, module, block, write)
         values = read(db, info)
         assert threads, "the reader never read the pinned block"
@@ -159,3 +160,38 @@ class TestPinnedReader:
         values = scanned(db, info)
         assert values[0] == "first"
         assert -1 in values and 1 not in values
+
+
+class TestPinsLastTheWholeWalk:
+    """A frozen batch already handed to the caller aliases block memory, so
+    the reader keeps its pin until it is exhausted or closed: a writer
+    waits, and the batch never shows its uncommitted update."""
+
+    @pytest.mark.parametrize("reader", ["scan", "stream"])
+    def test_yielded_batch_never_sees_an_uncommitted_update(self, reader):
+        db, info, slots = build()
+        if reader == "scan":
+            batches = TableScanner(db.txn_manager, info.table, column_ids=[0]).batches()
+            ids = next(batches).column(0)
+        else:
+            batches = stream_blocks(db.txn_manager, info.table)
+            ids = next(batches).column("id").to_numpy()
+        assert ids[0] == 0
+        updated = threading.Event()
+        writer = db.txn_manager.begin()
+
+        def update():
+            info.table.update(writer, slots[0], {0: -777})
+            updated.set()
+
+        thread = threading.Thread(target=update, daemon=True)
+        thread.start()
+        try:
+            assert not updated.wait(0.2)  # blocked on the reader's pin
+            assert ids[0] == 0
+        finally:
+            batches.close()
+        assert updated.wait(10.0)
+        thread.join(timeout=10.0)
+        db.txn_manager.abort(writer)  # the update is never committed
+        assert scanned(db, info)[0] == "value-0-long-enough-to-spill"
