@@ -28,7 +28,7 @@ from repro.storage.constants import BlockState
 from repro.transform.arrow_view import BlockWalk, table_schema
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Callable, Iterable
 
     from repro.storage.block import RawBlock
     from repro.storage.data_table import DataTable
@@ -45,6 +45,9 @@ class FlightStream:
     frozen_blocks: int
     materialized_blocks: int
     rows: int
+    #: Ids of the snapshot transactions hot blocks were read under, one
+    #: per source with a hot block.
+    txn_ids: list[int]
 
 
 def export_stream(
@@ -59,19 +62,21 @@ def export_stream(
     (hot, dictionary-compressed, fragment lost to a worker crash) are
     encoded in-process.
     """
-    return encode_blocks(table.layout, [(txn_manager, table.blocks)], pool)
+    return encode_blocks(table.layout, [(txn_manager, lambda: table.blocks)], pool)
 
 
 def encode_blocks(
     layout: "BlockLayout",
-    sources: "Iterable[tuple[TransactionManager, Iterable[RawBlock]]]",
+    sources: "Iterable[tuple[TransactionManager, Callable[[], Iterable[RawBlock]]]]",
     pool=None,
 ) -> FlightStream:
-    """Encode the blocks of each ``(txn_manager, blocks)`` source, in order,
-    as one IPC stream with one schema header; empty blocks are skipped.
+    """Encode the blocks each ``(txn_manager, blocks)`` source lists, in
+    order, as one IPC stream with one schema header; empty blocks are
+    skipped.
 
     A source — a table, a block range of one, or one shard's part of a
-    sharded table — is read as one :class:`BlockWalk`: its frozen blocks
+    sharded table — is read as one :class:`BlockWalk` over ``blocks()``
+    (called again under the walk's own snapshot): its frozen blocks
     stay pinned until the parts are joined into the payload (the stream
     holds views of block memory, and the pin is what keeps a writer from
     changing it underneath), and its hot blocks are materialized under one
@@ -80,9 +85,12 @@ def encode_blocks(
     schema = table_schema(layout)
     parts: list[ipc.Part] = [ipc.schema_header(schema)]
     frozen = materialized = rows = 0
+    txn_ids: list[int] = []
     with ExitStack() as walks:
         for txn_manager, blocks in sources:
             walk = walks.enter_context(BlockWalk(txn_manager, blocks))
+            if walk.txn is not None:
+                txn_ids.append(walk.txn.txn_id)
             shipped = _serialize_in_pool(pool, walk.pinned) if pool is not None else {}
             for block, is_frozen in walk:
                 result = shipped.get(block.block_id)
@@ -104,7 +112,9 @@ def encode_blocks(
                     materialized += 1
         parts.append(ipc.END_MARKER)
         payload = b"".join(parts)
-    return FlightStream(payload, frozen + materialized, frozen, materialized, rows)
+    return FlightStream(
+        payload, frozen + materialized, frozen, materialized, rows, txn_ids
+    )
 
 
 def _serialize_in_pool(pool, blocks) -> dict[int, dict]:
@@ -202,17 +212,19 @@ def incremental_export(
     repeated exports cost O(changed data), not O(database).
     """
     cursor = txn_manager.timestamps.checkpoint()
-    blocks = list(table.blocks)
-    changed = [
-        block
-        for block in blocks
-        if not (block.state is BlockState.FROZEN and block.frozen_at <= since)
-    ]
-    stream = encode_blocks(table.layout, [(txn_manager, changed)])
+
+    def unchanged(block: "RawBlock") -> bool:
+        return block.state is BlockState.FROZEN and block.frozen_at <= since
+
+    skipped = sum(map(unchanged, list(table.blocks)))
+    stream = encode_blocks(
+        table.layout,
+        [(txn_manager, lambda: [b for b in list(table.blocks) if not unchanged(b)])],
+    )
     return IncrementalStream(
         stream.payload,
         cursor,
         stream.frozen_blocks,
         stream.materialized_blocks,
-        len(blocks) - len(changed),
+        skipped,
     )

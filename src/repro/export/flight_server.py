@@ -102,14 +102,15 @@ class FlightServer:
         if isinstance(ticket, bytes):
             ticket = FlightTicket.decode(ticket)
         table = self.db.catalog.table(ticket.table)
-        blocks = list(table.blocks)
         end = (
-            len(blocks)
+            None
             if ticket.block_count is None
             else ticket.block_start + ticket.block_count
         )
-        selected = blocks[ticket.block_start : end]
-        return encode_blocks(table.layout, [(self.db.txn_manager, selected)]).payload
+        return encode_blocks(
+            table.layout,
+            [(self.db.txn_manager, lambda: table.blocks[ticket.block_start : end])],
+        ).payload
 
 
 class FlightClient:

@@ -56,7 +56,7 @@ def export_rdma(
     their byte counts are charged at the cache-bypass rate.
     """
     transfer = RdmaTransfer(0, 0, 0, 0)
-    with BlockWalk(txn_manager, table.blocks) as walk:
+    with BlockWalk(txn_manager, lambda: table.blocks) as walk:
         for block, frozen in walk:
             nbytes = walk.batch(block, frozen).nbytes()
             if frozen:

@@ -69,7 +69,7 @@ def stream_blocks(
     """Yield one record batch per block (zero-copy when frozen); every hot
     block is read under the same snapshot.  Frozen blocks stay pinned until
     the generator is exhausted or closed: the batches alias their memory."""
-    with BlockWalk(txn_manager, table.blocks) as walk:
+    with BlockWalk(txn_manager, lambda: table.blocks) as walk:
         for block, frozen in walk:
             batch = walk.batch(block, frozen)
             if batch.num_rows:

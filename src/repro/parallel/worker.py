@@ -30,7 +30,7 @@ from repro.arrowfmt.buffer import Bitmap, Buffer
 from repro.arrowfmt.datatypes import Field, Schema, type_from_json
 from repro.arrowfmt.table import RecordBatch
 from repro.parallel.placement import BlockDescriptor
-from repro.query.scan import compute_selection, pruned_by_zone_map
+from repro.query.scan import compute_selection
 
 try:
     from multiprocessing import shared_memory as _shm
@@ -124,8 +124,6 @@ def _scan_descriptor(
     column_ids: list[int],
     range_filters: dict[int, tuple[float | None, float | None]],
 ) -> dict[str, Any]:
-    if pruned_by_zone_map(desc.zone_maps, range_filters):
-        return {"block_id": desc.block_id, "pruned": True}
     batch = descriptor_record_batch(cache, desc)
     n = batch.num_rows
     fixed: dict[int, np.ndarray] = {}
@@ -156,7 +154,6 @@ def _scan_descriptor(
         selection = compute_selection(filter_columns, null_masks, range_filters, n)
     return {
         "block_id": desc.block_id,
-        "pruned": False,
         "num_rows": n,
         "fixed": fixed,
         "null_masks": null_masks,
@@ -196,7 +193,7 @@ def _execute(cache: _SegmentCache, kind: str, payload: tuple, telemetry=None) ->
             telemetry.counter(
                 "parallel.fragment_rows_total",
                 "rows materialized by worker scan fragments",
-            ).inc(sum(r.get("num_rows", 0) for r in result if not r["pruned"]))
+            ).inc(sum(r["num_rows"] for r in result))
         return result
     if kind == "serialize":
         (descriptors,) = payload

@@ -49,27 +49,6 @@ SELECTIVITY_BUCKETS: tuple[float, ...] = (
 )
 
 
-def pruned_by_zone_map(zone_maps, range_filters) -> bool:
-    """Whether a block provably holds no row inside the bounds.
-
-    Works over frozen zone maps (exact over live values at gather time) and
-    hot zone maps (widen-only supersets of every value any snapshot could
-    see) alike; an absent entry never prunes.  Shared by the in-process
-    scanner and the worker processes (:mod:`repro.parallel.worker`) so both
-    paths prune identically.
-    """
-    for column_id, (low, high) in range_filters.items():
-        zone = zone_maps.get(column_id)
-        if zone is None:
-            continue
-        zone_min, zone_max = zone[0], zone[1]
-        if low is not None and zone_max < low:
-            return True
-        if high is not None and zone_min > high:
-            return True
-    return False
-
-
 def compute_selection(
     columns: dict[int, Any],
     null_masks: dict[int, np.ndarray],
@@ -321,7 +300,7 @@ class TableScanner:
         # One root span per scan: fragment dispatch captures this span's
         # trace context, so worker-process spans join the same causal tree
         # (and a caller's enclosing span adopts the scan).
-        walk = BlockWalk(self.txn_manager, self.table.blocks, self.txn)
+        walk = BlockWalk(self.txn_manager, lambda: self.table.blocks, self.txn)
         with walk, trace.span("query.scan", parallel=self.pool is not None):
             results = self._scan_in_pool(walk.pinned) if self.pool is not None else {}
             for block, frozen in walk:
@@ -408,7 +387,22 @@ class TableScanner:
             self._m_pruned.inc()
 
     def _pruned_by_zone_map(self, zone_maps) -> bool:
-        return pruned_by_zone_map(zone_maps, self.range_filters)
+        """Whether a block provably holds no row inside the range filters.
+
+        Works over frozen zone maps (exact over live values at gather time)
+        and hot zone maps (widen-only supersets of every value any snapshot
+        could see) alike; an absent entry never prunes.  Pool fragments are
+        pruned here before dispatch, so workers never see a pruned block.
+        """
+        for column_id, (low, high) in self.range_filters.items():
+            zone = zone_maps.get(column_id)
+            if zone is None:
+                continue
+            if low is not None and zone[1] < low:
+                return True
+            if high is not None and zone[0] > high:
+                return True
+        return False
 
     # ------------------------------------------------------------------ #
     # selection vectors                                                   #

@@ -99,16 +99,18 @@ class ServiceConfig:
                                         # this (None = keep every trace)
 
 
-def _shard_tables(db: Any, table_name: str) -> list[tuple[Any, Any]]:
+def _shard_tables(db: Any, table_name: str, request_id: int) -> list[tuple[Any, Any]]:
     """``(txn_manager, table)`` for each local table holding ``table_name``'s
     rows: the table itself on a plain database, every shard's partition on
-    a sharded one — and only the first replica of a replicated table, the
-    row set ``ShardedTable.scan`` returns."""
+    a sharded one — and one replica of a replicated table, the row set
+    ``ShardedTable.scan`` returns.  The replica rotates with the request id,
+    as ``DistributedTransaction.read_shard`` rotates with the txn id, so
+    exports of a replicated table spread over the shards."""
     shards = getattr(db, "shards", None)
     if shards is None:
         return [(db.txn_manager, db.catalog.table(table_name))]
     if db.router.route(table_name).replicated:
-        shards = shards[:1]
+        shards = [shards[request_id % len(shards)]]
     return [(shard.txn_manager, shard.catalog.table(table_name)) for shard in shards]
 
 
@@ -663,7 +665,7 @@ class TransactionalServer:
             column_ids = self._column_ids(info, request.columns)
             with self.db.transaction() as txn:
                 matches = index.lookup(txn, request.key, column_ids)
-                self._record_txn(request, txn)
+                self._record_txn(request, txn.txn_id)
             rows = [self._row_values(row, column_ids) for _, row in matches]
         payload, count = postgres_wire.encode_rows(rows)
         return self._encode_payload(
@@ -682,7 +684,7 @@ class TransactionalServer:
                     rows.append(self._row_values(row, column_ids))
                     if request.limit is not None and len(rows) >= request.limit:
                         break
-                self._record_txn(request, txn)
+                self._record_txn(request, txn.txn_id)
         payload, count = postgres_wire.encode_rows(rows)
         return self._encode_payload(
             lifecycle, {"rows": count, "format": "postgres_wire"},
@@ -692,14 +694,16 @@ class TransactionalServer:
     def _do_export(self, request: Request, lifecycle: RequestLifecycle) -> bytes:
         """Whole-table export as one Arrow IPC stream from the Flight
         encoder: frozen blocks ship their own buffers, hot blocks are read
-        under one snapshot per shard."""
+        under one snapshot per shard (none when every block is frozen)."""
         self._require(request, "table")
         with span("service.export", table=request.table):
-            tables = _shard_tables(self.db, request.table)
-            layout = tables[0][1].layout
+            tables = _shard_tables(self.db, request.table, lifecycle.request_id)
             stream = flight.encode_blocks(
-                layout, [(tm, table.blocks) for tm, table in tables]
+                tables[0][1].layout,
+                [(tm, lambda table=table: table.blocks) for tm, table in tables],
             )
+            for txn_id in stream.txn_ids or [None]:
+                self._record_txn(request, txn_id)
         return self._encode_payload(
             lifecycle, {"rows": stream.rows, "format": "arrow_ipc"},
             protocol.KIND_ARROW, stream.payload,
@@ -724,7 +728,7 @@ class TransactionalServer:
         committed: dict[str, Any] = {}
 
         def body(txn: Any) -> str:
-            self._record_txn(request, txn)
+            self._record_txn(request, txn.txn_id)
             matches = index.lookup(txn, request.key, [0])
             if matches:
                 slot = matches[0][0]
@@ -766,7 +770,7 @@ class TransactionalServer:
         committed: dict[str, Any] = {}
 
         def body(txn: Any) -> int:
-            self._record_txn(request, txn)
+            self._record_txn(request, txn.txn_id)
             committed["txn"] = txn
             deleted = 0
             for slot, _ in index.lookup(txn, request.key, [0]):
@@ -807,13 +811,13 @@ class TransactionalServer:
         ids = column_ids if column_ids is not None else sorted(values)
         return [values[column_id] for column_id in ids]
 
-    def _record_txn(self, request: Request, txn: Any) -> None:
+    def _record_txn(self, request: Request, txn_id: int | None) -> None:
         """Link this request to the transaction it spawned in the journal
         (the span → txn edge the flight recorder's timeline view joins)."""
         if self.recorder is not None:
             self.recorder.record(
                 "service.request",
-                txn_id=getattr(txn, "txn_id", None),
+                txn_id=txn_id,
                 op=request.op,
                 tenant=request.tenant,
                 table=request.table,

@@ -49,6 +49,8 @@ from repro.storage.varlen import ENTRY_DTYPE, INLINE_VALUE_OFFSET
 from repro.transform.gather import live_prefix_length
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+
     from repro.arrowfmt.table import RecordBatch
     from repro.storage.block import RawBlock
     from repro.txn.context import TransactionContext
@@ -423,13 +425,20 @@ def hot_batch(block: "RawBlock", txn: "TransactionContext") -> "RecordBatch":
 class BlockWalk:
     """One in-order pass over a table's blocks: the only table-level pin site.
 
-    Opening the walk pins every block whose ``begin_frozen_read()``
-    succeeds (:attr:`pinned`, in block order — the set a worker pool fans
-    out before the first block is read).  Iterating yields ``(block,
-    frozen)`` in order: a frozen block is read in place, a hot one under
-    :attr:`txn` — the caller's transaction, or one begun at the first hot
-    read (an all-frozen walk never starts one) and committed on close, so
-    a row moved between blocks mid-walk is seen exactly once.
+    ``blocks`` returns the blocks to read, in order (``lambda:
+    table.blocks`` for a whole table).  Opening the walk lists them and
+    pins every block whose ``begin_frozen_read()`` succeeds (:attr:`pinned`,
+    in block order — the set a worker pool fans out before the first block
+    is read).  Iterating yields ``(block, frozen)`` in order: a frozen block
+    is read in place, a hot one under :attr:`txn`.
+
+    :attr:`txn` is the caller's transaction or, when any listed block is
+    hot, one the walk begins right after pinning and commits on close.  A
+    walk that begins its own lists ``blocks()`` again under it and reads
+    every block appended since the first listing as hot, so a transaction
+    that committed in between is seen whole: its update to a listed hot
+    block and its insert into a new block alike.  An all-frozen walk
+    begins none — no writer can change a block under its pins.
 
     Every pin is held until :meth:`close` (or the end of the ``with``
     block): frozen batches alias block memory, and the pin is what keeps a
@@ -438,32 +447,31 @@ class BlockWalk:
     table from inside its own walk waits forever.
     """
 
-    __slots__ = ("txn_manager", "_plan", "pinned", "_txn", "_owns_txn")
+    __slots__ = ("txn_manager", "_plan", "pinned", "txn", "_owns_txn")
 
     def __init__(
         self,
         txn_manager: "TransactionManager",
-        blocks,
+        blocks: "Callable[[], Iterable[RawBlock]]",
         txn: "TransactionContext | None" = None,
     ) -> None:
         self.txn_manager = txn_manager
-        self._plan = [(block, block.begin_frozen_read()) for block in blocks]
+        self._plan = [(block, block.begin_frozen_read()) for block in list(blocks())]
         self.pinned: list["RawBlock"] = [
             block for block, pinned in self._plan if pinned
         ]
-        self._txn = txn
-        self._owns_txn = False
+        self._owns_txn = txn is None and len(self.pinned) < len(self._plan)
+        if self._owns_txn:
+            txn = txn_manager.begin()
+            listed = {id(block) for block, _ in self._plan}
+            self._plan += [
+                (block, False) for block in list(blocks()) if id(block) not in listed
+            ]
+        #: The snapshot every hot block of the walk is read under.
+        self.txn = txn
 
     def __iter__(self):
         return iter(self._plan)
-
-    @property
-    def txn(self) -> "TransactionContext":
-        """The snapshot every hot block of the walk is read under."""
-        if self._txn is None:
-            self._txn = self.txn_manager.begin()
-            self._owns_txn = True
-        return self._txn
 
     def batch(self, block: "RawBlock", frozen: bool) -> "RecordBatch":
         """``block``'s record batch: the per-freeze batch when pinned, the
@@ -477,7 +485,7 @@ class BlockWalk:
             block.end_frozen_read()
         if self._owns_txn:
             self._owns_txn = False
-            self.txn_manager.commit(self._txn)
+            self.txn_manager.commit(self.txn)
 
     def __enter__(self) -> "BlockWalk":
         return self

@@ -3,12 +3,12 @@ one source per shard, one schema header, ``rows`` taken from the stream."""
 
 import pytest
 
-from repro import ColumnSpec, Database
+from repro import ColumnSpec, Database, obs
 from repro.arrowfmt.datatypes import INT64, UTF8
 from repro.cluster import ShardedDatabase
 from repro.export import flight
 from repro.service import ServiceClient
-from repro.service.server import ServerThread
+from repro.service.server import ServerThread, _shard_tables
 from repro.storage.constants import BlockState
 
 COLUMNS = [ColumnSpec("key", INT64), ColumnSpec("field0", UTF8)]
@@ -88,6 +88,46 @@ def test_replicated_table_is_exported_once():
     response = export(db)
     assert response.meta["rows"] == 700
     assert exported_rows(response) == scanned_rows(db)
+    db.close()
+
+
+def test_replicated_exports_rotate_over_the_replicas():
+    db = make_db(shards=2, rows=10, shard_key=None)
+    picked = [
+        _shard_tables(db, "usertable", request_id)[0][1]
+        for request_id in range(1, 5)
+    ]
+    replicas = [shard.catalog.table("usertable") for shard in db.shards]
+    assert picked == [replicas[1], replicas[0], replicas[1], replicas[0]]
+    db.close()
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_export_is_journaled_with_its_snapshot(frozen):
+    was = obs.is_enabled()
+    obs.configure(enabled=True)
+    try:
+        db = make_db(rows=0)
+        table = db.catalog.table("usertable")
+        with db.transaction() as txn:
+            for key in range(table.layout.num_slots * 2 + (0 if frozen else 1)):
+                table.insert(txn, {0: key, 1: "v"})
+        db.freeze_table("usertable")
+        assert (table.block_states()[BlockState.HOT] == 0) == frozen
+        db.recorder.clear()
+        export(db)
+        events = [
+            event
+            for event in db.recorder.events(kind="service.request")
+            if event.attrs["op"] == "export"
+        ]
+    finally:
+        obs.configure(enabled=was)
+    assert len(events) == 1
+    if frozen:  # nothing hot to read: no snapshot transaction
+        assert events[0].txn_id is None
+    else:
+        assert events[0].txn_id is not None
     db.close()
 
 

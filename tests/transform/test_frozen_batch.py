@@ -195,3 +195,36 @@ class TestPinsLastTheWholeWalk:
         thread.join(timeout=10.0)
         db.txn_manager.abort(writer)  # the update is never committed
         assert scanned(db, info)[0] == "value-0-long-enough-to-spill"
+
+
+class TestOneSnapshotPerWalk:
+    """A walk with a hot block begins its snapshot before it reads anything
+    and lists the blocks again under it, so a transaction that commits
+    while the walk is open is seen whole or not at all — even when it
+    spilled into a block appended after the walk opened."""
+
+    @pytest.mark.parametrize("reader", ["scan", "stream"])
+    def test_commit_during_walk_is_not_torn(self, reader):
+        db, info, _ = build()
+        per_block = info.table.layout.num_slots
+        with db.transaction() as txn:
+            tail = info.table.insert(txn, {0: 10**6, 1: "hot tail"})
+        if reader == "scan":
+            batches = TableScanner(db.txn_manager, info.table, column_ids=[0]).batches()
+            ids = lambda batch: batch.pylist(0)  # noqa: E731
+        else:
+            batches = stream_blocks(db.txn_manager, info.table)
+            ids = lambda batch: batch.column("id").to_numpy().tolist()  # noqa: E731
+        seen = ids(next(batches))  # the first frozen block: the walk is open
+        blocks_before = len(info.table.blocks)
+        with db.transaction() as txn:
+            info.table.update(txn, tail, {0: -1})
+            for i in range(per_block):
+                info.table.insert(txn, {0: -2 - i, 1: "new"})
+        assert len(info.table.blocks) > blocks_before  # spilled into a new block
+        for batch in batches:
+            seen += ids(batch)
+        saw_update = -1 in seen
+        inserted = sum(1 for value in seen if value <= -2)
+        assert (saw_update, inserted) in {(False, 0), (True, per_block)}
+        assert all(block.reader_count == 0 for block in info.table.blocks)
