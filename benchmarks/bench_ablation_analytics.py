@@ -18,6 +18,7 @@ from repro.bench.reporting import format_table
 from repro.export import TableExporter, postgres_wire
 from repro.export.flight import client_receive, export_stream
 from repro.query import TableScanner, aggregate
+from repro.storage.data_table import rowwise_scan
 
 from conftest import publish, scaled
 
@@ -53,7 +54,7 @@ def via_flight(db, info) -> float:
 
 def via_postgres(db, info) -> float:
     txn = db.txn_manager.begin()
-    rows = [tuple(r.to_dict().values()) for _, r in info.table.scan(txn)]
+    rows = [tuple(r.to_dict().values()) for _, r in rowwise_scan(info.table, txn)]
     db.txn_manager.commit(txn)
     raw, _ = postgres_wire.encode_rows(rows)
     decoded = postgres_wire.decode_rows(raw)

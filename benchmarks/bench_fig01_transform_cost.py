@@ -26,6 +26,7 @@ from repro.bench.reporting import format_table
 from repro.export import postgres_wire
 from repro.export.flight import client_receive, export_stream
 from repro.frame import DataFrame
+from repro.storage.data_table import rowwise_scan
 from repro.workloads.tpch import LINEITEM_COLUMNS, LineitemGenerator, TpchConfig
 
 _COLUMN_NAMES = [spec.name for spec in LINEITEM_COLUMNS]
@@ -65,7 +66,7 @@ def _csv_load(generator):
 
 def _odbc_load(db, info):
     txn = db.txn_manager.begin()
-    rows = [tuple(r.to_dict().values()) for _, r in info.table.scan(txn)]
+    rows = [tuple(r.to_dict().values()) for _, r in rowwise_scan(info.table, txn)]
     db.txn_manager.commit(txn)
     raw, _ = postgres_wire.encode_rows(rows)
     return _rows_to_frame(postgres_wire.decode_rows(raw))

@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING
 
 from repro.arrowfmt import ipc
 from repro.arrowfmt.table import Table
+from repro.storage.data_table import DataTable, rowwise_scan
 from repro.transform.arrow_view import rows_to_record_batch, table_schema
 
 if TYPE_CHECKING:
-    from repro.storage.data_table import DataTable
     from repro.txn.manager import TransactionManager
 
 #: Rows per record batch on the wire.
@@ -36,7 +36,7 @@ def export_arrow_wire(
     do, regardless of block temperature.
     """
     txn = txn_manager.begin()
-    rows = [row.to_dict() for _, row in table.scan(txn)]
+    rows = [row.to_dict() for _, row in rowwise_scan(table, txn)]
     txn_manager.commit(txn)
     schema = table_schema(table.layout)
     batches = [

@@ -25,6 +25,7 @@ instead of re-masking the absorbed predicates.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -35,6 +36,7 @@ from repro.arrowfmt.buffer import Bitmap, Buffer
 from repro.errors import StorageError
 from repro.obs import trace
 from repro.obs.slo import stamp_phase
+from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
 from repro.transform.arrow_view import BlockWalk, frozen_batch, materialize_hot
 
@@ -151,12 +153,17 @@ class ColumnBatch:
     so ``null_masks.get(cid)`` doubles as a has-nulls test.  ``selection``
     is the scanner's pushed-down selection vector: indices of the rows
     satisfying every inclusive range filter, or ``None`` when no filters
-    were pushed (all rows selected).
+    were pushed (all rows selected).  Row ``i`` is the tuple at offset
+    ``slots[i]`` of block ``block_id``; ``slots`` is ``None`` when the rows
+    are the block's dense live prefix (a frozen block: row ``i`` is slot
+    ``i``), so frozen batches build no offset array.
     """
 
     columns: dict[int, Any]
     num_rows: int
     from_frozen: bool
+    block_id: int
+    slots: np.ndarray | None
     selection: np.ndarray | None = None
     null_masks: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -210,13 +217,12 @@ class TableScanner:
 
     def __init__(
         self,
-        txn_manager: "TransactionManager",
+        txn_manager: "TransactionManager | None",
         table: "DataTable",
         column_ids: list[int] | None = None,
         range_filters: dict[int, tuple[float | None, float | None]] | None = None,
         registry=None,
         txn: "TransactionContext | None" = None,
-        vectorized: bool = True,
         pool=None,
     ) -> None:
         """``range_filters`` maps column id → (low, high) inclusive bounds
@@ -228,13 +234,9 @@ class TableScanner:
         still be applied by the caller; the pushed bounds are inclusive.
 
         ``txn`` pins the scan to a caller-owned snapshot (the scanner will
-        not commit it); when omitted, one transaction, begun at the first
-        hot block, spans the rest of the scan, so every hot block is read
-        under the same snapshot.
-
-        ``vectorized=False`` selects the row-at-a-time reference path (one
-        ``DataTable.select`` per slot) — kept as the correctness oracle and
-        the ablation baseline.
+        not commit it; ``txn_manager`` may then be ``None``).  Without one,
+        the walk begins a transaction right after pinning, lists the blocks
+        again under it and commits it at the end: one snapshot for the scan.
 
         ``pool`` (a :class:`repro.parallel.WorkerPool`, e.g.
         ``db.parallel_pool``) fans frozen-block fragments out to worker
@@ -255,7 +257,6 @@ class TableScanner:
         )
         self.range_filters = dict(range_filters or {})
         self.txn = txn
-        self.vectorized = vectorized
         self.frozen_blocks_scanned = 0
         self.hot_blocks_scanned = 0
         self.blocks_pruned = 0
@@ -311,15 +312,14 @@ class TableScanner:
                     continue
                 result = results.get(block.block_id)
                 if result is not None:
-                    batch = self._batch_from_result(result)
+                    batch = self._batch_from_result(block.block_id, result)
                 else:
                     with trace.span("query.scan.frozen" if frozen else "query.scan.hot"):
-                        if frozen:
-                            batch = self._frozen_batch(block)
-                        elif self.vectorized:
-                            batch = self._hot_batch(block, walk.txn)
-                        else:
-                            batch = self._hot_batch_rowwise(block, walk.txn)
+                        batch = (
+                            self._frozen_batch(block)
+                            if frozen
+                            else self._hot_batch(block, walk.txn)
+                        )
                     self._apply_selection(batch)
                 if frozen:
                     self.frozen_blocks_scanned += 1
@@ -331,6 +331,23 @@ class TableScanner:
                         self._m_hot.inc()
                 if batch.num_rows:
                     yield batch
+
+    def rows(self) -> Iterator[tuple[TupleSlot, ProjectedRow]]:
+        """The selected rows of every batch as ``(slot, row)`` pairs, with
+        the values ``DataTable.select`` returns; each column is converted
+        once per batch."""
+        layout = self.table.layout
+        bools = [c for c in self.column_ids if layout.columns[c].dtype.name == "bool"]
+        with closing(self.batches()) as batches:  # closing rows() drops the pins
+            for batch in batches:
+                columns = {c: batch.pylist(c) for c in self.column_ids}
+                for c in bools:  # stored as uint8
+                    columns[c] = [None if v is None else bool(v) for v in columns[c]]
+                slots = range(batch.num_rows) if batch.slots is None else batch.slots.tolist()
+                selected = batch.selection
+                for i in range(batch.num_rows) if selected is None else selected.tolist():
+                    row = ProjectedRow({c: values[i] for c, values in columns.items()})
+                    yield TupleSlot(batch.block_id, slots[i]), row
 
     def _scan_in_pool(self, pinned: list) -> dict[int, dict]:
         """Worker scan results, by block id, of the pinned blocks whose
@@ -353,7 +370,7 @@ class TableScanner:
                 "scan", descriptors, self.column_ids, self.range_filters
             )
 
-    def _batch_from_result(self, result: dict) -> ColumnBatch:
+    def _batch_from_result(self, block_id: int, result: dict) -> ColumnBatch:
         """Rebuild a ColumnBatch from a worker's scan result — the same
         shapes ``_frozen_batch`` produces (ndarrays for fixed columns,
         :class:`ArrowColumnView` facades for varlen ones)."""
@@ -374,10 +391,7 @@ class TableScanner:
         if selection is not None and self._m_selectivity is not None and n:
             self._m_selectivity.observe(len(selection) / n)
         return ColumnBatch(
-            columns,
-            n,
-            from_frozen=True,
-            selection=selection,
+            columns, n, True, block_id, None, selection,
             null_masks=dict(result["null_masks"]),
         )
 
@@ -445,7 +459,8 @@ class TableScanner:
                 # No to_pylist round trip: the Arrow array aliases the
                 # gathered buffers; decoding happens only if somebody asks.
                 columns[column_id] = ArrowColumnView(array)
-        return ColumnBatch(columns, n, from_frozen=True, null_masks=null_masks)
+        # A frozen block's rows are its dense live prefix.
+        return ColumnBatch(columns, n, True, block.block_id, None, null_masks=null_masks)
 
     # ------------------------------------------------------------------ #
     # hot path: block-at-a-time MVCC                                      #
@@ -469,44 +484,5 @@ class TableScanner:
             for column_id in self.column_ids
         }
         return ColumnBatch(
-            columns, hot.num_rows, from_frozen=False, null_masks=hot.null_masks
+            columns, hot.num_rows, False, block.block_id, hot.live, null_masks=hot.null_masks
         )
-
-    def _hot_batch_rowwise(self, block, txn: "TransactionContext") -> ColumnBatch:
-        """Row-at-a-time reference path: one ``select`` per candidate slot.
-
-        This is the pre-vectorization implementation, kept as the oracle
-        the equivalence tests compare against and as the baseline of
-        ``bench_ablation_scan_vectorized.py``.  It produces batches in the
-        same shape as :meth:`_hot_batch` (numpy + null masks)."""
-        layout = self.table.layout
-        rows: list[dict[int, Any]] = []
-        for offset in range(block.insert_head):
-            slot = TupleSlot(block.block_id, offset)
-            if (
-                not block.allocation_bitmap.get(offset)
-                and block.version_ptrs[offset] is None
-            ):
-                continue
-            row = self.table.select(txn, slot, self.column_ids)
-            if row is not None:
-                rows.append(row.to_dict())
-        columns: dict[int, Any] = {}
-        null_masks: dict[int, np.ndarray] = {}
-        for column_id in self.column_ids:
-            spec = layout.columns[column_id]
-            values = [r[column_id] for r in rows]
-            if spec.is_varlen:
-                columns[column_id] = values
-                continue
-            dtype = spec.dtype.numpy_dtype
-            mask = np.fromiter(
-                (v is None for v in values), dtype=bool, count=len(values)
-            )
-            filler = np.zeros(1, dtype=dtype)[0]
-            columns[column_id] = np.array(
-                [filler if v is None else v for v in values], dtype=dtype
-            )
-            if mask.any():
-                null_masks[column_id] = mask
-        return ColumnBatch(columns, len(rows), from_frozen=False, null_masks=null_masks)

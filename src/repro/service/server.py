@@ -50,6 +50,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
@@ -680,10 +681,12 @@ class TransactionalServer:
             column_ids = self._column_ids(info, request.columns)
             rows = []
             with self.db.transaction() as txn:
-                for _, row in info.table.scan(txn, column_ids):
-                    rows.append(self._row_values(row, column_ids))
-                    if request.limit is not None and len(rows) >= request.limit:
-                        break
+                # Closing drops the scan's pins before the rows are encoded.
+                with closing(info.table.scan(txn, column_ids)) as scan:
+                    for _, row in scan:
+                        rows.append(self._row_values(row, column_ids))
+                        if request.limit is not None and len(rows) >= request.limit:
+                            break
                 self._record_txn(request, txn.txn_id)
         payload, count = postgres_wire.encode_rows(rows)
         return self._encode_payload(

@@ -212,18 +212,15 @@ class DataTable:
         txn: "TransactionContext",
         column_ids: list[int] | None = None,
     ) -> Iterator[tuple[TupleSlot, ProjectedRow]]:
-        """Yield every tuple visible to ``txn``, block by block."""
-        for block in list(self.blocks):
-            for offset in range(block.insert_head):
-                slot = TupleSlot(block.block_id, offset)
-                if (
-                    not block.allocation_bitmap.get(offset)
-                    and block.version_ptrs[offset] is None
-                ):
-                    continue
-                row = self.select(txn, slot, column_ids)
-                if row is not None:
-                    yield slot, row
+        """Yield every tuple visible to ``txn`` as ``(slot, row)``, in slot order.
+
+        The row view of :class:`~repro.query.scan.TableScanner`.  Frozen
+        blocks stay pinned until the iterator is exhausted or closed, so
+        writing one from inside the loop waits forever.
+        """
+        from repro.query.scan import TableScanner
+
+        return TableScanner(None, self, column_ids, txn=txn).rows()
 
     def add_write_listener(
         self, listener: Any, indexed_columns: set[int] | None = None
@@ -452,3 +449,23 @@ class DataTable:
 
     def __repr__(self) -> str:
         return f"DataTable(name={self.name!r}, blocks={len(self.blocks)})"
+
+
+def rowwise_scan(
+    table: DataTable,
+    txn: "TransactionContext",
+    column_ids: list[int] | None = None,
+    blocks: list[RawBlock] | None = None,
+) -> Iterator[tuple[TupleSlot, ProjectedRow]]:
+    """What :meth:`DataTable.scan` yields, for ``blocks`` (default: all),
+    read the row engine's way: one latched ``select`` per slot.
+
+    The one per-slot read loop: the row-store baseline of Figs. 1, 12, 13
+    and 15 and the oracle the block readers are tested against.
+    """
+    for block in list(table.blocks) if blocks is None else blocks:
+        for offset in range(block.insert_head):
+            slot = TupleSlot(block.block_id, offset)
+            row = table.select(txn, slot, column_ids)
+            if row is not None:
+                yield slot, row

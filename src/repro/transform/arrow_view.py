@@ -202,11 +202,13 @@ class HotColumns:
     Fixed-width columns are numpy arrays whose NULL slots are zeroed (the
     bytes a builder writes); ``null_masks`` holds the NULL mask of each
     fixed-width column that has a NULL.  Varlen columns are canonical
-    :class:`VarBinaryArray` s over fresh buffers.  ``rows_patched`` counts
-    the slots whose version chain was walked.
+    :class:`VarBinaryArray` s over fresh buffers.  ``live`` holds the
+    block offset of each row; ``rows_patched`` counts the slots whose
+    version chain was walked.
     """
 
     num_rows: int
+    live: np.ndarray
     fixed: dict[int, np.ndarray]
     null_masks: dict[int, np.ndarray]
     varlen: dict[int, VarBinaryArray]
@@ -296,7 +298,7 @@ def materialize_hot(
         )
         for column_id in varlen_ids
     }
-    return HotColumns(len(live), live_fixed, null_masks, arrays, len(chained))
+    return HotColumns(len(live), live, live_fixed, null_masks, arrays, len(chained))
 
 
 def _copy_varlen(

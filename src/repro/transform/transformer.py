@@ -30,6 +30,7 @@ from repro.obs import trace
 from repro.obs.recorder import Recorder, get_recorder
 from repro.obs.registry import STATE, MetricRegistry
 from repro.storage.constants import BlockState
+from repro.storage.data_table import DataTable, rowwise_scan
 from repro.transform.access_observer import AccessObserver
 from repro.transform.arrow_view import frozen_batch, rows_to_record_batch
 from repro.transform.compaction import (
@@ -43,7 +44,6 @@ from repro.transform.gather import gather_block
 
 if TYPE_CHECKING:
     from repro.storage.block import RawBlock
-    from repro.storage.data_table import DataTable
     from repro.txn.manager import TransactionManager
 
 
@@ -432,14 +432,7 @@ def snapshot_transform(
     :func:`repro.transform.arrow_view.materialize_hot` instead.
     """
     txn = txn_manager.begin()
-    column_ids = list(range(table.layout.num_columns))
-    rows = []
-    from repro.storage.tuple_slot import TupleSlot
-
-    for offset in range(block.insert_head):
-        row = table.select(txn, TupleSlot(block.block_id, offset), column_ids)
-        if row is not None:
-            rows.append(row.to_dict())
+    rows = [row.to_dict() for _, row in rowwise_scan(table, txn, blocks=[block])]
     txn_manager.commit(txn)
     return rows_to_record_batch(table.layout, rows)
 
@@ -460,19 +453,13 @@ def inplace_transform(
     if txn is None:
         return False
     varlen_ids = table.layout.varlen_column_ids()
-    from repro.storage.tuple_slot import TupleSlot
-
-    for block in plan.filled_blocks + (
+    blocks = plan.filled_blocks + (
         [plan.partial_block] if plan.partial_block is not None else []
-    ):
-        for offset in block.live_slots():
-            slot = TupleSlot(block.block_id, int(offset))
-            row = table.select(txn, slot, varlen_ids)
-            if row is None:
-                continue
-            delta = {c: row.get(c) for c in varlen_ids}
-            if delta and not table.update(txn, slot, delta):
-                txn_manager.abort(txn)
-                return False
+    )
+    for slot, row in rowwise_scan(table, txn, varlen_ids, blocks):
+        delta = row.to_dict()
+        if delta and not table.update(txn, slot, delta):
+            txn_manager.abort(txn)
+            return False
     txn_manager.commit(txn)
     return True

@@ -15,6 +15,7 @@ from repro.export.rdma import CACHE_BYPASS_PENALTY, export_rdma
 from repro.export.streaming import stream_blocks
 from repro.errors import SerializationError
 from repro.storage.constants import BlockState
+from repro.storage.data_table import rowwise_scan
 from repro.storage.tuple_slot import TupleSlot
 from repro.transform import arrow_view
 from repro.transform.arrow_view import frozen_batch, table_schema
@@ -111,7 +112,7 @@ class TestFlight:
         assert stream.frozen_blocks >= 1
         table = client_receive(stream.payload)
         reader = db.begin()
-        expected = sorted(r.get(0) for _, r in info.table.scan(reader))
+        expected = sorted(r.get(0) for _, r in rowwise_scan(info.table, reader))
         assert sorted(table.column_values("id")) == expected
 
     def test_hot_blocks_materialized(self):
@@ -162,7 +163,7 @@ class TestFlight:
             assert ipc.write_batch(decoded) == ipc.write_batch(reference)
         received = client_receive(export_stream(db.txn_manager, info.table).payload)
         reader = db.begin()
-        expected = sorted((r.get(0), r.get(1)) for _, r in info.table.scan(reader))
+        expected = sorted((r.get(0), r.get(1)) for _, r in rowwise_scan(info.table, reader))
         assert sorted(zip(*(received.column_values(c) for c in ("id", "name")))) == expected
 
 
@@ -196,7 +197,7 @@ class TestOneSnapshotPerExport:
 
     def rows_and_sum(self, db, info):
         reader = db.begin()
-        ids = [row.get(0) for _, row in info.table.scan(reader)]
+        ids = [row.get(0) for _, row in rowwise_scan(info.table, reader)]
         db.txn_manager.commit(reader)
         return len(ids), sum(ids)
 

@@ -1,10 +1,10 @@
 """Equivalence and contract tests for the vectorized snapshot scan.
 
-The vectorized hot-block path (`TableScanner(vectorized=True)`, the
-default) must be indistinguishable — byte for byte on fixed-width
-columns, value for value on varlen — from the row-at-a-time reference
-path (`vectorized=False`), which calls ``DataTable.select`` once per
-slot.  The tests here drive both paths under the same snapshot against
+The block-at-a-time hot path of :class:`TableScanner` must be
+indistinguishable — byte for byte on fixed-width columns, value for value
+on varlen, slot for slot — from the row-at-a-time reference
+(:func:`repro.storage.data_table.rowwise_scan`, one ``DataTable.select``
+per slot).  The tests here drive both under the same snapshot against
 tables with version chains, NULLs, deletions, and concurrent writers,
 plus pin the selection-vector and snapshot-consistency contracts.
 """
@@ -17,7 +17,8 @@ import pytest
 from repro import ColumnSpec, Database, FLOAT64, INT64, UTF8
 from repro.query import ArrowColumnView, TableScanner, aggregate
 from repro.query.ops import filter_masks
-from repro.storage.tuple_slot import TupleSlot
+from repro.query.scan import ColumnBatch
+from repro.storage.data_table import rowwise_scan
 
 
 def build(rows=400, nulls=True):
@@ -54,6 +55,8 @@ def churn(db, info, slots):
 def assert_batches_equal(fast, slow):
     """Vectorized batch must match the row-wise oracle exactly."""
     assert fast.num_rows == slow.num_rows
+    assert fast.block_id == slow.block_id
+    assert np.array_equal(fast.slots, slow.slots)
     assert set(fast.columns) == set(slow.columns)
     for cid, vector in fast.columns.items():
         oracle = slow.columns[cid]
@@ -73,12 +76,40 @@ def assert_batches_equal(fast, slow):
             assert list(vector) == list(oracle)
 
 
-def scan_pair(db, info, txn=None, **kwargs):
-    fast = TableScanner(db.txn_manager, info.table, txn=txn, **kwargs)
-    slow = TableScanner(
-        db.txn_manager, info.table, txn=txn, vectorized=False, **kwargs
-    )
-    return list(fast.batches()), list(slow.batches())
+def oracle_batches(table, txn):
+    """The per-slot reference in batch shape: one batch per block with a
+    visible row, fixed-width columns as numpy arrays plus NULL masks."""
+    by_block = {}
+    for slot, row in rowwise_scan(table, txn):
+        by_block.setdefault(slot.block_id, []).append((slot.offset, row.to_dict()))
+    batches = []
+    for block_id, rows in by_block.items():
+        columns, null_masks = {}, {}
+        for cid, spec in enumerate(table.layout.columns):
+            values = [row[cid] for _, row in rows]
+            if spec.is_varlen:
+                columns[cid] = values
+                continue
+            nulls = np.array([v is None for v in values])
+            columns[cid] = np.array(
+                [0 if v is None else v for v in values], dtype=spec.dtype.numpy_dtype
+            )
+            if nulls.any():
+                null_masks[cid] = nulls
+        slots = np.array([offset for offset, _ in rows])
+        batches.append(
+            ColumnBatch(columns, len(rows), False, block_id, slots, null_masks=null_masks)
+        )
+    return batches
+
+
+def scan_pair(db, info, txn=None):
+    fast = list(TableScanner(db.txn_manager, info.table, txn=txn).batches())
+    reader = txn or db.txn_manager.begin()
+    slow = oracle_batches(info.table, reader)
+    if txn is None:
+        db.txn_manager.commit(reader)
+    return fast, slow
 
 
 class TestHotEquivalence:
@@ -302,13 +333,10 @@ class TestExporterUsesVectorizedScan:
         churn(db, info, slots)
         exporter = TableExporter(db.txn_manager, info.table)
         rows = exporter._scan_rows()
-        # Oracle: per-slot select under one txn.
         txn = db.txn_manager.begin()
-        expected = []
-        for slot in slots:
-            row = info.table.select(txn, slot, [0, 1, 2])
-            if row is not None:
-                expected.append(tuple(row.to_dict()[c] for c in (0, 1, 2)))
+        expected = [
+            tuple(row.to_dict().values()) for _, row in rowwise_scan(info.table, txn)
+        ]
         db.txn_manager.commit(txn)
         assert sorted(rows, key=lambda r: r[0]) == sorted(
             expected, key=lambda r: r[0]

@@ -6,10 +6,11 @@ import pytest
 from repro import ColumnSpec, Database, obs
 from repro.arrowfmt.datatypes import INT64, UTF8
 from repro.cluster import ShardedDatabase
-from repro.export import flight
+from repro.export import flight, postgres_wire
 from repro.service import ServiceClient
-from repro.service.server import ServerThread, _shard_tables
+from repro.service.server import ServerThread, TransactionalServer, _shard_tables
 from repro.storage.constants import BlockState
+from repro.storage.data_table import rowwise_scan
 
 COLUMNS = [ColumnSpec("key", INT64), ColumnSpec("field0", UTF8)]
 
@@ -50,10 +51,29 @@ def export(db):
     return response
 
 
+def local_tables(db):
+    """Each shard's ``usertable``; a replicated table's first replica only."""
+    if not isinstance(db, ShardedDatabase):
+        return [(db, db.catalog.table("usertable"))]
+    engines = db.shards
+    if db.router.route("usertable").replicated:
+        engines = engines[:1]
+    return [(engine, engine.catalog.table("usertable")) for engine in engines]
+
+
 def scanned_rows(db):
-    with db.transaction() as txn:
-        rows = db.catalog.table("usertable").scan(txn)
-        return sorted((row.get(0), row.get(1)) for _, row in rows)
+    """The expected rows, read by the per-slot reference, not the walk."""
+    rows = []
+    for engine, table in local_tables(db):
+        with engine.transaction() as txn:
+            rows += [(row.get(0), row.get(1)) for _, row in rowwise_scan(table, txn)]
+    return sorted(rows)
+
+
+def pins_held(db):
+    return sum(
+        block.reader_count for _, table in local_tables(db) for block in table.blocks
+    )
 
 
 def exported_rows(response):
@@ -137,4 +157,46 @@ def test_empty_table_answers_zero_rows_without_a_payload(shards):
     response = export(db)
     assert response.meta["rows"] == 0
     assert response.payload_kind is None and response.payload == b""
+    db.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_scan_drops_its_pins_before_encoding(shards, monkeypatch):
+    """A ``limit`` scan closes its walk before the rows are encoded, and a
+    scan that fails mid-iteration leaves no block pinned."""
+    db = make_db(shards=shards)
+    assert all(
+        table.block_states()[BlockState.FROZEN] for _, table in local_tables(db)
+    )
+    encode_rows = postgres_wire.encode_rows
+    pins_at_encode = []
+
+    def encode_after_close(rows):
+        pins_at_encode.append(pins_held(db))
+        return encode_rows(rows)
+
+    monkeypatch.setattr(postgres_wire, "encode_rows", encode_after_close)
+    row_values = TransactionalServer._row_values
+    converted = []
+
+    def fail_on_the_fifth_row(self, row, column_ids):
+        converted.append(row)
+        if len(converted) == 5:
+            raise RuntimeError("row conversion failed")
+        return row_values(self, row, column_ids)
+
+    server = ServerThread(db).start()
+    try:
+        with ServiceClient(port=server.port) as client:
+            response = client.scan("usertable", limit=10)
+            assert response.ok and response.meta["rows"] == 10
+            assert pins_at_encode == [0]
+            assert pins_held(db) == 0
+            monkeypatch.setattr(TransactionalServer, "_row_values", fail_on_the_fifth_row)
+            response = client.scan("usertable")
+            assert not response.ok
+            assert len(converted) == 5
+            assert pins_held(db) == 0
+    finally:
+        server.stop()
     db.close()

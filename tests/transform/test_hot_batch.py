@@ -21,7 +21,7 @@ from repro.arrowfmt import ipc
 from repro.arrowfmt.datatypes import BINARY
 from repro.errors import StorageError
 from repro.storage.constants import VARLEN_INLINE_LIMIT, BlockState
-from repro.storage.tuple_slot import TupleSlot
+from repro.storage.data_table import rowwise_scan
 from repro.storage.varlen import ENTRY_DTYPE
 from repro.transform.arrow_view import hot_batch, rows_to_record_batch
 
@@ -62,12 +62,7 @@ def random_delta(rng: random.Random) -> dict:
 
 def oracle_batch(table, block, txn):
     """The row-wise reference: one select per slot, then builders."""
-    column_ids = list(range(table.layout.num_columns))
-    rows = []
-    for offset in range(block.insert_head):
-        row = table.select(txn, TupleSlot(block.block_id, offset), column_ids)
-        if row is not None:
-            rows.append(row.to_dict())
+    rows = [row.to_dict() for _, row in rowwise_scan(table, txn, blocks=[block])]
     return rows_to_record_batch(table.layout, rows)
 
 
