@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.errors import IndexError_
 
@@ -52,6 +52,16 @@ class BPlusTree:
                 new_root.keys = [sep]
                 new_root.children = [self._root, right]
                 self._root = new_root
+
+    def insert_many(self, keys: Sequence[Any], values: Sequence[Any]) -> None:
+        """Add every ``(keys[i], values[i])`` pair as one sorted run.
+
+        Sorting first (stable, so equal keys keep their order) makes the
+        inserts walk the leaves left to right instead of at random.
+        """
+        with self._lock:
+            for i in sorted(range(len(keys)), key=keys.__getitem__):
+                self.insert(keys[i], values[i])
 
     def delete(self, key: Any, value: Any) -> bool:
         """Remove one (key, value) pair; returns whether it was present.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Sequence
 
 
 class HashIndex:
@@ -19,6 +19,13 @@ class HashIndex:
         with self._lock:
             self._buckets.setdefault(key, []).append(value)
             self._size += 1
+
+    def insert_many(self, keys: Sequence[Any], values: Sequence[Any]) -> None:
+        """Add every ``(keys[i], values[i])`` pair under one lock."""
+        with self._lock:
+            for key, value in zip(keys, values):
+                self._buckets.setdefault(key, []).append(value)
+            self._size += len(keys)
 
     def delete(self, key: Any, value: Any) -> bool:
         """Remove one (key, value) pair; returns whether it was present."""

@@ -281,6 +281,17 @@ class RawBlock:
                     return slot
             return None
 
+    def claim_prefix(self, count: int) -> None:
+        """Allocate slots ``[0, count)`` of an empty block at once (bulk
+        placement); the allocator continues after them."""
+        with self.write_latch:
+            if self._insert_head or not 0 <= count <= self.layout.num_slots:
+                raise StorageError(f"cannot claim {count} slots of {self!r}")
+            self.allocation_bitmap.buffer.data[: (count + 7) // 8] = np.packbits(
+                np.ones(count, dtype=bool), bitorder="little"
+            )
+            self._insert_head = count
+
     def reset_insert_head(self) -> None:
         """Allow insertion to rescan from slot 0 (after compaction empties
         slots at the front of the block)."""

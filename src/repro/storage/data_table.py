@@ -17,7 +17,7 @@ the paper.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,10 +26,10 @@ from repro.errors import StorageError
 from repro.storage.block import RawBlock
 from repro.storage.block_store import BlockStore
 from repro.storage.constants import BlockState
-from repro.storage.layout import BlockLayout
+from repro.storage.layout import BlockLayout, ColumnSpec
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
-from repro.storage.varlen import read_entry, read_value, write_entry
+from repro.storage.varlen import encode_entries, read_entry, read_value, write_entry
 from repro.txn.redo import RedoRecord
 from repro.txn.undo import (
     DeleteUndoRecord,
@@ -177,6 +177,97 @@ class DataTable:
         self._notify(txn, slot, "delete", None, old_indexed)
         return True
 
+    def place(
+        self, txn: "TransactionContext", rows: Sequence[Mapping[int, Any]]
+    ) -> list[TupleSlot]:
+        """Insert ``rows`` as committed, version-less tuples, block at a time.
+
+        For tables no other transaction can observe yet (recovery and
+        checkpoint loading): the rows get no undo records, so they are
+        visible to every snapshot at once and an abort does not remove
+        them.  Every column of a block is one vectorized write, and a
+        block joins the table only once it is fully written.  ``txn``
+        receives the redo records (a recovered database logs what it
+        loaded); each write listener receives all rows in one
+        ``insert_many(columns, slots)`` call.  Returns the new slots in
+        row order.
+        """
+        self._require_active(txn)
+        txn.ensure_writable()
+        layout = self.layout
+        try:
+            columns = [[row[c] for row in rows] for c in range(layout.num_columns)]
+        except KeyError as exc:
+            raise StorageError(f"insert missing column {exc.args[0]}") from None
+        valid, values = zip(*map(self._storable, layout.columns, columns))
+        slots: list[TupleSlot] = []
+        block = None
+        for start in range(0, len(rows), layout.num_slots):
+            stop = min(len(rows), start + layout.num_slots)
+            block = self.block_store.allocate(layout)
+            block.claim_prefix(stop - start)
+            for column_id in range(layout.num_columns):
+                self._write_column_prefix(
+                    block, column_id, valid[column_id], values[column_id], start, stop
+                )
+            self.adopt_block(block)
+            slots.extend(TupleSlot(block.block_id, offset) for offset in range(stop - start))
+        if block is not None and block.insert_head < layout.num_slots:
+            with self._insert_lock:
+                self._insertion_block = block
+
+        redo = txn.redo_buffer
+        for slot, row in zip(slots, rows):
+            redo.append(RedoRecord(self.name, slot, RedoRecord.INSERT, ProjectedRow(row)))
+        for listener in self._write_listeners:
+            listener.insert_many(columns, slots)
+        return slots
+
+    @staticmethod
+    def _storable(spec: ColumnSpec, column: list) -> tuple[np.ndarray | None, Any]:
+        """``(validity mask or None when no NULLs, stored values)`` of one
+        column for :meth:`place`: encoded bytes for a varlen column, a
+        numpy array otherwise; NULLs are stored as ``b""`` or 0."""
+        mask = None
+        if None in column:
+            mask = np.fromiter((v is not None for v in column), bool, len(column))
+            column = [(b"" if spec.is_varlen else 0) if v is None else v for v in column]
+        if spec.is_varlen:
+            return mask, [v.encode("utf-8") if isinstance(v, str) else bytes(v) for v in column]
+        return mask, np.array(column, dtype=spec.dtype.numpy_dtype)
+
+    def _write_column_prefix(
+        self,
+        block: RawBlock,
+        column_id: int,
+        mask: np.ndarray | None,
+        values: Any,
+        start: int,
+        stop: int,
+    ) -> None:
+        """Write rows ``[start, stop)`` of one column to slots
+        ``[0, stop - start)`` of a fresh block (and widen its zone map)."""
+        count = stop - start
+        if mask is None:
+            bits = block.allocation_bitmap.buffer.data[: (count + 7) // 8]
+        else:
+            mask = mask[start:stop]
+            bits = np.packbits(mask, bitorder="little")
+        block.validity_bitmaps[column_id].buffer.data[: len(bits)] = bits
+        if self.layout.columns[column_id].is_varlen:
+            entries = encode_entries(values[start:stop], block.varlen_heaps[column_id])
+            block.varlen_region_view(column_id)[: entries.nbytes] = entries.view(np.uint8)
+            return
+        chunk = values[start:stop]
+        block.column_view(column_id)[:count] = chunk
+        if column_id in block.zone_eligible:
+            if mask is not None:
+                chunk = chunk[mask]
+            if chunk.dtype.kind == "f":
+                chunk = chunk[~np.isnan(chunk)]  # NaN satisfies no range filter
+            if len(chunk):
+                block.hot_zone_maps[column_id] = [chunk.min().item(), chunk.max().item()]
+
     def select(
         self,
         txn: "TransactionContext",
@@ -226,8 +317,10 @@ class DataTable:
         self, listener: Any, indexed_columns: set[int] | None = None
     ) -> None:
         """Register a ``listener(txn, slot, kind, new_values, old_values)``
-        callable.  ``indexed_columns`` declares which columns the listener
-        needs old values for when tuples are deleted (index key columns)."""
+        callable that also takes rows placed in bulk through
+        ``listener.insert_many(columns, slots)`` (see :meth:`place`).
+        ``indexed_columns`` declares which columns the listener needs old
+        values for when tuples are deleted (index key columns)."""
         self._write_listeners.append(listener)
         if indexed_columns:
             self._indexed_columns |= set(indexed_columns)
@@ -307,6 +400,11 @@ class DataTable:
                 if not self.layout_allows_null(column_id):
                     raise StorageError(f"column {spec.name!r} does not allow NULL")
                 block.validity_bitmaps[column_id].clear(offset)
+                if spec.is_varlen:
+                    # A NULL entry references no heap bytes: the old value
+                    # belongs to the before-image now, and rollback or GC
+                    # must not free it a second time through this entry.
+                    block.varlen_entry_view(column_id, offset)[:] = 0
                 continue
             block.validity_bitmaps[column_id].set(offset)
             if spec.is_varlen:

@@ -98,6 +98,34 @@ def write_entry(view: np.ndarray, value: bytes, heap: "VarlenHeap") -> None:
     )
 
 
+def encode_entries(values: Sequence[bytes], heap: "VarlenHeap") -> np.ndarray:
+    """:func:`write_entry` for many values at once: one ``ENTRY_DTYPE``
+    array, with every out-of-line value stored by one ``heap.put_many``.
+
+    An entry's bytes 4–15 are the value's first 12 bytes, zero-padded
+    (``S12`` truncates and pads in one conversion); out-of-line entries
+    then overwrite bytes 8–15 with their heap id, keeping the prefix.
+    """
+    n = len(values)
+    entries = np.zeros(n, dtype=ENTRY_DTYPE)
+    if not n:
+        return entries
+    sizes = np.fromiter(map(len, values), np.int64, n)
+    if sizes.max() > np.iinfo(np.int32).max:
+        raise StorageError("varlen value too large for its entry")
+    entries["size"] = sizes
+    raw = entries.view(np.uint8).reshape(n, VARLEN_ENTRY_SIZE)
+    raw[:, INLINE_VALUE_OFFSET:] = (
+        np.array(values, dtype=f"S{VARLEN_INLINE_LIMIT}").view(np.uint8).reshape(n, -1)
+    )
+    out_of_line = np.flatnonzero(sizes > VARLEN_INLINE_LIMIT)
+    if len(out_of_line):
+        entries["pointer"][out_of_line] = heap.put_many(
+            [values[i] for i in out_of_line.tolist()]
+        )
+    return entries
+
+
 def write_gathered_entry(view: np.ndarray, value_size: int, prefix: bytes, offset: int) -> None:
     """Encode an entry that references the gathered Arrow values buffer.
 
@@ -176,6 +204,14 @@ class VarlenHeap:
         self._values[heap_id] = bytes(value)
         self.bytes_used += len(value)
         return heap_id
+
+    def put_many(self, values: Sequence[bytes]) -> np.ndarray:
+        """Store every one of ``values``; returns their heap ids, in order."""
+        first = self._next_id
+        self._next_id += len(values)
+        self._values.update(zip(range(first, self._next_id), values))
+        self.bytes_used += sum(map(len, values))
+        return np.arange(first, self._next_id, dtype=np.int64)
 
     def get(self, heap_id: int) -> bytes:
         """Fetch the bytes behind ``heap_id``."""

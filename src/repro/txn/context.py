@@ -67,8 +67,9 @@ class TransactionContext:
 
     @property
     def is_read_only(self) -> bool:
-        """True when the transaction installed no undo records."""
-        return len(self.undo_buffer) == 0
+        """True when the transaction has nothing to log: no redo records
+        (bulk-placed rows have redo records but no undo records)."""
+        return len(self.redo_buffer) == 0
 
     @property
     def is_active(self) -> bool:

@@ -46,11 +46,8 @@ class RedoRecord:
         """Bytes this record would occupy in the on-disk log body."""
         payload = 0
         if self.after is not None:
-            for _, value in self.after.items():
-                if isinstance(value, (bytes, str)):
-                    payload += len(value) + 4
-                else:
-                    payload += 8
+            for value in self.after.values():
+                payload += len(value) + 4 if isinstance(value, (bytes, str)) else 8
         return _RECORD_HEADER_BYTES + payload
 
 

@@ -24,7 +24,6 @@ from repro.fault.crashpoints import crash_point
 from repro.arrowfmt.datatypes import Field, FixedWidthType, INT64, Schema
 from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import RecoveryError
-from repro.storage.tuple_slot import TupleSlot
 from repro.wal.recovery import RecoveryManager
 
 if TYPE_CHECKING:
@@ -76,7 +75,8 @@ def load_checkpoint(db: "Database", raw: bytes) -> RecoveryManager:
     """Load a checkpoint into a fresh database (tables must exist).
 
     Returns a :class:`RecoveryManager` whose slot map is seeded with the
-    checkpoint's tuples, ready to replay the log suffix.
+    checkpoint's tuples, ready to replay the log suffix.  Each table's
+    rows are placed block at a time, like replayed ones.
     """
     stream = io.BytesIO(raw)
     if stream.read(len(MAGIC)) != MAGIC:
@@ -106,13 +106,8 @@ def _load_table(db: "Database", recovery: RecoveryManager, name: str, arrow_tabl
             f"checkpoint schema for {name!r} does not match the catalog: "
             f"{column_names} vs {expected}"
         )
-    txn = db.begin()
-    for row in arrow_table.iter_rows():
-        old_slot = TupleSlot.unpack(row[0])
-        values = dict(enumerate(row[1:]))
-        new_slot = table.insert(txn, values)
-        recovery.slot_map[(name, old_slot)] = new_slot
-    db.commit(txn)
+    columns = [arrow_table.column_values(column) for column in column_names]
+    recovery.load(name, columns[0], [dict(enumerate(row)) for row in zip(*columns[1:])])
 
 
 def recover(db: "Database", checkpoint: bytes, log_suffix: bytes) -> int:

@@ -75,8 +75,14 @@ class LoggedOperation:
 
     op: str
     table_name: str
-    slot: TupleSlot
+    #: The operation's slot in the logging database, as :meth:`TupleSlot.pack`
+    #: wrote it.
+    packed_slot: int
     values: dict[int, Any] = field(default_factory=dict)
+
+    @property
+    def slot(self) -> TupleSlot:
+        return TupleSlot.unpack(self.packed_slot)
 
 
 @dataclass
@@ -163,24 +169,6 @@ def _encode_value(out: io.BytesIO, column_id: int, value: Any) -> None:
         raise RecoveryError(f"cannot log value of type {type(value).__name__}")
 
 
-def _decode_value(stream: io.BytesIO) -> tuple[int, Any]:
-    (column_id,) = struct.unpack("<H", _read(stream, 2))
-    (tag,) = struct.unpack("<B", _read(stream, 1))
-    if tag == _T_NULL:
-        return column_id, None
-    if tag == _T_BOOL:
-        return column_id, struct.unpack("<?", _read(stream, 1))[0]
-    if tag == _T_INT:
-        return column_id, struct.unpack("<q", _read(stream, 8))[0]
-    if tag == _T_FLOAT:
-        return column_id, struct.unpack("<d", _read(stream, 8))[0]
-    if tag in (_T_BYTES, _T_STR):
-        (length,) = struct.unpack("<I", _read(stream, 4))
-        raw = _read(stream, length)
-        return column_id, raw.decode("utf-8") if tag == _T_STR else raw
-    raise RecoveryError(f"unknown value tag {tag}")
-
-
 def encode_transaction(txn: TransactionContext) -> bytes:
     """Serialize a committed transaction's redo stream.
 
@@ -251,22 +239,112 @@ def _encode_record(out: io.BytesIO, record: RedoRecord) -> None:
         _encode_value(out, column_id, value)
 
 
-def _decode_operation(stream: io.BytesIO) -> LoggedOperation:
-    tag, table_len = struct.unpack("<BH", _read(stream, 3))
-    if tag not in _OP_NAMES:
-        raise RecoveryError(f"unknown operation tag {tag}")
-    table_name = _read(stream, table_len).decode("utf-8")
-    (packed_slot,) = struct.unpack("<Q", _read(stream, 8))
-    (value_count,) = struct.unpack("<H", _read(stream, 2))
-    values = dict(_decode_value(stream) for _ in range(value_count))
-    return LoggedOperation(
-        _OP_NAMES[tag], table_name, TupleSlot.unpack(packed_slot), values
-    )
+_TXN_HEAD = struct.Struct("<QI")  # commit_ts, op_count
+_OP_HEAD = struct.Struct("<BH")  # op_tag, table_len
+_SLOT_COUNT = struct.Struct("<QH")  # slot, value_count
+_VARLEN_HEAD = struct.Struct("<HBI")  # column_id, type_tag, length
+#: A fixed-width value with its header: column_id, type_tag, value.
+_FIXED_VALUES = {
+    _T_INT: struct.Struct("<HBq"),
+    _T_FLOAT: struct.Struct("<HBd"),
+    _T_BOOL: struct.Struct("<HB?"),
+}
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_DECISION = struct.Struct("<BQ")  # decision, commit_ts
 
 
-def _decode_gid(stream: io.BytesIO) -> str:
-    (gid_len,) = struct.unpack("<H", _read(stream, 2))
-    return _read(stream, gid_len).decode("utf-8")
+class _Damage(RecoveryError):
+    """A record that does not parse; ``position`` is how far the reader
+    got (the end of the log when a field ran past it)."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(message)
+        self.position = position
+
+
+def _truncated(raw: bytes) -> _Damage:
+    return _Damage("truncated log stream", len(raw))
+
+
+def _utf8(raw: bytes, position: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _Damage("invalid UTF-8 in log record", position) from None
+
+
+def _decode_operations(
+    raw: bytes, pos: int, count: int, names: dict[bytes, str]
+) -> tuple[list[LoggedOperation], int]:
+    """``count`` operations starting at ``pos``; returns them and the
+    position after the last.  ``names`` caches decoded table names."""
+    end = len(raw)
+    operations = []
+    for _ in range(count):
+        if pos + 3 > end:
+            raise _truncated(raw)
+        tag, name_len = _OP_HEAD.unpack_from(raw, pos)
+        pos += 3
+        op = _OP_NAMES.get(tag)
+        if op is None:
+            raise _Damage(f"unknown operation tag {tag}", pos)
+        stop = pos + name_len
+        if stop + 10 > end:
+            raise _truncated(raw)
+        raw_name = raw[pos:stop]
+        table_name = names.get(raw_name)
+        if table_name is None:
+            table_name = names[raw_name] = _utf8(raw_name, stop)
+        packed_slot, value_count = _SLOT_COUNT.unpack_from(raw, stop)
+        pos = stop + 10
+        values: dict[int, Any] = {}
+        for _ in range(value_count):
+            if pos + 3 > end:
+                raise _truncated(raw)
+            tag = raw[pos + 2]
+            fixed = _FIXED_VALUES.get(tag)
+            if fixed is not None:
+                stop = pos + fixed.size
+                if stop > end:
+                    raise _truncated(raw)
+                column_id, _, value = fixed.unpack_from(raw, pos)
+                values[column_id] = value
+                pos = stop
+            elif tag == _T_STR or tag == _T_BYTES:
+                if pos + 7 > end:
+                    raise _truncated(raw)
+                column_id, _, length = _VARLEN_HEAD.unpack_from(raw, pos)
+                stop = pos + 7 + length
+                if stop > end:
+                    raise _truncated(raw)
+                value = raw[pos + 7 : stop]
+                pos = stop
+                values[column_id] = _utf8(value, pos) if tag == _T_STR else value
+            elif tag == _T_NULL:
+                values[_U16.unpack_from(raw, pos)[0]] = None
+                pos += 3
+            else:
+                raise _Damage(f"unknown value tag {tag}", pos + 3)
+        operations.append(LoggedOperation(op, table_name, packed_slot, values))
+    return operations, pos
+
+
+def _decode_gid(raw: bytes, pos: int) -> tuple[str, int]:
+    if pos + 2 > len(raw):
+        raise _truncated(raw)
+    stop = pos + 2 + _U16.unpack_from(raw, pos)[0]
+    if stop > len(raw):
+        raise _truncated(raw)
+    return _utf8(raw[pos + 2 : stop], stop), stop
+
+
+def _end_marker(raw: bytes, pos: int, marker: bytes, what: str) -> int:
+    if pos + 4 > len(raw):
+        raise _truncated(raw)
+    if raw[pos : pos + 4] != marker:
+        raise _Damage(f"missing {what} end marker", pos + 4)
+    return pos + 4
 
 
 def decode_entries(
@@ -274,52 +352,63 @@ def decode_entries(
 ) -> list[LoggedTransaction | LoggedPrepare | LoggedDecision]:
     """Parse every physical record in ``raw``, in log order.
 
+    One pass over one buffer: fixed-width fields are precompiled
+    ``struct`` reads at an offset, each behind an explicit bounds check.
+    Any damage — a field past the end, an unknown tag or marker, invalid
+    UTF-8 — raises :class:`RecoveryError`.
+
     With ``tolerate_torn_tail=True``, a truncated *final* record — what a
     crash mid-flush leaves behind — is silently dropped: its bytes never
     fully reached the device, so whatever it recorded never happened.
-    Damage anywhere before the tail is still an error.
+    A record is torn when the failing read reached the end of the log;
+    damage anywhere before the tail is still an error.
     """
-    stream = io.BytesIO(raw)
+    raw = bytes(raw)
+    end = len(raw)
+    names: dict[bytes, str] = {}
     entries: list[LoggedTransaction | LoggedPrepare | LoggedDecision] = []
-    while True:
-        marker = stream.read(4)
-        if not marker:
-            return entries
+    pos = 0
+    while pos < end:
         try:
             entry: LoggedTransaction | LoggedPrepare | LoggedDecision
+            if pos + 4 > end:
+                raise _truncated(raw)
+            marker = raw[pos : pos + 4]
+            pos += 4
             if marker == _TXN_BEGIN:
-                commit_ts, op_count = struct.unpack("<QI", _read(stream, 12))
-                txn = LoggedTransaction(commit_ts)
-                for _ in range(op_count):
-                    txn.operations.append(_decode_operation(stream))
-                if _read(stream, 4) != _TXN_END:
-                    raise RecoveryError("missing transaction end marker")
-                entry = txn
+                if pos + 12 > end:
+                    raise _truncated(raw)
+                commit_ts, op_count = _TXN_HEAD.unpack_from(raw, pos)
+                operations, pos = _decode_operations(raw, pos + 12, op_count, names)
+                pos = _end_marker(raw, pos, _TXN_END, "transaction")
+                entry = LoggedTransaction(commit_ts, operations)
             elif marker == _PRP_BEGIN:
-                gid = _decode_gid(stream)
-                (op_count,) = struct.unpack("<I", _read(stream, 4))
-                prepare = LoggedPrepare(gid)
-                for _ in range(op_count):
-                    prepare.operations.append(_decode_operation(stream))
-                if _read(stream, 4) != _PRP_END:
-                    raise RecoveryError("missing prepare end marker")
-                entry = prepare
+                gid, pos = _decode_gid(raw, pos)
+                if pos + 4 > end:
+                    raise _truncated(raw)
+                op_count = _U32.unpack_from(raw, pos)[0]
+                operations, pos = _decode_operations(raw, pos + 4, op_count, names)
+                pos = _end_marker(raw, pos, _PRP_END, "prepare")
+                entry = LoggedPrepare(gid, operations)
             elif marker == _DEC_BEGIN:
-                gid = _decode_gid(stream)
-                decision, commit_ts = struct.unpack("<BQ", _read(stream, 9))
+                gid, pos = _decode_gid(raw, pos)
+                if pos + 9 > end:
+                    raise _truncated(raw)
+                decision, commit_ts = _DECISION.unpack_from(raw, pos)
+                pos += 9
                 if decision not in (DECISION_ABORT, DECISION_COMMIT):
-                    raise RecoveryError(f"unknown decision value {decision}")
-                if _read(stream, 4) != _DEC_END:
-                    raise RecoveryError("missing decision end marker")
+                    raise _Damage(f"unknown decision value {decision}", pos)
+                pos = _end_marker(raw, pos, _DEC_END, "decision")
                 entry = LoggedDecision(gid, decision, commit_ts)
             else:
-                raise RecoveryError(f"bad record marker {marker!r}")
-        except RecoveryError:
-            if tolerate_torn_tail and stream.read(1) == b"":
-                # The failure consumed the rest of the stream: a torn tail.
+                raise _Damage(f"bad record marker {marker!r}", pos)
+        except _Damage as damage:
+            if tolerate_torn_tail and damage.position >= end:
+                # The failure reached the end of the log: a torn tail.
                 return entries
             raise
         entries.append(entry)
+    return entries
 
 
 def decode_with_indoubt(
@@ -375,10 +464,3 @@ def decode_stream(
 def redo_from_row(op: str, table_name: str, slot: TupleSlot, row: ProjectedRow | None) -> RedoRecord:
     """Convenience constructor used by the engine's write paths."""
     return RedoRecord(table_name, slot, op, row)
-
-
-def _read(stream: io.BytesIO, n: int) -> bytes:
-    raw = stream.read(n)
-    if len(raw) != n:
-        raise RecoveryError("truncated log stream")
-    return raw

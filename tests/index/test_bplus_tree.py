@@ -137,3 +137,17 @@ def test_delete_property(keys, data):
     assert len(tree) == len(remaining)
     for key, i in remaining:
         assert i in tree.search(key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers()), max_size=300))
+def test_insert_many_matches_one_by_one(pairs):
+    one_by_one, bulk = BPlusTree(order=5), BPlusTree(order=5)
+    bulk.insert(0, "existing")
+    one_by_one.insert(0, "existing")
+    for key, value in pairs:
+        one_by_one.insert(key, value)
+    bulk.insert_many([k for k, _ in pairs], [v for _, v in pairs])
+    # Equal keys keep their input order: the sort is stable.
+    assert list(bulk.range_scan()) == list(one_by_one.range_scan())
+    assert len(bulk) == len(one_by_one)

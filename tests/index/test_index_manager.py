@@ -35,6 +35,14 @@ class TestHashIndex:
         assert not idx.delete("missing", 0)
         assert len(idx) == 1
 
+    def test_insert_many(self):
+        idx = HashIndex()
+        idx.insert("k", 1)
+        idx.insert_many(["k", "j", "k"], [2, 3, 4])
+        assert idx.search("k") == [1, 2, 4]
+        assert idx.search("j") == [3]
+        assert len(idx) == 4
+
 
 class TestMaintenance:
     def test_insert_indexed(self, env):
@@ -155,6 +163,19 @@ class TestManager:
         late = manager.create_index("t.late", table, [0], backfill_txn=backfill)
         tm.commit(backfill)
         assert len(late) == 5
+        assert [k for k, _ in late.structure.range_scan()] == [(100 + i,) for i in range(5)]
+        assert late.maintenance_ops == 0
+
+    def test_placed_rows_are_indexed_once_in_bulk(self, env):
+        tm, table, manager, index = env
+        by_name = manager.create_index("t.name", table, [1], kind="hash")
+        txn = tm.begin()
+        slots = table.place(txn, [{0: 5 - i, 1: "v" if i % 2 else None} for i in range(5)])
+        tm.commit(txn)
+        reader = tm.begin()
+        assert [s for _, s, _ in index.range_scan(reader)] == slots[::-1]
+        assert [s for s, _ in by_name.lookup(reader, (None,))] == slots[::2]
+        assert index.maintenance_ops == by_name.maintenance_ops == 0
 
     def test_bad_key_column_rejected(self, env):
         _, table, manager, _ = env

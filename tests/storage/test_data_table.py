@@ -236,12 +236,81 @@ class TestAbort:
         tm.abort(txn)
         assert table.select(tm.begin(), slot).get(1) is None
 
+    def test_abort_of_a_null_write_keeps_the_out_of_line_value(self, tm, table):
+        long_value = "an out-of-line value of many bytes"
+        slot = committed_insert(tm, table, {0: 1, 1: long_value, 2: 0.0})
+        block = table._block(slot.block_id)
+        live_before = block.varlen_heaps[1].live_ids()
+        txn = tm.begin()
+        table.update(txn, slot, {1: None})
+        tm.abort(txn)
+        assert block.varlen_heaps[1].live_ids() == live_before
+        assert table.select(tm.begin(), slot).get(1) == long_value
+
     def test_writes_after_abort_rejected(self, tm, table):
         slot = committed_insert(tm, table, {0: 1, 1: "x", 2: 0.0})
         txn = tm.begin()
         tm.abort(txn)
         with pytest.raises(StorageError):
             table.update(txn, slot, {0: 2})
+
+
+class TestNullVarlen:
+    def test_null_write_clears_the_entry(self, tm, table):
+        slot = committed_insert(tm, table, {0: 1, 1: "an out-of-line value", 2: 0.0})
+        txn = tm.begin()
+        table.update(txn, slot, {1: None})
+        tm.commit(txn)
+        block = table._block(slot.block_id)
+        assert not block.varlen_entry_view(1, slot.offset).any()
+
+
+class TestPlace:
+    def rows(self, count):
+        return [
+            {0: i, 1: None if i % 5 == 0 else f"value-{i}" * (i % 3), 2: i / 4}
+            for i in range(count)
+        ]
+
+    def test_rows_span_blocks_and_read_back(self, tm, table):
+        count = table.layout.num_slots + 7
+        txn = tm.begin()
+        slots = table.place(txn, self.rows(count))
+        tm.commit(txn)
+        assert len(table.blocks) == 2
+        assert [s.offset for s in slots[-7:]] == list(range(7))
+        reader = tm.begin()
+        assert [row.to_dict() for _, row in table.scan(reader)] == self.rows(count)
+        assert all(not block.has_active_versions() for block in table.blocks)
+
+    def test_placed_rows_are_visible_to_older_snapshots_and_survive_abort(self, tm, table):
+        older = tm.begin()
+        txn = tm.begin()
+        [slot] = table.place(txn, self.rows(2)[1:])
+        tm.abort(txn)
+        assert table.select(older, slot).to_dict() == self.rows(2)[1]
+
+    def test_redo_records_make_the_transaction_loggable(self, tm, table):
+        txn = tm.begin()
+        table.place(txn, self.rows(3))
+        assert len(txn.undo_buffer) == 0 and len(txn.redo_buffer) == 3
+        assert not txn.is_read_only
+
+    def test_zone_maps_and_insertion_block(self, tm, table):
+        txn = tm.begin()
+        table.place(txn, self.rows(10))
+        slot = table.insert(txn, {0: 100, 1: "x", 2: -1.0})
+        tm.commit(txn)
+        block = table.blocks[0]
+        assert block.hot_zone_maps[0] == [0, 100]
+        assert block.hot_zone_maps[2] == [-1.0, 9 / 4]
+        assert (slot.block_id, slot.offset) == (block.block_id, 10)
+
+    def test_missing_column_rejected_before_anything_is_written(self, tm, table):
+        txn = tm.begin()
+        with pytest.raises(StorageError, match="missing column"):
+            table.place(txn, [{0: 1, 1: "x", 2: 0.0}, {0: 2, 1: "y"}])
+        assert table.blocks == []
 
 
 class TestScan:

@@ -11,6 +11,7 @@ from repro.storage.varlen import (
     ENTRY_DTYPE,
     INLINE_VALUE_OFFSET,
     VarlenHeap,
+    encode_entries,
     read_entry,
     read_value,
     write_entry,
@@ -119,6 +120,23 @@ class TestHeapGetMany:
             heap.get_many([kept, freed])
         with pytest.raises(StorageError):
             heap.get_many([freed])
+
+
+def test_encode_entries_matches_write_entry():
+    values = [b"", b"abc", b"x" * VARLEN_INLINE_LIMIT, b"y" * 13, b"ab\x00", b"z" * 40]
+    heap, expected_heap = VarlenHeap(), VarlenHeap()
+    expected = np.zeros(len(values) * VARLEN_ENTRY_SIZE, dtype=np.uint8)
+    for i, value in enumerate(values):
+        write_entry(expected[i * VARLEN_ENTRY_SIZE : (i + 1) * VARLEN_ENTRY_SIZE], value, expected_heap)
+    entries = encode_entries(values, heap)
+    assert entries.view(np.uint8).tobytes() == expected.tobytes()
+    region = entries.view(np.uint8)
+    assert [
+        read_value(region[i * VARLEN_ENTRY_SIZE : (i + 1) * VARLEN_ENTRY_SIZE], heap, None)
+        for i in range(len(values))
+    ] == values
+    assert heap.bytes_used == expected_heap.bytes_used == 53
+    assert len(encode_entries([], heap)) == 0
 
 
 def test_entry_dtype_matches_the_struct_layout():
