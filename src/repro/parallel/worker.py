@@ -63,7 +63,7 @@ def _payload_view(cache: _SegmentCache, desc: BlockDescriptor) -> np.ndarray:
 def _validity(buf: np.ndarray, col, n: int) -> Bitmap | None:
     """Replicates ``arrow_view._prefix_validity`` over the slot payload."""
     region = buf[col.validity_offset : col.validity_offset + col.validity_nbytes]
-    bitmap = Bitmap(Buffer(region, col.validity_nbytes), n)
+    bitmap = Bitmap(Buffer(region, (n + 7) // 8), n)
     if n and bitmap.count_set() == n:
         return None
     return bitmap

@@ -29,6 +29,16 @@ from repro.storage.layout import BlockLayout
 from repro.storage.varlen import VarlenHeap
 
 
+def zone_bounds(values: np.ndarray) -> tuple[Any, Any] | None:
+    """``(min, max)`` of the values a zone map covers, or ``None`` if there
+    are none.  NaN satisfies no range filter, so it is left out."""
+    if values.dtype.kind == "f":
+        values = values[~np.isnan(values)]
+    if not len(values):
+        return None
+    return values.min().item(), values.max().item()
+
+
 class RawBlock:
     """One block of a table: buffer, bitmaps, state, and version pointers."""
 
@@ -248,18 +258,6 @@ class RawBlock:
             self.layout.column_offsets[column_id],
             self.layout.num_slots * VARLEN_ENTRY_SIZE,
         )
-
-    def replace_gathered(
-        self,
-        column_id: int,
-        offsets: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Install a freshly gathered Arrow companion for one column.
-
-        The previous companion (if any) is dropped only now — after the
-        gather pass has rewritten every entry that pointed into it."""
-        self.gathered[column_id] = (offsets, values)
 
     # ------------------------------------------------------------------ #
     # slot allocation                                                     #

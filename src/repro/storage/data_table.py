@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.arrowfmt.datatypes import VarBinaryType
 from repro.errors import StorageError
-from repro.storage.block import RawBlock
+from repro.storage.block import RawBlock, zone_bounds
 from repro.storage.block_store import BlockStore
 from repro.storage.constants import BlockState
 from repro.storage.layout import BlockLayout, ColumnSpec
@@ -261,12 +261,9 @@ class DataTable:
         chunk = values[start:stop]
         block.column_view(column_id)[:count] = chunk
         if column_id in block.zone_eligible:
-            if mask is not None:
-                chunk = chunk[mask]
-            if chunk.dtype.kind == "f":
-                chunk = chunk[~np.isnan(chunk)]  # NaN satisfies no range filter
-            if len(chunk):
-                block.hot_zone_maps[column_id] = [chunk.min().item(), chunk.max().item()]
+            zone = zone_bounds(chunk if mask is None else chunk[mask])
+            if zone is not None:
+                block.hot_zone_maps[column_id] = list(zone)
 
     def select(
         self,
@@ -416,7 +413,8 @@ class DataTable:
                 )
             else:
                 block.column_view(column_id)[offset] = value
-                if column_id in block.zone_eligible:
+                # NaN (``value != value``) satisfies no range filter.
+                if column_id in block.zone_eligible and value == value:
                     zone = block.hot_zone_maps.get(column_id)
                     if zone is None:
                         block.hot_zone_maps[column_id] = [value, value]

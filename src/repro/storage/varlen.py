@@ -126,20 +126,89 @@ def encode_entries(values: Sequence[bytes], heap: "VarlenHeap") -> np.ndarray:
     return entries
 
 
-def write_gathered_entry(view: np.ndarray, value_size: int, prefix: bytes, offset: int) -> None:
-    """Encode an entry that references the gathered Arrow values buffer.
+def owned_entries(entries: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Mask of the ``wanted`` entries (an ``ENTRY_DTYPE`` array) whose
+    value lives in the heap: out of line, with a heap id, not a gathered
+    ``-(offset + 1)`` reference."""
+    return wanted & (entries["size"] > VARLEN_INLINE_LIMIT) & (entries["pointer"] >= 0)
 
-    Used by the gather phase: after compaction the canonical values buffer
-    holds the bytes, and entries keep ``-(offset + 1)`` so transactions can
-    still read values without owning them.
+
+def decode_entries(
+    region: np.ndarray,
+    wanted: np.ndarray,
+    gathered: np.ndarray | None,
+    heap_values: Sequence[bytes],
+    rows: np.ndarray | None = None,
+    overrides: dict[int, bytes | None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the entries of slots ``[0, n)`` into Arrow buffers, block at
+    a time: the int32 offsets and uint8 values of slots ``rows`` (default:
+    all) and their validity mask.
+
+    Only ``wanted`` slots are read; the rest decode as NULL.
+    ``heap_values`` are the bytes of the :func:`owned_entries` among them,
+    in slot order; ``overrides`` maps a slot to the bytes read instead of
+    its entry (``None``: NULL).  Every value is one run of bytes in one
+    source — its entry, the gathered buffer, the heap bytes or the
+    overrides — so offsets are one ``cumsum`` and values one numpy gather.
+    :func:`read_value`'s checks hold: no negative size, no gathered
+    reference past (or without) the buffer, heap bytes matching sizes.
     """
-    _check_view(view)
-    if value_size <= VARLEN_INLINE_LIMIT:
-        raise StorageError("short values must stay inlined, not gathered")
-    view[:] = np.frombuffer(
-        _HEADER.pack(value_size, prefix[:4].ljust(4, b"\x00"), _POINTER.pack(-(offset + 1))),
-        dtype=np.uint8,
-    )
+    entries = region.view(ENTRY_DTYPE)
+    sizes = entries["size"].astype(np.int64)
+    pointers = entries["pointer"]
+    if (sizes[wanted] < 0).any():
+        raise StorageError("corrupt varlen entry: negative size")
+    out_of_line = wanted & (sizes > VARLEN_INLINE_LIMIT)
+    in_heap = out_of_line & (pointers >= 0)
+    in_gathered = out_of_line & (pointers < 0)
+
+    starts = np.arange(len(sizes), dtype=np.int64) * VARLEN_ENTRY_SIZE
+    starts += INLINE_VALUE_OFFSET
+    sources = [region]
+    base = region.size
+    if in_gathered.any():
+        if gathered is None:
+            raise StorageError("entry references a gathered buffer that is absent")
+        positions = -pointers[in_gathered] - 1
+        if (positions + sizes[in_gathered] > gathered.size).any():
+            raise StorageError("gathered buffer shorter than entry size")
+        starts[in_gathered] = base + positions
+        sources.append(gathered)
+        base += gathered.size
+
+    heap_sizes = sizes[in_heap]
+    heap_lengths = np.fromiter(map(len, heap_values), np.int64, len(heap_values))
+    if not np.array_equal(heap_lengths, heap_sizes):
+        raise StorageError("varlen heap bytes do not match their entry sizes")
+    starts[in_heap] = base + np.cumsum(heap_sizes) - heap_sizes
+    base += int(heap_sizes.sum())
+
+    pieces = list(heap_values)
+    if overrides:
+        wanted = wanted.copy()
+        for slot, raw in overrides.items():
+            wanted[slot] = raw is not None
+            if raw is None:
+                continue
+            sizes[slot] = len(raw)
+            starts[slot] = base
+            base += len(raw)
+            pieces.append(raw)
+    if pieces:
+        sources.append(np.frombuffer(b"".join(pieces), dtype=np.uint8))
+
+    if rows is None:
+        rows = np.arange(len(sizes))
+    keep = wanted[rows]
+    lengths = np.where(keep, sizes[rows], 0)
+    offsets = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    # Output byte j of a row that starts at output position p and source
+    # position s comes from source byte s + (j - p).
+    shift = starts[rows][keep] - offsets[:-1][keep]
+    source = np.arange(int(offsets[-1]), dtype=np.int64) + np.repeat(shift, lengths[keep])
+    return offsets, np.concatenate(sources)[source], keep
 
 
 def read_entry(view: np.ndarray) -> VarlenEntry:

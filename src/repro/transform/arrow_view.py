@@ -43,9 +43,9 @@ from repro.arrowfmt.datatypes import (
     VarBinaryType,
 )
 from repro.errors import BlockStateError, StorageError
-from repro.storage.constants import VARLEN_ENTRY_SIZE, VARLEN_INLINE_LIMIT, BlockState
+from repro.storage.constants import VARLEN_ENTRY_SIZE, BlockState
 from repro.storage.layout import BlockLayout
-from repro.storage.varlen import ENTRY_DTYPE, INLINE_VALUE_OFFSET
+from repro.storage.varlen import ENTRY_DTYPE, decode_entries, owned_entries
 from repro.transform.gather import live_prefix_length
 
 if TYPE_CHECKING:
@@ -184,10 +184,12 @@ def rows_to_record_batch(layout: BlockLayout, rows: list[dict]):
 
 
 def _prefix_validity(block: "RawBlock", column_id: int, n: int) -> Bitmap | None:
+    """The prefix's validity, aliasing the block: the ``(n + 7) // 8``
+    bytes a builder writes, not the whole block's bitmap."""
     bitmap = block.validity_bitmaps[column_id]
     if n and int(bitmap.to_numpy()[:n].sum()) == n:
         return None  # no nulls: Arrow allows omitting the validity buffer
-    return Bitmap(bitmap.buffer, n)
+    return Bitmap(Buffer(bitmap.buffer.data, (n + 7) // 8), n)
 
 
 # ---------------------------------------------------------------------- #
@@ -216,10 +218,10 @@ class HotColumns:
 
 
 class _VarlenCopy(NamedTuple):
-    """What the latched phase copies of one varlen column."""
+    """What the latched phase copies of one varlen column: the first
+    arguments of :func:`~repro.storage.varlen.decode_entries`."""
 
     region: np.ndarray  # the 16-byte entries of slots [0, n)
-    valid: np.ndarray
     wanted: np.ndarray  # valid and allocated-or-chained: the slots read
     gathered: np.ndarray | None  # the column's gathered values, if any
     heap_values: tuple[bytes, ...]  # out-of-line bytes of wanted slots
@@ -239,8 +241,10 @@ def materialize_hot(
     (unlatched): walk the version chains of the slots that have one,
     overlaying before-images onto the copies — the newest-to-oldest
     traversal ``DataTable.select`` performs.  Phase 3: keep the live
-    rows; varlen offsets are one ``cumsum`` and values one numpy gather
-    out of [entry region | gathered buffer | heap bytes | before-images].
+    rows; varlen columns go through
+    :func:`~repro.storage.varlen.decode_entries` — offsets are one
+    ``cumsum`` and values one numpy gather out of [entry region |
+    gathered buffer | heap bytes | before-images].
     """
     layout = block.layout
     fixed_ids = [c for c in column_ids if not layout.columns[c].is_varlen]
@@ -259,7 +263,7 @@ def materialize_hot(
             for column_id in varlen_ids:
                 varlen[column_id] = _copy_varlen(block, column_id, n, readable)
 
-    overrides: dict[int, dict[int, object]] = {c: {} for c in varlen_ids}
+    overrides: dict[int, dict[int, bytes | None]] = {c: {} for c in varlen_ids}
     for offset in chained:
         alive = bool(present[offset])
         record = ptrs[offset]
@@ -275,7 +279,9 @@ def materialize_hot(
                             nulls[column_id][offset] = False
                             fixed[column_id][offset] = value
                     elif column_id in overrides:
-                        overrides[column_id][offset] = value
+                        overrides[column_id][offset] = (
+                            value.encode("utf-8") if isinstance(value, str) else value
+                        )
             record = record.next
         present[offset] = alive
 
@@ -289,15 +295,16 @@ def materialize_hot(
             values[live_nulls] = np.zeros(1, dtype=values.dtype)
             null_masks[column_id] = live_nulls
         live_fixed[column_id] = values
-    arrays = {
-        column_id: _varlen_array(
+    arrays: dict[int, VarBinaryArray] = {}
+    for column_id in varlen_ids:
+        offsets, data, keep = decode_entries(*varlen[column_id], live, overrides[column_id])
+        arrays[column_id] = VarBinaryArray(
             layout.columns[column_id].dtype,  # type: ignore[arg-type]
-            varlen[column_id],
-            overrides[column_id],
-            live,
+            len(live),
+            Buffer.from_numpy(offsets),
+            Buffer.from_numpy(data),
+            None if keep.all() else Bitmap.from_numpy(keep),
         )
-        for column_id in varlen_ids
-    }
     return HotColumns(len(live), live, live_fixed, null_masks, arrays, len(chained))
 
 
@@ -306,89 +313,14 @@ def _copy_varlen(
 ) -> _VarlenCopy:
     """Phase 1 for one varlen column; runs under the block's write latch."""
     region = block.varlen_region_view(column_id)[: n * VARLEN_ENTRY_SIZE].copy()
-    valid = block.validity_bitmaps[column_id].to_numpy()[:n]
-    wanted = valid & readable
+    wanted = block.validity_bitmaps[column_id].to_numpy()[:n] & readable
     entries = region.view(ENTRY_DTYPE)
-    in_heap = wanted & (entries["size"] > VARLEN_INLINE_LIMIT) & (entries["pointer"] >= 0)
     heap_values = block.varlen_heaps[column_id].get_many(
-        entries["pointer"][in_heap].tolist()
+        entries["pointer"][owned_entries(entries, wanted)].tolist()
     )
     gathered = block.gathered.get(column_id)
     return _VarlenCopy(
-        region, valid, wanted, gathered[1] if gathered is not None else None, heap_values
-    )
-
-
-def _varlen_array(
-    dtype: VarBinaryType,
-    copy: _VarlenCopy,
-    overrides: dict[int, object],
-    live: np.ndarray,
-) -> VarBinaryArray:
-    """Phase 3 for one varlen column: the live rows as a canonical array.
-
-    Every value is one run of bytes in a single source buffer — inline
-    values inside their entry, the rest in the gathered buffer, the heap
-    bytes or the before-images — so the values buffer is one gather."""
-    entries = copy.region.view(ENTRY_DTYPE)
-    sizes = entries["size"].astype(np.int64)
-    pointers = entries["pointer"]
-    wanted = copy.wanted
-    if (sizes[wanted] < 0).any():
-        raise StorageError("corrupt varlen entry: negative size")
-    out_of_line = wanted & (sizes > VARLEN_INLINE_LIMIT)
-    in_heap = out_of_line & (pointers >= 0)
-    in_gathered = out_of_line & (pointers < 0)
-
-    starts = np.arange(len(sizes), dtype=np.int64) * VARLEN_ENTRY_SIZE
-    starts += INLINE_VALUE_OFFSET
-    sources = [copy.region]
-    base = copy.region.size
-    if in_gathered.any():
-        gathered = copy.gathered
-        if gathered is None:
-            raise StorageError("entry references a gathered buffer that is absent")
-        positions = -pointers[in_gathered] - 1
-        if (positions + sizes[in_gathered] > gathered.size).any():
-            raise StorageError("gathered buffer shorter than entry size")
-        starts[in_gathered] = base + positions
-        sources.append(gathered)
-        base += gathered.size
-
-    heap_sizes = sizes[in_heap]
-    heap_lengths = np.fromiter(map(len, copy.heap_values), np.int64, len(copy.heap_values))
-    if not np.array_equal(heap_lengths, heap_sizes):
-        raise StorageError("varlen heap bytes do not match their entry sizes")
-    starts[in_heap] = base + np.cumsum(heap_sizes) - heap_sizes
-    base += int(heap_sizes.sum())
-
-    valid = copy.valid
-    pieces = list(copy.heap_values)
-    for offset, value in overrides.items():
-        if value is None:
-            valid[offset] = False
-            continue
-        raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)  # type: ignore[arg-type]
-        valid[offset] = True
-        sizes[offset] = len(raw)
-        starts[offset] = base
-        base += len(raw)
-        pieces.append(raw)
-    if pieces:
-        sources.append(np.frombuffer(b"".join(pieces), dtype=np.uint8))
-
-    keep = valid[live]
-    lengths = np.where(keep, sizes[live], 0)
-    offsets = np.zeros(len(live) + 1, dtype=np.int32)
-    np.cumsum(lengths, out=offsets[1:])
-    # Output byte j of a row that starts at output position p and source
-    # position s comes from source byte s + (j - p).
-    shift = starts[live][keep] - offsets[:-1][keep]
-    source = np.arange(int(offsets[-1]), dtype=np.int64) + np.repeat(shift, lengths[keep])
-    values = np.concatenate(sources)[source]
-    validity = None if keep.all() else Bitmap.from_numpy(keep)
-    return VarBinaryArray(
-        dtype, len(live), Buffer.from_numpy(offsets), Buffer.from_numpy(values), validity
+        region, wanted, gathered[1] if gathered is not None else None, heap_values
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ColumnSpec, Database, INT64, UTF8
+from repro import FLOAT64, ColumnSpec, Database, INT64, UTF8
 from repro.query import TableScanner, aggregate
 from repro.storage.constants import BlockState
 
@@ -158,3 +158,53 @@ class TestPruning:
         total = sum(b.num_rows for b in scanner.batches())
         assert total == 1200
         assert scanner.blocks_pruned == 0
+
+
+class TestNaNIsLeftOut:
+    """NaN satisfies no range filter, so no zone map covers it: a float
+    column of 0..99 with one NaN keeps the map [0, 99], frozen or hot."""
+
+    def build(self):
+        db = Database(logging_enabled=False, cold_threshold_epochs=1)
+        info = db.create_table(
+            "f", [ColumnSpec("x", FLOAT64), ColumnSpec("s", UTF8)],
+            block_size=1 << 13, watch_cold=True,
+        )
+        return db, info
+
+    def pruned(self, db, info, low=500.0, high=600.0):
+        scanner = TableScanner(
+            db.txn_manager, info.table, column_ids=[0], range_filters={0: (low, high)}
+        )
+        assert sum(b.selected_count for b in scanner.batches()) == 0
+        return scanner.blocks_pruned
+
+    def test_frozen_zone_map_skips_nan(self):
+        db, info = self.build()
+        with db.transaction() as txn:
+            for i in range(info.table.layout.num_slots):
+                x = float("nan") if i == 50 else float(i % 100)
+                info.table.insert(txn, {0: x, 1: "v"})
+        db.freeze_table("f")
+        (block,) = info.table.blocks
+        assert block.state is BlockState.FROZEN
+        assert block.zone_maps[0] == (0.0, 99.0)
+        assert self.pruned(db, info) == 1
+        assert db.verify_integrity().ok
+
+    def test_hot_zone_map_skips_a_leading_nan(self):
+        db, info = self.build()
+        with db.transaction() as txn:
+            info.table.insert(txn, {0: float("nan"), 1: "first"})
+            for i in range(100):
+                info.table.insert(txn, {0: float(i), 1: "v"})
+        (block,) = info.table.blocks
+        assert block.state is BlockState.HOT
+        assert block.hot_zone_maps[0] == [0.0, 99.0]
+        assert self.pruned(db, info) == 1
+        # A NaN-only column has no map, so nothing is pruned on it.
+        db, info = self.build()
+        with db.transaction() as txn:
+            info.table.insert(txn, {0: float("nan"), 1: "only"})
+        assert 0 not in info.table.blocks[0].hot_zone_maps
+        assert self.pruned(db, info) == 0

@@ -15,12 +15,20 @@ from repro.storage.varlen import (
     read_entry,
     read_value,
     write_entry,
-    write_gathered_entry,
 )
 
 
 def fresh_view():
     return np.zeros(VARLEN_ENTRY_SIZE, dtype=np.uint8)
+
+
+def gathered_view(size, prefix, offset):
+    """An entry referencing ``offset`` of a gathered buffer, as the gather
+    writes it: the entry's ``pointer`` field holds ``-(offset + 1)``."""
+    view = fresh_view()
+    entry = view.view(ENTRY_DTYPE)
+    entry["size"], entry["prefix"], entry["pointer"] = size, prefix, -(offset + 1)
+    return view
 
 
 class TestInlineValues:
@@ -154,26 +162,19 @@ def test_entry_dtype_matches_the_struct_layout():
 
 class TestGatheredEntries:
     def test_gathered_entry_reads_from_buffer(self):
-        view, heap = fresh_view(), VarlenHeap()
+        view = gathered_view(22, b"Hell", offset=4)
         gathered = np.frombuffer(b"aaaaHello, gathered world!zzz", dtype=np.uint8)
-        write_gathered_entry(view, 22, b"Hell", offset=4)
         entry = read_entry(view)
         assert not entry.owns_buffer
-        assert read_value(view, heap, gathered) == b"Hello, gathered world!"
+        assert read_value(view, VarlenHeap(), gathered) == b"Hello, gathered world!"
 
     def test_gathered_entry_missing_buffer(self):
-        view = fresh_view()
-        write_gathered_entry(view, 20, b"abcd", offset=0)
+        view = gathered_view(20, b"abcd", offset=0)
         with pytest.raises(StorageError):
             read_value(view, VarlenHeap(), None)
 
-    def test_short_values_must_not_be_gathered(self):
-        with pytest.raises(StorageError):
-            write_gathered_entry(fresh_view(), 5, b"abcd", offset=0)
-
     def test_gathered_buffer_too_short(self):
-        view = fresh_view()
-        write_gathered_entry(view, 50, b"abcd", offset=0)
+        view = gathered_view(50, b"abcd", offset=0)
         short = np.frombuffer(b"tooshort", dtype=np.uint8)
         with pytest.raises(StorageError):
             read_value(view, VarlenHeap(), short)
