@@ -164,8 +164,10 @@ class TableExporter:
     # method implementations                                              #
     # ------------------------------------------------------------------ #
 
-    def _scan_rows(self) -> list[tuple]:
-        """Materialize the table as row tuples through the vectorized scan.
+    def _scan_columns(self) -> list[list]:
+        """The table's columns as Python lists, read through the vectorized
+        scan and converted per batch by ``TableScanner.batch_values`` (the
+        values ``DataTable.select`` returns, as the service's ``scan``).
 
         Frozen blocks stream straight off the Arrow buffers; hot blocks go
         through the block-at-a-time MVCC snapshot — much cheaper than the
@@ -173,16 +175,16 @@ class TableExporter:
         from repro.query.scan import TableScanner
 
         scanner = TableScanner(self.txn_manager, self.table, registry=self.registry)
-        column_ids = list(range(self.table.layout.num_columns))
-        rows: list[tuple] = []
+        columns: list[list] = [[] for _ in scanner.column_ids]
         for batch in scanner.batches():
-            rows.extend(zip(*(batch.pylist(c) for c in column_ids)))
-        return rows
+            for column, values in zip(columns, scanner.batch_values(batch)):
+                column.extend(values)
+        return columns
 
-    def _payload_bytes(self, rows: list[tuple]) -> int:
+    def _payload_bytes(self, columns: list[list]) -> int:
         total = 0
-        for row in rows:
-            for value in row:
+        for column in columns:
+            for value in column:
                 if value is None:
                     continue
                 if isinstance(value, (bytes, str)):
@@ -193,8 +195,8 @@ class TableExporter:
 
     def _export_postgres(self) -> ExportResult:
         began = time.perf_counter()
-        rows = self._scan_rows()
-        raw, messages = postgres_wire.encode_rows(rows)
+        columns = self._scan_columns()
+        raw, messages = postgres_wire.encode_columns(columns)
         serialization = time.perf_counter() - began
         network = SimulatedNetwork(self.profile)
         wire = network.transmit(len(raw), messages)
@@ -202,17 +204,14 @@ class TableExporter:
         decoded = postgres_wire.decode_rows(raw)
         client = time.perf_counter() - began
         return ExportResult(
-            "postgres", self._payload_bytes(rows), len(raw), serialization, wire,
+            "postgres", self._payload_bytes(columns), len(raw), serialization, wire,
             client, len(decoded),
         )
 
     def _export_vectorized(self) -> ExportResult:
         began = time.perf_counter()
-        rows = self._scan_rows()
-        if rows:
-            columns = [list(col) for col in zip(*rows)]
-        else:
-            columns = [[] for _ in range(self.table.layout.num_columns)]
+        columns = self._scan_columns()
+        rows = len(columns[0])
         raw, batches = vectorized.encode_table(columns) if rows else (b"", 0)
         serialization = time.perf_counter() - began
         network = SimulatedNetwork(self.profile)
@@ -222,7 +221,7 @@ class TableExporter:
         client = time.perf_counter() - began
         rows_out = len(decoded[0]) if decoded else 0
         return ExportResult(
-            "vectorized", self._payload_bytes(rows), len(raw), serialization, wire,
+            "vectorized", self._payload_bytes(columns), len(raw), serialization, wire,
             client, rows_out,
         )
 

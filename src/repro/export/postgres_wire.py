@@ -5,6 +5,11 @@ becomes one message of text-encoded fields, each prefixed by its length.
 The costs this reproduces are the real ones: per-value text conversion on
 the server, one message per row on the wire, and per-value parsing on the
 client — the serialization bottleneck Section 6.3 identifies.
+
+The server encodes from columns (:func:`encode_columns`): a chunk of rows
+at a time, each column's values become length-prefixed text fields with
+one comprehension, and the chunk's messages are joined; only the chunks
+outlive it.
 """
 
 from __future__ import annotations
@@ -17,37 +22,81 @@ from repro.errors import SerializationError
 
 _NULL = -1
 
+_INT32 = struct.Struct("<i").pack
+#: Message tag, body length and field count: ``<cI`` then ``<H``.
+_HEADER = struct.Struct("<cIH").pack
+_NULL_FIELD = _INT32(_NULL)
 
-def encode_row(values: Sequence[Any]) -> bytes:
-    """Encode one tuple as a DataRow-style message."""
-    body = io.BytesIO()
-    body.write(struct.pack("<H", len(values)))
-    for value in values:
-        if value is None:
-            body.write(struct.pack("<i", _NULL))
-            continue
-        if isinstance(value, bytes):
-            raw = value
-        elif isinstance(value, float):
-            raw = repr(value).encode("ascii")
-        elif isinstance(value, bool):
-            raw = b"t" if value else b"f"
-        else:
-            raw = str(value).encode("utf-8")
-        body.write(struct.pack("<i", len(raw)))
-        body.write(raw)
-    payload = body.getvalue()
-    return struct.pack("<cI", b"D", len(payload)) + payload
+#: Rows whose per-field objects are alive at once while encoding.
+_CHUNK_ROWS = 256
+
+
+def _text(value: Any) -> bytes:
+    """A non-NULL value as its text field: bytes as they are, ``repr`` for
+    floats, ``t``/``f`` for bools, ``str`` in UTF-8 for everything else."""
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, float):
+        return repr(value).encode("ascii")
+    if isinstance(value, bool):
+        return b"t" if value else b"f"
+    return str(value).encode("utf-8")
+
+
+def _texts(values: Sequence[Any]) -> list[bytes | None]:
+    """Each value's text (``None`` for NULL).  A column holding one exact
+    type besides NULL is converted without the per-value dispatch."""
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return [None if v is None else b"%r" % v for v in values]
+    if kind is int:
+        return [None if v is None else b"%d" % v for v in values]
+    if kind is str:
+        return [None if v is None else v.encode("utf-8") for v in values]
+    return [None if v is None else _text(v) for v in values]
+
+
+def _fields(values: Sequence[Any]) -> list[bytes]:
+    """Each value as a length-prefixed field; NULL is the length ``-1``."""
+    return [
+        _NULL_FIELD if raw is None else _INT32(len(raw)) + raw
+        for raw in _texts(values)
+    ]
+
+
+def encode_columns(
+    columns: Sequence[Sequence[Any]], num_rows: int | None = None
+) -> tuple[bytes, int]:
+    """Encode columns of ``num_rows`` values (default: the first column's
+    length) as one DataRow message per row; returns (stream, message
+    count).  ``num_rows`` is needed only when there are no columns."""
+    if num_rows is None:
+        num_rows = len(columns[0]) if columns else 0
+    if any(len(column) != num_rows for column in columns):
+        raise SerializationError(f"every column must hold {num_rows} values")
+    if not columns:
+        return _HEADER(b"D", 2, 0) * num_rows, num_rows
+    chunks = []
+    for start in range(0, num_rows, _CHUNK_ROWS):
+        fields = [_fields(column[start : start + _CHUNK_ROWS]) for column in columns]
+        messages = [
+            _HEADER(b"D", len(body) + 2, len(columns)) + body
+            for body in map(b"".join, zip(*fields))
+        ]
+        chunks.append(b"".join(messages))
+    return b"".join(chunks), num_rows
 
 
 def encode_rows(rows: Iterable[Sequence[Any]]) -> tuple[bytes, int]:
-    """Encode many tuples; returns (stream, message count)."""
-    out = io.BytesIO()
-    count = 0
-    for row in rows:
-        out.write(encode_row(row))
-        count += 1
-    return out.getvalue(), count
+    """Encode tuples of one width; returns (stream, message count)."""
+    rows = list(rows)
+    try:
+        columns = list(zip(*rows, strict=True))
+    except ValueError:
+        raise SerializationError("rows of different widths") from None
+    return encode_columns(columns, len(rows))
 
 
 def decode_rows(raw: bytes) -> list[tuple]:

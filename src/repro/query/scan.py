@@ -332,22 +332,50 @@ class TableScanner:
                 if batch.num_rows:
                     yield batch
 
+    def batch_values(self, batch: ColumnBatch, limit: int | None = None) -> list[list]:
+        """The scanned columns of ``batch``, in ``column_ids`` order, as
+        Python lists of its selected rows (the first ``limit`` of them when
+        given), holding the values ``DataTable.select`` returns: ``None``
+        for NULL and ``bool`` for BOOL, which is stored as uint8.  This is
+        the one conversion from batches to Python values that row readers
+        and the row protocols share; fixed-width columns are selected,
+        cut and converted in numpy."""
+        rows = slice(limit) if batch.selection is None else batch.selection[:limit]
+        columns = self.table.layout.columns
+        values = []
+        for column_id in self.column_ids:
+            vector = batch.column(column_id)
+            if not isinstance(vector, np.ndarray):  # a varlen ArrowColumnView
+                if isinstance(rows, slice):
+                    values.append(vector[rows])
+                else:
+                    column = vector[:]
+                    values.append([column[i] for i in rows.tolist()])
+                continue
+            vector = vector[rows]
+            if columns[column_id].dtype.name == "bool":
+                vector = vector.astype(bool)
+            nulls = batch.null_masks.get(column_id)
+            if nulls is not None:
+                vector = vector.astype(object)
+                vector[nulls[rows]] = None
+            values.append(vector.tolist())
+        return values
+
     def rows(self) -> Iterator[tuple[TupleSlot, ProjectedRow]]:
         """The selected rows of every batch as ``(slot, row)`` pairs, with
-        the values ``DataTable.select`` returns; each column is converted
-        once per batch."""
-        layout = self.table.layout
-        bools = [c for c in self.column_ids if layout.columns[c].dtype.name == "bool"]
+        the values ``DataTable.select`` returns (see :meth:`batch_values`)."""
         with closing(self.batches()) as batches:  # closing rows() drops the pins
             for batch in batches:
-                columns = {c: batch.pylist(c) for c in self.column_ids}
-                for c in bools:  # stored as uint8
-                    columns[c] = [None if v is None else bool(v) for v in columns[c]]
-                slots = range(batch.num_rows) if batch.slots is None else batch.slots.tolist()
-                selected = batch.selection
-                for i in range(batch.num_rows) if selected is None else selected.tolist():
-                    row = ProjectedRow({c: values[i] for c, values in columns.items()})
-                    yield TupleSlot(batch.block_id, slots[i]), row
+                values = self.batch_values(batch)
+                offsets = np.arange(batch.num_rows) if batch.slots is None else batch.slots
+                if batch.selection is not None:
+                    offsets = offsets[batch.selection]
+                for i, offset in enumerate(offsets.tolist()):
+                    row = ProjectedRow(
+                        {c: column[i] for c, column in zip(self.column_ids, values)}
+                    )
+                    yield TupleSlot(batch.block_id, offset), row
 
     def _scan_in_pool(self, pinned: list) -> dict[int, dict]:
         """Worker scan results, by block id, of the pinned blocks whose

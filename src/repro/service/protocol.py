@@ -16,7 +16,7 @@ this repo's row codec already mimics:
 
 ``D`` (row payload)
     A stream of DataRow messages as produced by
-    :func:`repro.export.postgres_wire.encode_rows` — the same row codec
+    :func:`repro.export.postgres_wire.encode_columns` — the same row codec
     (and the same per-value text cost) as the Figure 15 baseline.
 
 ``A`` (Arrow payload)

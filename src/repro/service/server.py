@@ -53,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.errors import (
     DegradedError,
@@ -67,6 +67,7 @@ from repro.export import flight, postgres_wire
 from repro.obs.registry import STATE
 from repro.obs.slo import RequestLifecycle, RequestLog, SloTracker
 from repro.obs.trace import TailSampler, current_context, get_tracer, span
+from repro.query.scan import TableScanner
 from repro.service import protocol
 from repro.service.admission import AdmissionController
 from repro.service.gate import HealthGate
@@ -113,6 +114,21 @@ def _shard_tables(db: Any, table_name: str, request_id: int) -> list[tuple[Any, 
     if db.router.route(table_name).replicated:
         shards = [shards[request_id % len(shards)]]
     return [(shard.txn_manager, shard.catalog.table(table_name)) for shard in shards]
+
+
+def _local_reads(db: Any, table_name: str, txn: Any) -> Iterator[tuple[Any, Any]]:
+    """``(local transaction, table)`` for each local table holding the rows
+    ``ShardedTable.scan`` returns under ``txn``: the table itself on a plain
+    database, every shard's partition on a sharded one, and the replica
+    ``txn.read_shard()`` picks for a replicated table.  A shard's
+    participant is begun only when its table is reached."""
+    shards = getattr(db, "shards", None)
+    if shards is None:
+        yield txn, db.catalog.table(table_name)
+        return
+    replicated = db.router.route(table_name).replicated
+    for shard_id in [txn.read_shard()] if replicated else range(len(shards)):
+        yield txn.on_shard(shard_id), shards[shard_id].catalog.table(table_name)
 
 
 class TransactionalServer:
@@ -667,28 +683,46 @@ class TransactionalServer:
             with self.db.transaction() as txn:
                 matches = index.lookup(txn, request.key, column_ids)
                 self._record_txn(request, txn.txn_id)
-            rows = [self._row_values(row, column_ids) for _, row in matches]
-        payload, count = postgres_wire.encode_rows(rows)
+            if column_ids is None:
+                column_ids = list(range(len(info.columns)))
+            columns = [[row.get(c) for _, row in matches] for c in column_ids]
+        payload, count = postgres_wire.encode_columns(columns, len(matches))
         return self._encode_payload(
             lifecycle, {"rows": count, "format": "postgres_wire"},
             protocol.KIND_ROWS, payload,
         )
 
     def _do_scan(self, request: Request, lifecycle: RequestLifecycle) -> bytes:
+        """One block walk per local table under the request's transaction.
+        Each batch's selected columns are converted once, up to ``limit``,
+        and every walk is closed before the rows are encoded, so encoding
+        holds no pin.  ``limit=0`` opens no walk and answers zero rows."""
         self._require(request, "table")
+        limit = request.limit
         with span("service.scan", table=request.table):
             info = self.db.catalog.get(request.table)
             column_ids = self._column_ids(info, request.columns)
-            rows = []
+            width = len(info.columns) if column_ids is None else len(column_ids)
+            columns: list[list] = [[] for _ in range(width)]
+            num_rows = 0
             with self.db.transaction() as txn:
-                # Closing drops the scan's pins before the rows are encoded.
-                with closing(info.table.scan(txn, column_ids)) as scan:
-                    for _, row in scan:
-                        rows.append(self._row_values(row, column_ids))
-                        if request.limit is not None and len(rows) >= request.limit:
-                            break
+                for local_txn, table in _local_reads(self.db, request.table, txn):
+                    if num_rows == limit:
+                        break
+                    scanner = TableScanner(None, table, column_ids, txn=local_txn)
+                    with closing(scanner.batches()) as batches:
+                        for batch in batches:
+                            taken = batch.selected_count
+                            if limit is not None:
+                                taken = min(taken, limit - num_rows)
+                            values = scanner.batch_values(batch, taken)
+                            for column, part in zip(columns, values):
+                                column.extend(part)
+                            num_rows += taken
+                            if num_rows == limit:
+                                break
                 self._record_txn(request, txn.txn_id)
-        payload, count = postgres_wire.encode_rows(rows)
+        payload, count = postgres_wire.encode_columns(columns, num_rows)
         return self._encode_payload(
             lifecycle, {"rows": count, "format": "postgres_wire"},
             protocol.KIND_ROWS, payload,
@@ -808,11 +842,6 @@ class TransactionalServer:
             # millisecond from durable.
             budget = min(budget, max(0.05, deadline - time.monotonic()))
         return budget
-
-    def _row_values(self, row: Any, column_ids: list[int] | None) -> list[Any]:
-        values = row.to_dict()
-        ids = column_ids if column_ids is not None else sorted(values)
-        return [values[column_id] for column_id in ids]
 
     def _record_txn(self, request: Request, txn_id: int | None) -> None:
         """Link this request to the transaction it spawned in the journal

@@ -332,7 +332,7 @@ class TestExporterUsesVectorizedScan:
         db, info, slots = build(rows=120)
         churn(db, info, slots)
         exporter = TableExporter(db.txn_manager, info.table)
-        rows = exporter._scan_rows()
+        rows = list(zip(*exporter._scan_columns()))
         txn = db.txn_manager.begin()
         expected = [
             tuple(row.to_dict().values()) for _, row in rowwise_scan(info.table, txn)

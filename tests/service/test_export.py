@@ -8,7 +8,8 @@ from repro.arrowfmt.datatypes import INT64, UTF8
 from repro.cluster import ShardedDatabase
 from repro.export import flight, postgres_wire
 from repro.service import ServiceClient
-from repro.service.server import ServerThread, TransactionalServer, _shard_tables
+from repro.query.scan import TableScanner
+from repro.service.server import ServerThread, _shard_tables
 from repro.storage.constants import BlockState
 from repro.storage.data_table import rowwise_scan
 
@@ -168,22 +169,22 @@ def test_scan_drops_its_pins_before_encoding(shards, monkeypatch):
     assert all(
         table.block_states()[BlockState.FROZEN] for _, table in local_tables(db)
     )
-    encode_rows = postgres_wire.encode_rows
+    encode_columns = postgres_wire.encode_columns
     pins_at_encode = []
 
-    def encode_after_close(rows):
+    def encode_after_close(columns, num_rows=None):
         pins_at_encode.append(pins_held(db))
-        return encode_rows(rows)
+        return encode_columns(columns, num_rows)
 
-    monkeypatch.setattr(postgres_wire, "encode_rows", encode_after_close)
-    row_values = TransactionalServer._row_values
+    monkeypatch.setattr(postgres_wire, "encode_columns", encode_after_close)
+    batch_values = TableScanner.batch_values
     converted = []
 
-    def fail_on_the_fifth_row(self, row, column_ids):
-        converted.append(row)
-        if len(converted) == 5:
-            raise RuntimeError("row conversion failed")
-        return row_values(self, row, column_ids)
+    def fail_on_the_second_batch(self, batch, limit=None):
+        converted.append(batch)
+        if len(converted) == 2:
+            raise RuntimeError("batch conversion failed")
+        return batch_values(self, batch, limit)
 
     server = ServerThread(db).start()
     try:
@@ -192,10 +193,11 @@ def test_scan_drops_its_pins_before_encoding(shards, monkeypatch):
             assert response.ok and response.meta["rows"] == 10
             assert pins_at_encode == [0]
             assert pins_held(db) == 0
-            monkeypatch.setattr(TransactionalServer, "_row_values", fail_on_the_fifth_row)
+            monkeypatch.setattr(TableScanner, "batch_values", fail_on_the_second_batch)
             response = client.scan("usertable")
             assert not response.ok
-            assert len(converted) == 5
+            assert len(converted) == 2
+            assert pins_at_encode == [0]
             assert pins_held(db) == 0
     finally:
         server.stop()
