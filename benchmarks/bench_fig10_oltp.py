@@ -1,20 +1,17 @@
 """Figure 10: TPC-C performance with the transformation pipeline.
 
-(a) Throughput vs worker threads for three configurations — transformation
-disabled, varlen gather, dictionary compression.  The per-transaction costs
-and the interference of the transformation process are *measured* on the
-real engine (single worker, the GIL hides core parallelism); the thread
-axis is then projected by the calibrated
-:class:`~repro.bench.scaling_model.ScalingModel` of the paper's 20-core
-machine.
+(a) Throughput for three configurations — transformation disabled,
+varlen gather, dictionary compression — measured on the real engine with
+one worker.  The paper's worker-thread axis is not reproduced: one
+interpreter lock serializes the workers, so a thread axis here would be a
+model, not a measurement.
 
 (b) Fraction of cold-table blocks in the COOLING/FROZEN states at the end
 of each run.
 
 Paper shape: ≤10% throughput overhead for gather, more for dictionary
 compression; near-complete block coverage for gather, lagging coverage for
-dictionary compression at high worker counts; scaling degrades at 20
-workers when threads outnumber physical cores.
+dictionary compression.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, ShardedDatabase
-from repro.bench.reporting import format_series, format_table
-from repro.bench.scaling_model import ScalingModel
+from repro.bench.reporting import format_table
 from repro.workloads.tpcc import TpccConfig, TpccDriver
 from repro.workloads.tpcc.consistency import check_consistency
 from repro.workloads.tpcc.schema import TPCC_SHARD_KEYS
@@ -31,7 +27,6 @@ from repro.workloads.tpcc.schema import TPCC_SHARD_KEYS
 from conftest import publish, scaled, shard_counts
 
 TXNS = scaled(700, minimum=300)
-WORKER_AXIS = [1, 2, 4, 8, 12, 16, 20]
 
 
 def _one_trial(cold_format: str | None) -> tuple[float, float]:
@@ -185,24 +180,21 @@ def test_report_oltp_sharding(benchmark, request):
 
 
 def test_report_figure_10(benchmark, measurements):
-    def run():
-        base_rate = measurements["No Transformation"][0]
-        curves = {}
-        for name, (rate, _) in measurements.items():
-            overhead = max(0.0, 1.0 - rate / base_rate)
-            model = ScalingModel(base_rate, transform_overhead=overhead)
-            curves[name] = [round(v) for v in model.curve(WORKER_AXIS)]
-        return curves
-
-    curves = benchmark.pedantic(run, rounds=1, iterations=1)
+    rates = benchmark.pedantic(
+        lambda: {name: rate for name, (rate, _) in measurements.items()},
+        rounds=1,
+        iterations=1,
+    )
+    base_rate = rates["No Transformation"]
     publish(
         "fig10a_tpcc_throughput",
-        format_series(
-            "Figure 10a — TPC-C throughput (txn/s; measured 1-worker rates, "
-            "modeled thread axis)",
-            "workers",
-            WORKER_AXIS,
-            curves,
+        format_table(
+            "Figure 10a — TPC-C throughput (txn/s; measured, 1 worker)",
+            ["configuration", "txn/s", "relative"],
+            [
+                (name, f"{rate:.0f}", f"{rate / base_rate:.2f}x")
+                for name, rate in rates.items()
+            ],
         ),
     )
     coverage_rows = [
@@ -220,13 +212,9 @@ def test_report_figure_10(benchmark, measurements):
     )
     # Paper shapes: the transformation's interference is bounded (the
     # paper reports <=10%; this machine resolves the effect to within a
-    # ~20% noise band at this scale — the printed curves carry the real
+    # ~20% noise band at this scale — the printed table carries the real
     # numbers); dictionary compression is never materially cheaper than
-    # the gather; the curve dips at 20 workers where threads exceed
-    # physical cores.
-    gather = curves["Varlen Gather"]
-    none = curves["No Transformation"]
-    dictionary = curves["Dictionary Compression"]
-    assert gather[3] >= none[3] * 0.80
-    assert dictionary[3] <= gather[3] * 1.10
-    assert none[-1] < none[-2] * (20 / 16)  # sub-linear at 20 workers
+    # the gather.
+    gather = rates["Varlen Gather"]
+    assert gather >= base_rate * 0.80
+    assert rates["Dictionary Compression"] <= gather * 1.10

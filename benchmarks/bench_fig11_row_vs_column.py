@@ -16,21 +16,11 @@ update crossover is the preserved shape.
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
 from repro import Database
 from repro.bench.reporting import format_series
 from repro.workloads.rowcol import run_inserts, run_updates
 
-from conftest import publish, scaled, worker_counts
-from parallel_support import (
-    MIN_CORES_FOR_SPEEDUP_ASSERTS,
-    build_frozen_db,
-    measured_scan_rate,
-    sweep_workers,
-)
+from conftest import publish, scaled
 
 ATTRIBUTE_AXIS = [1, 2, 4, 8, 16, 32, 64]
 OPS = scaled(2000, minimum=500)
@@ -103,42 +93,3 @@ def test_report_figure_11(benchmark):
     narrow_ratio = series["Column Update"][0] / series["Row Update"][0]
     wide_ratio = series["Column Update"][-1] / series["Row Update"][-1]
     assert wide_ratio < narrow_ratio
-
-
-SCAN_ROWS = scaled(6000, minimum=2000)
-
-
-def test_report_figure_11_parallel_cold_scan(benchmark, request):
-    """The figure's analytics side, *measured*: cold-scan throughput vs
-    worker processes over shared-memory frozen blocks.  Until the
-    ``repro.parallel`` pool existed this curve could only come from the
-    calibrated ``ScalingModel``; now it is a real measurement, bounded by
-    this machine's cores."""
-    counts = worker_counts(request.config)
-    cores = os.cpu_count() or 1
-
-    def run():
-        db, info = build_frozen_db(SCAN_ROWS)
-        try:
-            serial = measured_scan_rate(db, info, pool=None)
-            rates = sweep_workers(db, info, counts, measured_scan_rate)
-            return serial, rates
-        finally:
-            db.close()
-
-    serial, rates = benchmark.pedantic(run, rounds=1, iterations=1)
-    publish(
-        "fig11_parallel_scan",
-        format_series(
-            f"Figure 11 (measured scaling) — cold-scan throughput (rows/s), "
-            f"{SCAN_ROWS} rows, {cores}-core machine, serial baseline "
-            f"{serial:,.0f} rows/s",
-            "workers",
-            counts,
-            {"Cold scan": [round(rates[w]) for w in counts]},
-        ),
-    )
-    assert all(rate > 0 for rate in rates.values())
-    if cores >= MIN_CORES_FOR_SPEEDUP_ASSERTS and 4 in rates and 1 in rates:
-        # Acceptance: 4 workers at least double 1 worker on a real machine.
-        assert rates[4] >= 2.0 * rates[1]

@@ -15,8 +15,6 @@ flat — they serialize everything regardless of block state.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import Database
@@ -26,13 +24,7 @@ from repro.storage.constants import BlockState
 from repro.storage.layout import BlockLayout
 from repro.workloads.tpcc.schema import TPCC_TABLES
 
-from conftest import publish, scaled, worker_counts
-from parallel_support import (
-    MIN_CORES_FOR_SPEEDUP_ASSERTS,
-    build_frozen_db,
-    measured_export_rate,
-    sweep_workers,
-)
+from conftest import publish, scaled
 
 FROZEN_AXIS = [0, 1, 5, 10, 20, 40, 60, 80, 100]
 METHODS = ["RDMA", "Arrow-Flight", "Vectorized", "PostgreSQL"]
@@ -132,43 +124,3 @@ def test_report_figure_15(benchmark, order_line_db):
     assert series["PostgreSQL"][last] < series["PostgreSQL"][0] * 3
     # Everything hot: Flight decays toward the vectorized protocol.
     assert series["Arrow-Flight"][0] < series["Arrow-Flight"][last] / 2
-
-
-EXPORT_ROWS = scaled(6000, minimum=2000)
-
-
-def test_report_figure_15_parallel_export(benchmark, request):
-    """Flight serialization scaling, *measured* across worker processes.
-
-    The fully-frozen Flight number used to be a single-process measurement
-    with the scaling story delegated to the cost model; with the
-    ``repro.parallel`` pool, frozen blocks serialize to Arrow IPC in real
-    worker processes and the scaling curve is measured on this machine."""
-    counts = worker_counts(request.config)
-    cores = os.cpu_count() or 1
-
-    def run():
-        db, info = build_frozen_db(EXPORT_ROWS)
-        try:
-            serial = measured_export_rate(db, info, pool=None)
-            rates = sweep_workers(db, info, counts, measured_export_rate)
-            return serial, rates
-        finally:
-            db.close()
-
-    serial, rates = benchmark.pedantic(run, rounds=1, iterations=1)
-    publish(
-        "fig15_parallel_export",
-        format_series(
-            f"Figure 15 (measured scaling) — Flight serialization (MB/s), "
-            f"{EXPORT_ROWS} rows fully frozen, {cores}-core machine, serial "
-            f"baseline {serial:.2f} MB/s",
-            "workers",
-            counts,
-            {"Arrow-Flight": [round(rates[w], 2) for w in counts]},
-        ),
-    )
-    assert all(rate > 0 for rate in rates.values())
-    if cores >= MIN_CORES_FOR_SPEEDUP_ASSERTS and 4 in rates and 1 in rates:
-        # Acceptance: >1.5x at 4 workers on a machine with real cores.
-        assert rates[4] >= 1.5 * rates[1]

@@ -22,24 +22,12 @@ def pytest_addoption(parser):
         help="comma-separated shard counts for the sharded OLTP benchmark "
         "(bench_fig10_oltp.py); 1 uses the plain single-node engine",
     )
-    parser.addoption(
-        "--workers",
-        default="1,2,4,8",
-        help="comma-separated scan/export worker-process counts for the "
-        "parallel benchmarks (bench_ablation_parallel.py, fig11/fig15 "
-        "parallel scaling); these are real processes, so measured speedup "
-        "is bounded by the machine's cores",
-    )
 
 
 def shard_counts(config) -> list[int]:
     """The ``--shards`` option parsed into a list of shard counts."""
     return [int(n) for n in str(config.getoption("--shards")).split(",") if n]
 
-
-def worker_counts(config) -> list[int]:
-    """The ``--workers`` option parsed into a list of worker counts."""
-    return [int(n) for n in str(config.getoption("--workers")).split(",") if n]
 
 #: Global workload multiplier.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))

@@ -1,5 +1,4 @@
-"""Benchmark support: reporting tables, the thread-scaling model, and the
-metric-delta harness."""
+"""Benchmark support: reporting tables and the metric-delta harness."""
 
 from repro.bench.harness import (
     BenchResult,
@@ -9,12 +8,10 @@ from repro.bench.harness import (
     run_timed,
 )
 from repro.bench.reporting import format_series, format_table
-from repro.bench.scaling_model import ScalingModel
 
 __all__ = [
     "BenchResult",
     "RegistryDelta",
-    "ScalingModel",
     "flatten_snapshot",
     "format_deltas",
     "format_series",

@@ -174,8 +174,8 @@ class TwoPhaseCoordinator:
         )
         # The whole protocol runs under one span (adopting any enclosing
         # trace), and the journal events carry its trace id, so timelines
-        # and Chrome traces show coordinator + per-shard + relayed worker
-        # work as one causal tree.
+        # and Chrome traces show coordinator and per-shard work as one
+        # causal tree.
         with trace.span("cluster.2pc", gid=gid) as root_span:
             ctx = trace.current_context()
             trace_id = ctx.trace_id if ctx is not None else None

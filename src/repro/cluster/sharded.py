@@ -701,23 +701,6 @@ class ShardedDatabase:
                 f"shard {first} degraded: "
                 f"{self.shards[first].txn_manager.degraded_reason}"
             )
-        # Roll the per-shard worker-pool liveness sections up into one
-        # cluster-wide view (None when no shard has started a pool).
-        pools = [s["workers"] for s in shards.values() if s.get("workers")]
-        workers = None
-        if pools:
-            ages = [
-                p["oldest_outstanding_age_seconds"]
-                for p in pools
-                if p["oldest_outstanding_age_seconds"] is not None
-            ]
-            workers = {
-                "configured": sum(p["configured"] for p in pools),
-                "alive": sum(p["alive"] for p in pools),
-                "restarts": sum(p["restarts"] for p in pools),
-                "outstanding_tasks": sum(p["outstanding_tasks"] for p in pools),
-                "oldest_outstanding_age_seconds": max(ages) if ages else None,
-            }
         return {
             "status": "degraded" if self.degraded else "ok",
             "degraded_reason": reason,
@@ -731,7 +714,6 @@ class ShardedDatabase:
                 "in_doubt_resolved": dict(self.indoubt_resolved),
             },
             "wal": None,
-            "workers": workers,
             "slo": self.slo.health_summary(),
         }
 

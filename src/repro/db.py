@@ -53,17 +53,7 @@ class Database:
         obs_registry: MetricRegistry | None = None,
         recorder: Recorder | None = None,
         slow_txn_threshold: float | None = None,
-        parallel_workers: int = 0,
-        parallel_start_method: str | None = None,
     ) -> None:
-        """``parallel_workers > 0`` enables the multiprocess scan/export
-        pool (:mod:`repro.parallel`): frozen blocks are placed into a
-        shared-memory arena at freeze time and scans/exports that opt in
-        (``parallel=True``) fan block fragments out to worker processes.
-        ``parallel_start_method`` forces ``fork``/``spawn``/``forkserver``
-        (default: ``REPRO_PARALLEL_START_METHOD`` or ``fork`` where
-        available).  On platforms without ``multiprocessing.shared_memory``
-        the setting is ignored and everything stays in-process."""
         #: The engine-wide metric registry (see :mod:`repro.obs`): every
         #: component publishes into it, ``metrics()`` and the Prometheus /
         #: JSON expositions read from it.  Per-instance by default so
@@ -86,17 +76,6 @@ class Database:
         self.request_log = RequestLog()
         self.block_store = BlockStore(registry=self.obs)
         self.catalog = Catalog(self.block_store)
-        self.arena = None
-        self._parallel_pool = None
-        self._parallel_workers = 0
-        if parallel_workers > 0:
-            from repro.parallel import SharedMemoryArena, shm_available
-
-            if shm_available():
-                self.arena = SharedMemoryArena(registry=self.obs)
-                self.block_store.arena = self.arena
-                self._parallel_workers = int(parallel_workers)
-                self._parallel_start_method = parallel_start_method
         self.log_manager = (
             LogManager(
                 device=log_device or io.BytesIO(),
@@ -129,7 +108,6 @@ class Database:
             optimal_compaction=optimal_compaction,
             registry=self.obs,
             recorder=self.recorder,
-            arena=self.arena,
         )
         self._obs_server = None
         if self.log_manager is not None:
@@ -356,43 +334,16 @@ class Database:
         except Exception:
             self._m_background_errors.inc()
 
-    @property
-    def parallel_pool(self):
-        """The scan/export worker pool, or ``None`` when parallelism is off.
-
-        Created lazily on first access (workers are spawned lazily on first
-        dispatch after that), so a database configured with
-        ``parallel_workers`` but never scanned in parallel pays nothing.
-        """
-        if self._parallel_workers <= 0:
-            return None
-        if self._parallel_pool is None:
-            from repro.parallel import WorkerPool
-
-            self._parallel_pool = WorkerPool(
-                self._parallel_workers,
-                start_method=self._parallel_start_method,
-                registry=self.obs,
-                recorder=self.recorder,
-            )
-        return self._parallel_pool
-
     def close(self) -> None:
         """Orderly shutdown: stop background work and drain the log.
 
         Unlike :meth:`stop_background`, a final failed flush is *raised* —
         a caller closing the database must learn that the tail of the log
         never became durable (the background thread's own last-drain error
-        is surfaced the same way).  Also stops the parallel worker pool and
-        unlinks every shared-memory segment the arena still owns.
+        is surfaced the same way).
         """
         self.stop_serving_obs()
         self.stop_background()
-        if self._parallel_pool is not None:
-            self._parallel_pool.stop()
-            self._parallel_pool = None
-        if self.arena is not None:
-            self.arena.close()
         if self.log_manager is not None:
             self.log_manager.flush()
             error = self.log_manager.last_flush_error
@@ -423,12 +374,6 @@ class Database:
         fsync (``None`` until the first one) — the two numbers that say
         how far behind the log is, also scrapeable as the ``wal.pending``
         and ``wal.last_fsync_age_seconds`` gauges.
-
-        The ``workers`` section (``None`` unless a parallel pool has been
-        started) reports pool liveness: workers configured/alive, how many
-        crashed and were respawned, and the age of the oldest task still
-        outstanding — the number that catches a wedged worker before its
-        queue does.
         """
         wal = None
         if self.log_manager is not None:
@@ -442,18 +387,10 @@ class Database:
                 "last_fsync_age_seconds": lm.last_fsync_age_seconds,
                 "degraded_reason": lm.degraded_reason,
             }
-        # Deliberately self._parallel_pool, not the lazy property: a
-        # health probe must not spawn worker processes as a side effect.
-        workers = (
-            self._parallel_pool.liveness()
-            if self._parallel_pool is not None
-            else None
-        )
         return {
             "status": "degraded" if self.degraded else "ok",
             "degraded_reason": self.txn_manager.degraded_reason,
             "wal": wal,
-            "workers": workers,
             "slo": self.slo.health_summary(),
         }
 

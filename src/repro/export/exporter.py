@@ -68,15 +68,9 @@ class TableExporter:
         profile: NetworkProfile | None = None,
         rdma_profile: NetworkProfile | None = None,
         registry: MetricRegistry | None = None,
-        pool=None,
     ) -> None:
-        """``pool`` (a :class:`repro.parallel.WorkerPool`, e.g.
-        ``db.parallel_pool``) parallelizes Flight-path serialization of
-        frozen blocks across worker processes; other methods and all hot
-        blocks are unaffected."""
         self.txn_manager = txn_manager
         self.table = table
-        self.pool = pool
         self.profile = profile or NetworkProfile.TEN_GBE
         self.rdma_profile = rdma_profile or NetworkProfile.RDMA_10_GBE
         if registry is None:
@@ -244,7 +238,7 @@ class TableExporter:
 
     def _export_flight(self) -> ExportResult:
         began = time.perf_counter()
-        stream = flight_mod.export_stream(self.txn_manager, self.table, pool=self.pool)
+        stream = flight_mod.export_stream(self.txn_manager, self.table)
         serialization = time.perf_counter() - began
         network = SimulatedNetwork(self.profile)
         wire = network.transmit(len(stream.payload), max(stream.batches, 1))

@@ -23,7 +23,6 @@ from repro.arrowfmt.array import DictionaryArray, VarBinaryArray
 from repro.arrowfmt.buffer import Bitmap, Buffer
 from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import ArrowFormatError
-from repro.obs import trace
 from repro.storage.constants import BlockState
 from repro.transform.arrow_view import BlockWalk, table_schema
 
@@ -51,24 +50,15 @@ class FlightStream:
 
 
 def export_stream(
-    txn_manager: "TransactionManager", table: "DataTable", pool=None
+    txn_manager: "TransactionManager", table: "DataTable"
 ) -> FlightStream:
-    """Encode the whole table as an Arrow IPC stream, block by block.
-
-    ``pool`` (a :class:`repro.parallel.WorkerPool`) serializes frozen
-    blocks with shared-memory descriptors in worker processes; the encoded
-    per-block payloads are stitched back in block order, so the stream is
-    byte-identical to the serial one.  Blocks the pool cannot handle
-    (hot, dictionary-compressed, fragment lost to a worker crash) are
-    encoded in-process.
-    """
-    return encode_blocks(table.layout, [(txn_manager, lambda: table.blocks)], pool)
+    """Encode the whole table as an Arrow IPC stream, block by block."""
+    return encode_blocks(table.layout, [(txn_manager, lambda: table.blocks)])
 
 
 def encode_blocks(
     layout: "BlockLayout",
     sources: "Iterable[tuple[TransactionManager, Callable[[], Iterable[RawBlock]]]]",
-    pool=None,
 ) -> FlightStream:
     """Encode the blocks each ``(txn_manager, blocks)`` source lists, in
     order, as one IPC stream with one schema header; empty blocks are
@@ -91,14 +81,7 @@ def encode_blocks(
             walk = walks.enter_context(BlockWalk(txn_manager, blocks))
             if walk.txn is not None:
                 txn_ids.append(walk.txn.txn_id)
-            shipped = _serialize_in_pool(pool, walk.pinned) if pool is not None else {}
             for block, is_frozen in walk:
-                result = shipped.get(block.block_id)
-                if result is not None:
-                    parts.append(result["payload"])
-                    rows += result["num_rows"]
-                    frozen += 1
-                    continue
                 batch = walk.batch(block, is_frozen)
                 if batch.num_rows == 0:
                     continue
@@ -115,24 +98,6 @@ def encode_blocks(
     return FlightStream(
         payload, frozen + materialized, frozen, materialized, rows, txn_ids
     )
-
-
-def _serialize_in_pool(pool, blocks) -> dict[int, dict]:
-    """Encoded batches from worker processes, by block id, for the pinned
-    blocks whose shared-memory copy matches the current freeze.  Blocks
-    missing from the result (no descriptor, fragment lost) are encoded
-    in-process by the caller."""
-    from repro.parallel.placement import descriptor_if_valid
-
-    descriptors = [
-        descriptor
-        for descriptor in map(descriptor_if_valid, blocks)
-        if descriptor is not None and descriptor.num_rows > 0
-    ]
-    if not descriptors:
-        return {}
-    with trace.span("export.parallel_dispatch", blocks=len(descriptors)):
-        return pool.run_blocks("serialize", descriptors)
 
 
 def _decode_dictionary_batch(batch: RecordBatch, schema) -> RecordBatch:

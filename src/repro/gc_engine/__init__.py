@@ -9,6 +9,5 @@ transformation pipeline's memory reclamation (Section 4.4).
 
 from repro.gc_engine.epoch import DeferredActionQueue
 from repro.gc_engine.collector import GarbageCollector
-from repro.gc_engine.parallel import ParallelGarbageCollector
 
-__all__ = ["DeferredActionQueue", "GarbageCollector", "ParallelGarbageCollector"]
+__all__ = ["DeferredActionQueue", "GarbageCollector"]

@@ -16,10 +16,6 @@ generalized):
 - :mod:`repro.obs.server` — the stdlib HTTP monitoring server behind
   ``db.serve_obs(port)`` (``/metrics``, ``/healthz``, ``/varz``,
   ``/events``, ``/timeline/<txn_id>``, ``/pprof``),
-- :mod:`repro.obs.relay` — the cross-process telemetry relay: worker
-  processes run their own registry/tracer/staging buffer and ship deltas
-  back on the result queues, with shared-memory staged-event accounting
-  so drops stay exact even through SIGKILL,
 - :mod:`repro.obs.profiler` — a stdlib wall-clock sampling profiler
   (``sys._current_frames()``) rendering collapsed flamegraph stacks.
 
@@ -72,7 +68,6 @@ from repro.obs.registry import (
     HistogramSnapshot,
     MetricRegistry,
 )
-from repro.obs.relay import TelemetryRelay, WorkerTelemetry
 from repro.obs.slo import (
     RequestLifecycle,
     RequestLog,
@@ -153,10 +148,8 @@ __all__ = [
     "Span",
     "SpanSummary",
     "TailSampler",
-    "TelemetryRelay",
     "TraceContext",
     "Tracer",
-    "WorkerTelemetry",
     "activate",
     "configure",
     "current_context",

@@ -14,10 +14,9 @@ Two subcommands:
     live, scrape ``/metrics`` / ``/healthz`` / ``/varz`` / ``/events``
     over real HTTP, validate every payload parses (Prometheus line format
     and JSON), reconstruct a committed transaction's timeline, and write
-    a Chrome-trace artifact.  A second phase boots a two-shard cluster
-    with two parallel workers per shard, scrapes ``/metrics`` and
-    ``/pprof`` while a parallel scan and cross-shard commits are in
-    flight, and writes the merged cross-process Chrome trace
+    a Chrome-trace artifact.  A second phase boots a two-shard cluster,
+    scrapes ``/metrics`` and ``/pprof`` while scans and cross-shard
+    commits are in flight, and writes the merged Chrome trace
     (``--cluster-trace-out``).  Exits non-zero on any failed check.
 """
 
@@ -195,25 +194,21 @@ def _smoke(args: argparse.Namespace) -> int:
 
 
 def _smoke_cluster(args: argparse.Namespace, failures: list[str]) -> None:
-    """Phase two: cross-process telemetry on a sharded, parallel engine.
+    """Phase two: telemetry on a two-shard cluster.
 
-    Scrapes ``/metrics`` and ``/pprof`` while a two-worker parallel scan
-    and cross-shard 2PC commits are both in flight, then validates the
-    merged Chrome trace spans coordinator, shards, and worker processes.
+    Scrapes the cluster's ``/metrics`` and ``/pprof`` while scans of a
+    frozen shard table and cross-shard 2PC commits are both in flight,
+    then validates that the merged Chrome trace holds the coordinator and
+    participant 2PC spans.
     """
     from repro import obs
     from repro.cluster import ShardedDatabase
-    from repro.obs.relay import HAVE_SHARED_MEMORY
     from repro.query.scan import TableScanner
     from repro.workloads.tpcc import TpccConfig, TpccDriver
     from repro.workloads.tpcc.schema import TPCC_SHARD_KEYS
     from repro.workloads.tpcc.transactions import TpccTransactions
 
-    if not HAVE_SHARED_MEMORY:
-        print("cluster phase skipped: no multiprocessing.shared_memory")
-        return
-
-    print("\ncluster phase: 2 shards x 2 workers ...")
+    print("\ncluster phase: 2 shards ...")
     config = TpccConfig(
         warehouses=2,
         districts_per_warehouse=2,
@@ -228,14 +223,13 @@ def _smoke_cluster(args: argparse.Namespace, failures: list[str]) -> None:
         n_shards=2,
         shard_keys=TPCC_SHARD_KEYS,
         cold_threshold_epochs=1,
-        parallel_workers=2,
         logging_enabled=False,
     )
     TpccDriver(cluster, config).setup()
     shard = cluster.shards[0]
     shard.freeze_table("stock")
     stock = shard.catalog.table("stock")
-    shard_server = shard.serve_obs(port=0)
+    cluster_server = cluster.serve_obs(port=0)
 
     stop = threading.Event()
     totals = {"payments": 0, "rows": 0}
@@ -246,38 +240,32 @@ def _smoke_cluster(args: argparse.Namespace, failures: list[str]) -> None:
             while not stop.is_set():
                 if executor.payment(1):
                     totals["payments"] += 1
-                scanner = TableScanner(
-                    shard.txn_manager, stock, pool=shard.parallel_pool
-                )
+                scanner = TableScanner(shard.txn_manager, stock)
                 totals["rows"] += sum(b.num_rows for b in scanner.batches())
 
     worker = threading.Thread(target=churn, name="cluster-churn")
     worker.start()
-    time.sleep(0.3)  # let commits and fragments land before scraping
+    time.sleep(0.3)  # let commits and scans land before scraping
 
     # --- scrapes while scans + 2PC commits are in flight --------------- #
-    status, prom = _fetch(f"{shard_server.url}/metrics")
-    worker_lines = [
+    status, prom = _fetch(f"{cluster_server.url}/metrics")
+    cross = [
         line
         for line in prom.splitlines()
-        if 'process="worker"' in line and not line.startswith("#")
-    ]
-    nonzero = [
-        line
-        for line in worker_lines
-        if line.startswith("parallel_fragment_blocks_total")
+        if line.startswith("cluster_txn_cross_shard_total ")
         and float(line.rsplit(" ", 1)[1]) > 0
     ]
     _check(
-        status == 200 and bool(nonzero),
-        f"shard /metrics has nonzero worker-labeled series ({len(worker_lines)} lines)",
+        status == 200 and bool(cross),
+        "cluster /metrics counts cross-shard commits",
         failures,
     )
 
-    status, pprof = _fetch(f"{shard_server.url}/pprof?seconds=1&interval=5")
+    status, pprof = _fetch(f"{cluster_server.url}/pprof?seconds=1&interval=5")
     folded = [line for line in pprof.splitlines() if line]
     _check(
         status == 200
+        and bool(folded)
         and all(line.rsplit(" ", 1)[1].isdigit() for line in folded),
         f"/pprof returns collapsed stacks ({len(folded)} frames)",
         failures,
@@ -286,32 +274,14 @@ def _smoke_cluster(args: argparse.Namespace, failures: list[str]) -> None:
     stop.set()
     worker.join()
     _check(totals["payments"] > 0, "cross-shard payments committed", failures)
-    _check(totals["rows"] > 0, "parallel scans returned rows", failures)
-
-    health = cluster.health()
-    workers = health.get("workers")
-    _check(
-        workers is not None and workers["alive"] >= 2,
-        "cluster health reports live worker pools",
-        failures,
-    )
+    _check(totals["rows"] > 0, "frozen shard scans returned rows", failures)
 
     trace_json = obs.render_chrome_trace(cluster.recorder)
     parsed = json.loads(trace_json)
     names = {e["name"] for e in parsed["traceEvents"] if e["ph"] == "X"}
-    procs = {
-        e["args"]["name"]
-        for e in parsed["traceEvents"]
-        if e["ph"] == "M" and e["name"] == "process_name"
-    }
     _check(
         "cluster.2pc" in names and "cluster.2pc.prepare" in names,
         "merged trace has coordinator + participant 2PC spans",
-        failures,
-    )
-    _check(
-        "parallel.scan_fragment" in names and bool(procs & {"worker0", "worker1"}),
-        "merged trace has worker-process spans on worker tracks",
         failures,
     )
     if args.cluster_trace_out:
@@ -321,7 +291,6 @@ def _smoke_cluster(args: argparse.Namespace, failures: list[str]) -> None:
 
     _smoke_cluster_front_door(args, cluster, failures)
 
-    shard.stop_serving_obs()
     cluster.close()
 
 
@@ -464,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     smoke.add_argument(
         "--cluster-trace-out",
         default=None,
-        help="write the cluster phase's merged cross-process Chrome trace here",
+        help="write the cluster phase's merged Chrome trace here",
     )
     smoke.add_argument(
         "--slow-trace-out",

@@ -8,9 +8,9 @@ metric names become underscored in Prometheus (``txn.commit_seconds`` →
 
 The Prometheus renderer follows the text-format spec (v0.0.4) to the
 letter — ``# HELP`` / ``# TYPE`` exactly once per family with HELP first,
-all series of a family contiguous under that one block (labeled series —
-``process``/``worker_id``/``shard`` from the cross-process telemetry
-relay — are just extra samples of the family), HELP text and label values
+all series of a family contiguous under that one block (labeled series,
+such as the per-``shard`` gauges of a cluster, are just extra samples of
+the family), HELP text and label values
 escaped, exactly one terminal ``le="+Inf"`` bucket per series whose value
 equals that series' ``_count`` — and ``tests/obs/test_expo.py`` holds a
 line-level conformance test against it.  Dotted names that sanitize to an

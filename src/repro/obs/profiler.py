@@ -10,14 +10,12 @@ This is deliberately a sampler, not a tracer: overhead is bounded by the
 sampling rate (a few hundred dict increments per second) regardless of how
 hot the profiled code is, so it is safe to run against a live database —
 the ``/pprof?seconds=N`` endpoint on the monitoring server does exactly
-that.  Worker processes run their own (opt-in) sampler and ship stack
-deltas home through the telemetry relay, which prefixes them with
-``worker<i>`` so one flamegraph spans the whole process tree.
+that.
 
 The profiler also answers *point* queries: :meth:`top_of_stack` returns
 the hottest innermost frame (optionally for one thread), which the flight
-recorder folds into slow-transaction captures and the worker pool into
-slow-fragment events — "the txn was slow *and this is where it was*".
+recorder folds into slow-transaction captures — "the txn was slow *and
+this is where it was*".
 """
 
 from __future__ import annotations
@@ -61,8 +59,7 @@ class SamplingProfiler:
 
     ``stacks`` maps ``thread;frames...`` collapsed stacks to sample
     counts.  The sampler excludes its own thread.  Thread-safe reads are
-    cheap (dict copy under the GIL); :meth:`drain` swaps the dict out, so
-    a worker can ship deltas without pausing sampling.
+    cheap (dict copy under the GIL).
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL) -> None:
@@ -128,11 +125,6 @@ class SamplingProfiler:
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.stacks)
-
-    def drain(self) -> dict[str, int]:
-        """Take the accumulated stacks and reset (relay shipping)."""
-        out, self.stacks = self.stacks, {}
-        return out
 
     def collapsed(self) -> str:
         return render_collapsed(self.stacks)

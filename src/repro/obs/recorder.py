@@ -63,7 +63,7 @@ class Event:
 
     __slots__ = (
         "seq", "ts", "kind", "thread", "txn_id", "block_id", "attrs",
-        "process", "request_id",
+        "request_id",
     )
 
     def __init__(
@@ -75,7 +75,6 @@ class Event:
         txn_id: int | None,
         block_id: int | None,
         attrs: dict[str, Any] | None,
-        process: str | None = None,
         request_id: int | None = None,
     ) -> None:
         self.seq = seq
@@ -85,9 +84,6 @@ class Event:
         self.txn_id = txn_id
         self.block_id = block_id
         self.attrs = attrs
-        #: Which process emitted this (``None`` = the coordinator); relayed
-        #: worker events carry ``"worker<i>"`` so forensics stay attributable.
-        self.process = process
         #: The service request being handled when this event fired (from
         #: the request lifecycle bound to the emitting thread), so
         #: ``/events?request=<id>`` filters the journal end-to-end.
@@ -110,8 +106,6 @@ class Event:
             out["txn_id"] = self.txn_id
         if self.block_id is not None:
             out["block_id"] = self.block_id
-        if self.process is not None:
-            out["process"] = self.process
         if self.request_id is not None:
             out["request_id"] = self.request_id
         if self.attrs:
@@ -266,30 +260,6 @@ class Recorder:
             ring.extend(staged)
             buf.events.clear()
 
-    def ingest(self, events: list[Event]) -> None:
-        """Merge externally built events (the telemetry relay's worker
-        batches) into the ring, re-sequencing them in arrival order.
-
-        Timestamps must already be on this process's ``perf_counter`` axis
-        (the relay clock-aligns before calling).  The same capacity and
-        drop-accounting rules apply as for locally recorded events.
-        """
-        if not events:
-            return
-        with self._lock:
-            for event in events:
-                event.seq = next(self._seq)
-            ring = self._ring
-            overflow = len(ring) + len(events) - self.capacity
-            if overflow > 0:
-                evict = min(overflow, len(ring))
-                for _ in range(evict):
-                    ring.popleft()
-                if len(events) > self.capacity:
-                    events = events[-self.capacity:]
-                self._dropped_counter().inc(overflow)
-            ring.extend(events)
-
     def _dropped_counter(self) -> Counter:
         if self._m_dropped is None:
             if self._registry is None:
@@ -301,16 +271,6 @@ class Recorder:
                 "journal events evicted from the ring under pressure",
             )
         return self._m_dropped
-
-    def count_dropped(self, count: int) -> None:
-        """Fold externally lost events into ``obs.events_dropped_total``.
-
-        The telemetry relay calls this when a worker dies with staged
-        events it never shipped: those events are journal losses exactly
-        like ring evictions, and the drop counter must say so.
-        """
-        if count > 0:
-            self._dropped_counter().inc(count)
 
     @property
     def events_dropped(self) -> int:
@@ -450,9 +410,9 @@ class Recorder:
             tracer = get_tracer()
         end_ts = ended.ts if ended is not None else float("inf")
         threads = {e.thread for e in events}
-        # Events that ran under a propagated trace (2PC, parallel
-        # fragments) carry the trace id; spans sharing it are causally
-        # part of this transaction even on other threads/processes.
+        # Events that ran under a propagated trace (2PC) carry the trace
+        # id; spans sharing it are causally part of this transaction even
+        # on other threads.
         trace_ids = {
             e.attrs["trace_id"]
             for e in events
@@ -474,8 +434,6 @@ class Recorder:
                 }
                 if span.trace_id is not None:
                     entry["trace_id"] = span.trace_id
-                if span.process is not None:
-                    entry["process"] = span.process
                 out.append(entry)
         return out
 
@@ -556,10 +514,8 @@ def render_chrome_trace(
 
     Spans become complete (``ph: "X"``) slices; journal events become
     thread-scoped instants (``ph: "i"``).  Timestamps are microseconds on
-    the shared ``perf_counter`` axis, so the two interleave correctly —
-    relayed worker records were clock-aligned onto that axis at merge time
-    and carry a ``process`` tag, so each worker process renders as its own
-    Perfetto process track (the coordinator is pid 1).  Span slices carry
+    the shared ``perf_counter`` axis, so the two interleave correctly on
+    the coordinator's process track (pid 1).  Span slices carry
     ``trace_id``/``span_id``/``parent_id`` in ``args``, so one distributed
     transaction is greppable across every track.  Load the output in
     ``chrome://tracing`` or https://ui.perfetto.dev.
@@ -601,13 +557,12 @@ def render_chrome_trace(
     pids: dict[str, int] = {"coordinator": 1}
     tids: dict[tuple[int, str], int] = {}
 
-    def pid(process: str | None) -> int:
-        key = process or "coordinator"
-        if key not in pids:
-            pids[key] = len(pids) + 1
-        return pids[key]
+    def pid(process: str) -> int:
+        if process not in pids:
+            pids[process] = len(pids) + 1
+        return pids[process]
 
-    def tid(process: str | None, thread: str) -> int:
+    def tid(process: str, thread: str) -> int:
         key = (pid(process), thread)
         if key not in tids:
             tids[key] = len(tids) + 1
@@ -628,8 +583,8 @@ def render_chrome_trace(
                 "ph": "X",
                 "name": span.name,
                 "cat": span.name.partition(".")[0],
-                "pid": pid(span.process),
-                "tid": tid(span.process, span.thread),
+                "pid": 1,
+                "tid": tid("coordinator", span.thread),
                 "ts": (span.start - base) * 1e6,
                 "dur": span.duration * 1e6,
                 "args": args,
@@ -646,8 +601,8 @@ def render_chrome_trace(
                 "ph": "i",
                 "name": event.kind,
                 "cat": event.component,
-                "pid": pid(event.process),
-                "tid": tid(event.process, event.thread),
+                "pid": 1,
+                "tid": tid("coordinator", event.thread),
                 "ts": (event.ts - base) * 1e6,
                 "s": "t",
                 "args": args,

@@ -17,13 +17,13 @@ Naming convention (enforced): ``<component>.<event>[_seconds|_bytes|_total]``
 — e.g. ``txn.commit_seconds``, ``wal.written_bytes``, ``gc.pass_total``.
 Dots become underscores in the Prometheus exposition.
 
-Instruments may carry **labels** (``registry.counter("parallel.tasks_total",
-labels={"worker_id": "0"})``): each distinct label set is its own series
+Instruments may carry **labels** (``registry.gauge("cluster.shard_healthy",
+labels={"shard": "0"})``): each distinct label set is its own series
 with its own shards, all series of a name form one *family* (same kind,
 same exposition HELP/TYPE block), and the registry keys series by
 ``name + canonical-label-suffix`` so unlabeled lookups are untouched.
-This is how relayed worker/shard telemetry stays attributable
-(``process``/``worker_id``/``shard``) without inventing per-worker names.
+This is how per-shard telemetry stays attributable without inventing
+per-shard names.
 """
 
 from __future__ import annotations
@@ -309,21 +309,6 @@ class Histogram:
         shard.total += value
         if exemplar is not None and STATE.exemplars:
             self._exemplars[index] = Exemplar(value, exemplar, time.time())
-
-    def merge_counts(self, counts: Sequence[int], total: float) -> None:
-        """Fold pre-binned counts in (telemetry relay: worker deltas).
-
-        ``counts`` must come from a histogram with the same bounds; a
-        longer vector (bounds drift) folds the excess into +Inf rather
-        than dropping samples.
-        """
-        if not STATE.enabled:
-            return
-        shard = self._shard()
-        last = len(shard.counts) - 1
-        for i, c in enumerate(counts):
-            shard.counts[min(i, last)] += c
-        shard.total += total
 
     def snapshot(self) -> HistogramSnapshot:
         """Merge every shard into one immutable view."""

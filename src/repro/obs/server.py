@@ -17,9 +17,8 @@ only ever *read*: a merge of metric shards, a snapshot of the journal ring.
 Nothing on the transaction critical path waits for a scrape.  The one
 exception is ``/pprof``, which *samples*: it runs a
 :class:`~repro.obs.profiler.SamplingProfiler` on the handler thread for
-the requested window (default 1 s, capped at 30 s), then folds in
-whatever stacks the worker relays shipped during the window.  The output
-is collapsed-stack text — feed it straight to a flamegraph renderer.
+the requested window (default 1 s, capped at 30 s).  The output is
+collapsed-stack text — feed it straight to a flamegraph renderer.
 """
 
 from __future__ import annotations
@@ -76,35 +75,6 @@ def _float_param(params: dict[str, list[str]], name: str) -> float | None:
         return float(values[0])
     except ValueError:
         raise ValueError(f"query parameter {name!r} must be a number")
-
-
-def _relay_pools(db: Any) -> list[Any]:
-    """Every started worker pool reachable from ``db`` (never spawns one).
-
-    A plain :class:`~repro.db.Database` has at most one; a sharded cluster
-    has one per shard that ever ran a parallel fragment.
-    """
-    pools = []
-    pool = getattr(db, "_parallel_pool", None)
-    if pool is not None:
-        pools.append(pool)
-    for shard in getattr(db, "shards", ()) or ():
-        pool = getattr(shard, "_parallel_pool", None)
-        if pool is not None:
-            pools.append(pool)
-    return pools
-
-
-def _worker_profile_totals(db: Any) -> dict[str, int]:
-    """Cumulative relayed worker stacks, summed across every pool."""
-    totals: dict[str, int] = {}
-    for pool in _relay_pools(db):
-        relay = getattr(pool, "relay", None)
-        if relay is None:
-            continue
-        for stack, count in relay.profile_stacks().items():
-            totals[stack] = totals.get(stack, 0) + count
-    return totals
 
 
 class _ObsHandler(BaseHTTPRequestHandler):
@@ -252,9 +222,8 @@ class _ObsHandler(BaseHTTPRequestHandler):
         self._respond_json(200, lifecycle.to_dict())
 
     def _serve_pprof(self, params: dict[str, list[str]]) -> None:
-        """Profile the coordinator for ``?seconds=N`` and respond with
-        collapsed stacks (coordinator threads sampled here, worker stacks
-        from whatever the relays shipped during the window)."""
+        """Profile every thread for ``?seconds=N`` and respond with
+        collapsed stacks."""
         import time as _time
 
         from repro.obs.profiler import SamplingProfiler, render_collapsed
@@ -270,7 +239,6 @@ class _ObsHandler(BaseHTTPRequestHandler):
         if interval <= 0:
             raise ValueError("query parameter 'interval' must be positive")
 
-        worker_before = _worker_profile_totals(db)
         profiler = SamplingProfiler(interval=interval)
         recorder = getattr(db, "recorder", None)
         previous = getattr(recorder, "profiler", None) if recorder else None
@@ -285,12 +253,9 @@ class _ObsHandler(BaseHTTPRequestHandler):
         finally:
             if recorder is not None:
                 recorder.profiler = previous
-        stacks = dict(profiler.snapshot())
-        for stack, count in _worker_profile_totals(db).items():
-            delta = count - worker_before.get(stack, 0)
-            if delta > 0:
-                stacks[stack] = stacks.get(stack, 0) + delta
-        self._respond(200, render_collapsed(stacks), "text/plain; charset=utf-8")
+        self._respond(
+            200, render_collapsed(profiler.snapshot()), "text/plain; charset=utf-8"
+        )
 
     def _serve_timeline(self, raw_id: str) -> None:
         try:

@@ -5,13 +5,13 @@ Three pieces, same off-critical-path principle as the rest of ``repro.obs``:
 :class:`RequestLifecycle`
     One service request's phase-stamped lifetime.  Each phase
     (``admission.queue_wait``, ``slot_wait``, ``engine``,
-    ``retry.backoff``, ``wal.fsync_wait``, ``worker.fragment``,
-    ``cluster.prepare``, ``cluster.decide``, ``response.write``) is a pair
+    ``retry.backoff``, ``wal.fsync_wait``, ``cluster.prepare``,
+    ``cluster.decide``, ``response.write``) is a pair
     of ``perf_counter()`` stamps — no allocation beyond one small list per
     phase, no locks on the stamping path.  :meth:`RequestLifecycle.breakdown`
     folds the stamps into a critical-path view: phases nested inside the
-    ``engine`` window (backoff sleeps, fsync waits, worker fragments, 2PC
-    phases) are subtracted out of it, so the breakdown answers *where did
+    ``engine`` window (backoff sleeps, fsync waits, 2PC phases) are
+    subtracted out of it, so the breakdown answers *where did
     this request's time actually go* instead of double-counting.
 
     The lifecycle binds to the executing thread via :meth:`activate`, and
@@ -53,7 +53,6 @@ INNER_PHASES = frozenset(
     {
         "retry.backoff",
         "wal.fsync_wait",
-        "worker.fragment",
         "cluster.prepare",
         "cluster.decide",
     }
@@ -114,7 +113,7 @@ def stamp_phase(name: str) -> "_Phase | _NullPhase":
     """Stamp ``name`` onto the current request, if one is active.
 
     This is the hook deep engine layers call (retry backoff, durability
-    waits, parallel fragment dispatch, 2PC phases): no handle threading,
+    waits, 2PC phases): no handle threading,
     and when no request is active — every non-service workload — the cost
     is one thread-local ``getattr`` and a branch.
     """

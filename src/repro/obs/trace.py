@@ -9,11 +9,9 @@ the number Figure 12b's phase-breakdown series wants.
 
 Spans also carry a **trace id**: the outermost span of a nest mints one,
 every descendant inherits it, and a compact :class:`TraceContext`
-``(trace_id, span_id)`` can be shipped across a process or shard boundary
-and re-activated there (``with tracer.activate(ctx): ...``), so the 2PC
-coordinator, per-shard participant work, and scan/export fragments in
-worker processes all land in one causal tree.  Remote spans come back via
-:meth:`Tracer.ingest`, which re-ids them into the local id space.
+``(trace_id, span_id)`` can be shipped across a shard boundary and
+re-activated there (``with tracer.activate(ctx): ...``), so the 2PC
+coordinator and per-shard participant work land in one causal tree.
 
 When observability is disabled (``obs.configure(enabled=False)``) the
 ``span`` call returns a shared no-op context manager: no clock reads, no
@@ -45,7 +43,7 @@ from repro.obs.registry import STATE
 DEFAULT_CAPACITY = 4096
 
 #: Process-wide trace-id sequence, salted with the pid so ids minted in
-#: different processes (coordinator vs. workers) can never collide.
+#: different processes can never collide.
 _TRACE_IDS = itertools.count(1)
 
 
@@ -66,7 +64,7 @@ class Span:
 
     __slots__ = (
         "span_id", "parent_id", "name", "start", "duration",
-        "child_seconds", "thread", "trace_id", "attrs", "process",
+        "child_seconds", "thread", "trace_id", "attrs",
     )
 
     def __init__(
@@ -80,7 +78,6 @@ class Span:
         thread: str,
         trace_id: int | None = None,
         attrs: dict | None = None,
-        process: str | None = None,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -91,7 +88,6 @@ class Span:
         self.thread = thread
         self.trace_id = trace_id
         self.attrs = attrs
-        self.process = process
 
     @property
     def self_seconds(self) -> float:
@@ -394,9 +390,7 @@ class Tracer:
         self._sampler: TailSampler | None = None
 
     def set_tail_sampler(self, sampler: TailSampler | None) -> None:
-        """Install (or remove, with ``None``) tail-based sampling.  Spans
-        ingested via :meth:`ingest` bypass the sampler — the relay ships
-        only spans the remote side already chose to keep."""
+        """Install (or remove, with ``None``) tail-based sampling."""
         self._sampler = sampler
 
     def _stack(self) -> list:
@@ -433,11 +427,6 @@ class Tracer:
 
     def next_span_id(self) -> int:
         return next(self._ids)
-
-    def ingest(self, spans: list[Span]) -> None:
-        """Append externally built spans (the telemetry relay re-ids
-        worker spans into this tracer's id space before calling)."""
-        self._buffer.extend(spans)
 
     def spans(self) -> list[Span]:
         """Snapshot of the buffer, oldest first."""

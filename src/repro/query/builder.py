@@ -19,6 +19,7 @@ range-selective queries skip frozen blocks without reading them.
 from __future__ import annotations
 
 import operator
+from contextlib import closing
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -227,24 +228,23 @@ class Query:
         return result.maximum
 
     def to_rows(self, limit: int | None = None) -> list[dict[str, Any]]:
-        """Materialize matching rows as name-keyed dicts."""
+        """Materialize matching rows as name-keyed dicts, with the values
+        ``select`` returns (``TableScanner.batch_values``)."""
         names = [c.name for c in self._info.table.layout.columns]
-        all_columns = list(range(len(names)))
         scanner = TableScanner(
             self._db.txn_manager,
             self._info.table,
-            column_ids=all_columns,
+            column_ids=list(range(len(names))),
             range_filters=self._range_filters(),
             registry=getattr(self._db, "obs", None),
         )
         rows: list[dict[str, Any]] = []
-        for batch in scanner.batches():
-            mask = self._mask(batch)
-            vectors = {c: batch.pylist(c) for c in all_columns}
-            for i in range(batch.num_rows):
-                if not mask[i]:
-                    continue
-                rows.append({names[c]: vectors[c][i] for c in all_columns})
+        with closing(scanner.batches()) as batches:
+            for batch in batches:
+                batch.selection = np.flatnonzero(self._mask(batch))
+                remaining = None if limit is None else limit - len(rows)
+                values = scanner.batch_values(batch, remaining)
+                rows.extend(dict(zip(names, row)) for row in zip(*values))
                 if limit is not None and len(rows) >= limit:
-                    return rows
+                    break
         return rows

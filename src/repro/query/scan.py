@@ -31,11 +31,8 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from repro.arrowfmt.array import VarBinaryArray
-from repro.arrowfmt.buffer import Bitmap, Buffer
 from repro.errors import StorageError
 from repro.obs import trace
-from repro.obs.slo import stamp_phase
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
 from repro.transform.arrow_view import BlockWalk, frozen_batch, materialize_hot
@@ -61,9 +58,7 @@ def compute_selection(
 
     A row is selected iff every filtered column is non-NULL and within
     ``[low, high]``; filter columns absent from ``columns`` are skipped
-    (the caller must re-apply their predicate).  This is the single
-    implementation behind both the serial scanner and the parallel
-    workers, so selections cannot drift between the two paths.
+    (the caller must re-apply their predicate).
     """
     mask = np.ones(num_rows, dtype=bool)
     for column_id, (low, high) in range_filters.items():
@@ -223,7 +218,6 @@ class TableScanner:
         range_filters: dict[int, tuple[float | None, float | None]] | None = None,
         registry=None,
         txn: "TransactionContext | None" = None,
-        pool=None,
     ) -> None:
         """``range_filters`` maps column id → (low, high) inclusive bounds
         (either side ``None`` for open).  Blocks whose zone maps prove the
@@ -238,18 +232,10 @@ class TableScanner:
         the walk begins a transaction right after pinning, lists the blocks
         again under it and commits it at the end: one snapshot for the scan.
 
-        ``pool`` (a :class:`repro.parallel.WorkerPool`, e.g.
-        ``db.parallel_pool``) fans frozen-block fragments out to worker
-        processes over shared memory; hot blocks are always materialized
-        in-process under the scan's snapshot, and any fragment the pool
-        cannot complete is redone in-process, so results are identical to
-        the serial path.
-
         Pass a :class:`~repro.obs.registry.MetricRegistry` (e.g. ``db.obs``)
         to publish ``query.*`` scan counters."""
         self.txn_manager = txn_manager
         self.table = table
-        self.pool = pool
         self.column_ids = (
             column_ids
             if column_ids is not None
@@ -292,35 +278,23 @@ class TableScanner:
         iteration is exhausted or closed (frozen batches alias block
         memory), and every hot block is read under one snapshot — the
         caller's ``txn`` if one was supplied — so hot blocks materialized
-        early and late see the same committed state.  With a ``pool``,
-        pinned blocks whose shared-memory copy matches the current freeze
-        are scanned by worker processes first; any block the pool did not
-        complete is read in place under its still-held pin, so a worker
-        crash degrades throughput, not results.
+        early and late see the same committed state.
         """
-        # One root span per scan: fragment dispatch captures this span's
-        # trace context, so worker-process spans join the same causal tree
-        # (and a caller's enclosing span adopts the scan).
         walk = BlockWalk(self.txn_manager, lambda: self.table.blocks, self.txn)
-        with walk, trace.span("query.scan", parallel=self.pool is not None):
-            results = self._scan_in_pool(walk.pinned) if self.pool is not None else {}
+        with walk, trace.span("query.scan"):
             for block, frozen in walk:
                 if self._pruned_by_zone_map(
                     block.zone_maps if frozen else block.hot_zone_maps
                 ):
                     self._count_pruned()
                     continue
-                result = results.get(block.block_id)
-                if result is not None:
-                    batch = self._batch_from_result(block.block_id, result)
-                else:
-                    with trace.span("query.scan.frozen" if frozen else "query.scan.hot"):
-                        batch = (
-                            self._frozen_batch(block)
-                            if frozen
-                            else self._hot_batch(block, walk.txn)
-                        )
-                    self._apply_selection(batch)
+                with trace.span("query.scan.frozen" if frozen else "query.scan.hot"):
+                    batch = (
+                        self._frozen_batch(block)
+                        if frozen
+                        else self._hot_batch(block, walk.txn)
+                    )
+                self._apply_selection(batch)
                 if frozen:
                     self.frozen_blocks_scanned += 1
                     if self._m_frozen is not None:
@@ -377,52 +351,6 @@ class TableScanner:
                     )
                     yield TupleSlot(batch.block_id, offset), row
 
-    def _scan_in_pool(self, pinned: list) -> dict[int, dict]:
-        """Worker scan results, by block id, of the pinned blocks whose
-        shared-memory copy matches the current freeze and that zone maps
-        do not prune."""
-        from repro.parallel.placement import descriptor_if_valid
-
-        descriptors = [
-            descriptor
-            for descriptor in map(descriptor_if_valid, pinned)
-            if descriptor is not None
-            and not self._pruned_by_zone_map(descriptor.zone_maps)
-        ]
-        if not descriptors:
-            return {}
-        # Time spent waiting on worker processes is its own phase on the
-        # surrounding request's critical path.
-        with stamp_phase("worker.fragment"), trace.span("query.scan.parallel_dispatch"):
-            return self.pool.run_blocks(
-                "scan", descriptors, self.column_ids, self.range_filters
-            )
-
-    def _batch_from_result(self, block_id: int, result: dict) -> ColumnBatch:
-        """Rebuild a ColumnBatch from a worker's scan result — the same
-        shapes ``_frozen_batch`` produces (ndarrays for fixed columns,
-        :class:`ArrowColumnView` facades for varlen ones)."""
-        n = result["num_rows"]
-        columns: dict[int, Any] = dict(result["fixed"])
-        for column_id, (offsets, values, valid) in result["varlen"].items():
-            spec = self.table.layout.columns[column_id]
-            validity = Bitmap.from_numpy(valid) if valid is not None else None
-            array = VarBinaryArray(
-                spec.dtype,  # type: ignore[arg-type]
-                n,
-                Buffer.from_numpy(offsets),
-                Buffer.from_numpy(values),
-                validity,
-            )
-            columns[column_id] = ArrowColumnView(array)
-        selection = result["selection"]
-        if selection is not None and self._m_selectivity is not None and n:
-            self._m_selectivity.observe(len(selection) / n)
-        return ColumnBatch(
-            columns, n, True, block_id, None, selection,
-            null_masks=dict(result["null_masks"]),
-        )
-
     def _count_pruned(self) -> None:
         self.blocks_pruned += 1
         if self._m_pruned is not None:
@@ -433,8 +361,7 @@ class TableScanner:
 
         Works over frozen zone maps (exact over live values at gather time)
         and hot zone maps (widen-only supersets of every value any snapshot
-        could see) alike; an absent entry never prunes.  Pool fragments are
-        pruned here before dispatch, so workers never see a pruned block.
+        could see) alike; an absent entry never prunes.
         """
         for column_id, (low, high) in self.range_filters.items():
             zone = zone_maps.get(column_id)

@@ -35,7 +35,7 @@ never queues *again* behind the executor.
 Every request is also *attributed*: it gets a server-assigned request id,
 a phase-stamped :class:`~repro.obs.slo.RequestLifecycle` (queue wait, slot
 wait, engine time, and the engine-internal waits stamped by deeper layers
-— retry backoff, fsync waits, worker fragments, 2PC phases — plus the
+— retry backoff, fsync waits, 2PC phases — plus the
 response write), and a root ``service.request`` trace span whose id rides
 the response envelope and the latency histogram's exemplars.  Completions
 feed the engine's per-tenant :class:`~repro.obs.slo.SloTracker` and its

@@ -91,11 +91,6 @@ class RawBlock:
         #: Logical timestamp of the last transition to FROZEN (0 = never);
         #: drives incremental export ("blocks frozen since cursor X").
         self.frozen_at = 0
-        #: Shared-memory placement of the frozen payload, if any — a
-        #: :class:`repro.parallel.placement.BlockDescriptor` written by the
-        #: transformer at freeze time.  Only trustworthy while FROZEN with a
-        #: matching ``frozen_at`` (checked under the frozen-read pin).
-        self.shm_descriptor: Any = None
         #: ``(frozen_at, RecordBatch)`` built during the FREEZING window
         #: (:func:`repro.transform.arrow_view.frozen_batch`); cleared when a
         #: writer reheats the block.

@@ -23,9 +23,6 @@ class BlockStore:
         self._blocks: dict[int, RawBlock] = {}
         self._next_id = 0
         self._free_count = 0
-        #: Shared-memory arena the released blocks' frozen payloads live in;
-        #: assigned by the Database when parallel workers are enabled.
-        self.arena = None
         if registry is not None:
             self._m_double_free = registry.counter(
                 "storage.block_double_free_total",
@@ -69,10 +66,6 @@ class BlockStore:
                 raise StorageError("cannot release a block with live tuples")
             del self._blocks[block.block_id]
             self._free_count += 1
-        if block.shm_descriptor is not None:
-            from repro.parallel.placement import release_block_slot
-
-            release_block_slot(self.arena, block)
 
     @property
     def live_count(self) -> int:

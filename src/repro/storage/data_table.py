@@ -446,10 +446,15 @@ class DataTable:
         return gathered[1] if gathered is not None else None
 
     def _writable(self, txn: "TransactionContext", block: RawBlock, offset: int) -> bool:
-        """The write-write conflict rule: the chain head must be either
-        absent, ours, aborted, or committed no later than our snapshot."""
+        """The write-write conflict rule (first updater wins): the newest
+        record that did not abort must be either absent, ours, or committed
+        no later than our snapshot.  An aborted record stays at the chain
+        head after its rollback, so the rule looks past it: the version
+        under it may be a commit newer than our snapshot."""
         head: UndoRecord | None = block.version_ptrs[offset]
-        if head is None or head.aborted:
+        while head is not None and head.aborted:
+            head = head.next
+        if head is None:
             return True
         if head.txn is txn:
             return True

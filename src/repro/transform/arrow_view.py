@@ -361,10 +361,9 @@ class BlockWalk:
 
     ``blocks`` returns the blocks to read, in order (``lambda:
     table.blocks`` for a whole table).  Opening the walk lists them and
-    pins every block whose ``begin_frozen_read()`` succeeds (:attr:`pinned`,
-    in block order — the set a worker pool fans out before the first block
-    is read).  Iterating yields ``(block, frozen)`` in order: a frozen block
-    is read in place, a hot one under :attr:`txn`.
+    pins every block whose ``begin_frozen_read()`` succeeds.  Iterating
+    yields ``(block, frozen)`` in order: a frozen block is read in place,
+    a hot one under :attr:`txn`.
 
     :attr:`txn` is the caller's transaction or, when any listed block is
     hot, one the walk begins right after pinning and commits on close.  A
@@ -381,7 +380,7 @@ class BlockWalk:
     table from inside its own walk waits forever.
     """
 
-    __slots__ = ("txn_manager", "_plan", "pinned", "txn", "_owns_txn")
+    __slots__ = ("txn_manager", "_plan", "_pinned", "txn", "_owns_txn")
 
     def __init__(
         self,
@@ -391,10 +390,10 @@ class BlockWalk:
     ) -> None:
         self.txn_manager = txn_manager
         self._plan = [(block, block.begin_frozen_read()) for block in list(blocks())]
-        self.pinned: list["RawBlock"] = [
+        self._pinned: list["RawBlock"] = [
             block for block, pinned in self._plan if pinned
         ]
-        self._owns_txn = txn is None and len(self.pinned) < len(self._plan)
+        self._owns_txn = txn is None and len(self._pinned) < len(self._plan)
         if self._owns_txn:
             txn = txn_manager.begin()
             listed = {id(block) for block, _ in self._plan}
@@ -414,7 +413,7 @@ class BlockWalk:
 
     def close(self) -> None:
         """Release every pin and commit the walk's own transaction."""
-        pinned, self.pinned = self.pinned, []
+        pinned, self._pinned = self._pinned, []
         for block in pinned:
             block.end_frozen_read()
         if self._owns_txn:

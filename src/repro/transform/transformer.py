@@ -87,16 +87,10 @@ class BlockTransformer:
         group_policy=None,
         registry: MetricRegistry | None = None,
         recorder: Recorder | None = None,
-        arena=None,
     ) -> None:
         self.txn_manager = txn_manager
         self.gc = gc
         self.observer = observer
-        #: Shared-memory arena (:class:`repro.parallel.SharedMemoryArena`);
-        #: when present, freshly frozen blocks are placed into it so worker
-        #: processes can scan/serialize them.  ``None`` keeps every block
-        #: process-private (the serial configuration).
-        self.arena = arena
         self.recorder = recorder if recorder is not None else get_recorder()
         self.compaction_group_size = compaction_group_size
         #: Group-formation policy; defaults to fixed-size chunks (the
@@ -170,39 +164,6 @@ class BlockTransformer:
             for group in self.group_policy.form_groups(blocks):
                 results.append(self.transform_group(table, group))
         return results
-
-    def process_queue_parallel(self, num_threads: int = 2) -> list[GroupResult]:
-        """Compact queued blocks with ``num_threads`` workers.
-
-        Compaction groups are isolated units of work that never interfere
-        with each other (Section 4.4), so the partitioning is free: groups
-        are dealt round-robin to the workers.
-        """
-        per_table: dict[int, tuple["DataTable", list["RawBlock"]]] = {}
-        for table, block in self.observer.queue.drain():
-            per_table.setdefault(id(table), (table, []))[1].append(block)
-        groups: list[tuple["DataTable", list["RawBlock"]]] = []
-        for table, blocks in per_table.values():
-            for group in self.group_policy.form_groups(blocks):
-                groups.append((table, group))
-        results: list[GroupResult | None] = [None] * len(groups)
-
-        def worker(indices: list[int]) -> None:
-            for i in indices:
-                table, blocks = groups[i]
-                results[i] = self.transform_group(table, blocks)
-
-        shards = [list(range(len(groups)))[i::num_threads] for i in range(num_threads)]
-        threads = [
-            threading.Thread(target=worker, args=(shard,), name=f"transform-{i}")
-            for i, shard in enumerate(shards)
-            if shard
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return [r for r in results if r is not None]
 
     def transform_group(
         self, table: "DataTable", blocks: list["RawBlock"]
@@ -344,8 +305,6 @@ class BlockTransformer:
             # Built once here, under exclusive access; every frozen reader
             # reuses it until the next reheat.
             frozen_batch(block)
-            if self.arena is not None:
-                self._place_in_arena(table, block)
             block.set_state(BlockState.FROZEN)
             elapsed = time.perf_counter() - began
             self.stats.gather_seconds += elapsed
@@ -368,29 +327,6 @@ class BlockTransformer:
         with self._pending_lock:
             self.freeze_pending = still_pending + self.freeze_pending
         return frozen
-
-    def _place_in_arena(self, table: "DataTable", block: "RawBlock") -> None:
-        """Copy the frozen payload into shared memory (best-effort).
-
-        Runs inside the FREEZING exclusive section, after the gather and
-        the ``frozen_at`` stamp: the copy is consistent by construction and
-        the descriptor's stamp proves it.  Any failure (arena full, shm
-        error) leaves the block process-private — scans fall back to the
-        in-process path for it.
-        """
-        from repro.parallel.placement import place_block
-
-        try:
-            with trace.span("transform.shm_place"):
-                place_block(self.arena, block)
-        except Exception as exc:
-            block.shm_descriptor = None
-            self.recorder.record(
-                "parallel.placement_failed",
-                block_id=block.block_id,
-                table=table.name,
-                error=f"{type(exc).__name__}: {exc}",
-            )
 
     def _record_preempted(self, table: "DataTable", block: "RawBlock", why: str) -> None:
         self.recorder.record(

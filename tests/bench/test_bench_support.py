@@ -1,9 +1,6 @@
-"""Tests for the reporting helpers and the thread-scaling model."""
-
-import pytest
+"""Tests for the reporting helpers."""
 
 from repro.bench.reporting import format_series, format_table
-from repro.bench.scaling_model import MachineModel, ScalingModel
 
 
 class TestFormatting:
@@ -31,45 +28,3 @@ class TestFormatting:
         text = format_table("T", ["a"], [])
         assert "a" in text
 
-
-class TestScalingModel:
-    def test_single_worker_identity(self):
-        model = ScalingModel(1000.0)
-        assert model.throughput(1) == pytest.approx(1000.0)
-
-    def test_near_linear_within_cores(self):
-        model = ScalingModel(1000.0)
-        t8 = model.throughput(8)
-        assert 7000 < t8 < 8000
-
-    def test_cliff_beyond_physical_cores(self):
-        model = ScalingModel(1000.0)
-        # 20 workers + background threads oversubscribe the 20 cores.
-        assert model.throughput(20) < model.throughput(16)
-
-    def test_transform_overhead_scales_rate(self):
-        base = ScalingModel(1000.0)
-        loaded = ScalingModel(1000.0, transform_overhead=0.1)
-        for workers in (1, 4, 16):
-            assert loaded.throughput(workers) == pytest.approx(
-                base.throughput(workers) * 0.9
-            )
-
-    def test_zero_workers(self):
-        assert ScalingModel(1000.0).throughput(0) == 0.0
-
-    def test_curve_matches_pointwise(self):
-        model = ScalingModel(500.0)
-        axis = [1, 2, 4]
-        assert model.curve(axis) == [model.throughput(w) for w in axis]
-
-    def test_custom_machine(self):
-        tiny = MachineModel(physical_cores=4)
-        model = ScalingModel(1000.0, machine=tiny)
-        # 4 workers + 2 background threads already oversubscribe 4 cores.
-        assert model.throughput(4) < 4000 * 0.9
-
-    def test_efficiency_floor(self):
-        model = ScalingModel(1000.0)
-        # Even absurd oversubscription never goes below the 30% floor.
-        assert model.throughput(60) > 0

@@ -178,3 +178,50 @@ class TestAccessObservation:
         assert (block_id, 1) in observations
         assert ("pass", 1) in observations
         assert table.blocks[0].last_modified_epoch == 1
+
+
+class TestConcurrentReaders:
+    def test_reads_correct_under_concurrent_gc(self, tm, table):
+        import threading
+
+        txn = tm.begin()
+        slots = [table.insert(txn, {0: i, 1: LONG}) for i in range(30)]
+        tm.commit(txn)
+        for round_no in range(2):
+            txn = tm.begin()
+            for slot in slots:
+                table.update(txn, slot, {0: round_no, 1: LONGER + str(round_no)})
+            tm.commit(txn)
+        gc = GarbageCollector(tm)
+        errors = []
+
+        def reader_thread():
+            try:
+                for _ in range(20):
+                    txn = tm.begin()
+                    for slot in slots:
+                        assert table.select(txn, slot).to_dict() == {
+                            0: 1, 1: LONGER + "1"
+                        }
+                    tm.commit(txn)
+            except BaseException as exc:  # surfaced to the main thread
+                errors.append(exc)
+
+        def gc_thread():
+            try:
+                for _ in range(6):
+                    gc.run()
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader_thread) for _ in range(3)]
+        threads.append(threading.Thread(target=gc_thread))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        for _ in range(2):  # readers gone: the rest of every chain goes
+            gc.run()
+        assert all(table.blocks[0].version_ptrs[s.offset] is None for s in slots)

@@ -9,7 +9,9 @@ GC and the transformation pipeline run in the background.
 from __future__ import annotations
 
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -99,6 +101,32 @@ class TestTransferInvariant:
         total, count = self.total(db, info)
         assert count == self.ACCOUNTS
         assert total == self.ACCOUNTS * self.INITIAL
+
+    def test_money_conserved_under_fine_grained_switching(self):
+        """A 10 µs switch interval interleaves transfers inside their
+        read-update windows; an aborted record at a chain head must not
+        hide a commit newer than the writer's snapshot (a lost update
+        shows as money created or destroyed)."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 10.0
+            for round_ in range(100):
+                if time.monotonic() > deadline:
+                    break
+                db, info, slots = self.build()
+                run_threads(
+                    [
+                        self.transfer_worker(db, info, slots, seed=round_ * 4 + s)
+                        for s in range(4)
+                    ]
+                )
+                total, count = self.total(db, info)
+                assert (round_, count, total) == (
+                    round_, self.ACCOUNTS, self.ACCOUNTS * self.INITIAL
+                )
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_money_conserved_with_gc_and_transform(self):
         db, info, slots = self.build()

@@ -250,28 +250,28 @@ def test_prometheus_family_collision_skipped():
 
 
 # ---------------------------------------------------------------------- #
-# labeled families (relay-style process/worker_id/shard series)           #
+# labeled families (per-shard series)                                    #
 # ---------------------------------------------------------------------- #
 
 
-def _relay_style_registry():
-    """Coordinator series plus relayed worker series in one family, the
-    shape :class:`~repro.obs.relay.TelemetryRelay` merges produce."""
+def _labeled_registry():
+    """An unlabeled series plus labeled series in one family, the shape
+    per-shard telemetry produces."""
     from repro.obs.registry import MetricRegistry
 
     reg = MetricRegistry()
-    reg.counter("test.relay_total", "fragments").inc(2)
-    for wid in ("0", "1"):
+    reg.counter("test.labeled_total", "fragments").inc(2)
+    for sid in ("0", "1"):
         reg.counter(
-            "test.relay_total",
+            "test.labeled_total",
             "fragments",
-            labels={"process": "worker", "worker_id": wid},
-        ).inc(3 + int(wid))
+            labels={"shard": sid, "table": "stock"},
+        ).inc(3 + int(sid))
     hist = reg.histogram(
-        "test.relay_seconds",
+        "test.labeled_seconds",
         "latency",
         buckets=(0.1, 1.0),
-        labels={"process": "worker", "worker_id": "0"},
+        labels={"shard": "0", "table": "stock"},
     )
     hist.observe(0.05)
     hist.observe(5.0)
@@ -304,39 +304,39 @@ def _assert_families_well_formed(text):
 
 
 def test_labeled_series_share_one_family_block():
-    text = obs.render_prometheus(_relay_style_registry())
+    text = obs.render_prometheus(_labeled_registry())
     _assert_families_well_formed(text)
     lines = text.splitlines()
-    samples = [l for l in lines if l.startswith("test_relay_total")]
+    samples = [l for l in lines if l.startswith("test_labeled_total")]
     assert samples == [
-        "test_relay_total 2",
-        'test_relay_total{process="worker",worker_id="0"} 3',
-        'test_relay_total{process="worker",worker_id="1"} 4',
+        "test_labeled_total 2",
+        'test_labeled_total{shard="0",table="stock"} 3',
+        'test_labeled_total{shard="1",table="stock"} 4',
     ]
-    assert lines.count("# TYPE test_relay_total counter") == 1
+    assert lines.count("# TYPE test_labeled_total counter") == 1
 
 
 def test_labeled_histogram_bucket_lines_compose_le_last():
-    text = obs.render_prometheus(_relay_style_registry())
+    text = obs.render_prometheus(_labeled_registry())
     lines = text.splitlines()
-    buckets = [l for l in lines if l.startswith("test_relay_seconds_bucket")]
+    buckets = [l for l in lines if l.startswith("test_labeled_seconds_bucket")]
     assert [l.rsplit(" ", 1)[0] for l in buckets] == [
-        'test_relay_seconds_bucket{process="worker",worker_id="0",le="0.1"}',
-        'test_relay_seconds_bucket{process="worker",worker_id="0",le="1"}',
-        'test_relay_seconds_bucket{process="worker",worker_id="0",le="+Inf"}',
+        'test_labeled_seconds_bucket{shard="0",table="stock",le="0.1"}',
+        'test_labeled_seconds_bucket{shard="0",table="stock",le="1"}',
+        'test_labeled_seconds_bucket{shard="0",table="stock",le="+Inf"}',
     ]
     counts = [int(l.rsplit(" ", 1)[1]) for l in buckets]
     assert counts == sorted(counts)
     count_line = next(
-        l for l in lines if l.startswith("test_relay_seconds_count")
+        l for l in lines if l.startswith("test_labeled_seconds_count")
     )
     assert count_line == (
-        'test_relay_seconds_count{process="worker",worker_id="0"} 2'
+        'test_labeled_seconds_count{shard="0",table="stock"} 2'
     )
     assert counts[-1] == 2  # +Inf bucket equals _count
     assert (
-        'test_relay_seconds_sum{process="worker",worker_id="0"}'
-        in next(l for l in lines if l.startswith("test_relay_seconds_sum"))
+        'test_labeled_seconds_sum{shard="0",table="stock"}'
+        in next(l for l in lines if l.startswith("test_labeled_seconds_sum"))
     )
 
 
@@ -372,33 +372,6 @@ def test_shard_labeled_gauges_render_as_one_family():
         'cluster_shard_healthy{shard="0"} 1',
         'cluster_shard_healthy{shard="1"} 1',
     ]
-
-
-def test_worker_relayed_series_conform(worked_db):
-    """End-to-end: merge real relay payload shapes, then lint the text."""
-    from repro.obs.recorder import Recorder
-    from repro.obs.registry import MetricRegistry
-    from repro.obs.relay import HAVE_SHARED_MEMORY, TelemetryRelay, WorkerTelemetry
-
-    if not HAVE_SHARED_MEMORY:
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    registry = MetricRegistry()
-    recorder = Recorder(registry=registry)
-    relay = TelemetryRelay(1, registry, recorder)
-    try:
-        telemetry = WorkerTelemetry(0, **relay.worker_args())
-        telemetry.counter("parallel.tasks_total", "tasks").inc(4)
-        telemetry.histogram("parallel.fragment_seconds", "latency").observe(0.02)
-        relay.merge(telemetry.flush(None))
-        telemetry.close()
-    finally:
-        relay.close()
-    text = obs.render_prometheus(registry)
-    _assert_families_well_formed(text)
-    assert (
-        'parallel_tasks_total{process="worker",worker_id="0"} 4'
-        in text.splitlines()
-    )
 
 
 def test_wal_counter_matches_log_manager(worked_db):

@@ -342,15 +342,3 @@ class TestTailSampler:
         # and every kept span actually reached the buffer.
         assert stats["kept_traces"] >= (threads // 2) * traces_per_thread
         assert len(tracer._buffer) == stats["kept_spans"]
-
-    def test_ingest_bypasses_sampler(self):
-        from repro.obs.trace import Span
-
-        tracer = self._tracer()
-        sampler = TailSampler(threshold=10.0)
-        tracer.set_tail_sampler(sampler)
-        tracer.ingest(
-            [Span(1, None, "relayed", 0.0, 0.001, 0.0, "w0", 42, None)]
-        )
-        assert [s.name for s in tracer._buffer] == ["relayed"]
-        assert sampler.stats()["dropped_spans"] == 0

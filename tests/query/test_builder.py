@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ColumnSpec, Database, FLOAT64, INT64, UTF8
+from repro import BOOL, ColumnSpec, Database, FLOAT64, INT64, UTF8
 from repro.errors import StorageError
 from repro.query import Query
 
@@ -92,6 +92,36 @@ class TestRows:
     def test_varlen_predicate(self, sales_db):
         rows = Query(sales_db, "sales").where("note", "==", "note-123").to_rows()
         assert [r["id"] for r in rows] == [123]
+
+    def test_bool_with_nulls_matches_select(self):
+        db = Database(logging_enabled=False, cold_threshold_epochs=1)
+        info = db.create_table(
+            "flags",
+            [ColumnSpec("id", INT64), ColumnSpec("flag", BOOL)],
+            block_size=1 << 12,
+            watch_cold=True,
+        )
+        flag = lambda i: None if i % 3 == 0 else i % 2 == 0  # noqa: E731
+        with db.transaction() as txn:
+            slots = [info.table.insert(txn, {0: i, 1: flag(i)}) for i in range(600)]
+        db.freeze_table("flags")
+        with db.transaction() as txn:  # a hot block beside the frozen ones
+            slots += [info.table.insert(txn, {0: i, 1: flag(i)}) for i in range(600, 650)]
+        txn = db.begin()
+        expected = [
+            {"id": row.get(0), "flag": row.get(1)}
+            for row in (info.table.select(txn, slot) for slot in slots)
+        ]
+        db.commit(txn)
+        assert any(b.state.name == "FROZEN" for b in info.table.blocks)
+        rows = Query(db, "flags").to_rows()
+        assert rows == expected
+        assert [type(r["flag"]) for r in rows] == [type(r["flag"]) for r in expected]
+        assert {type(r["flag"]) for r in rows} == {bool, type(None)}
+        wanted = [r for r in expected if r["flag"] is True and r["id"] >= 100]
+        query = Query(db, "flags").where("id", ">=", 100).where("flag", "==", True)
+        assert query.to_rows(limit=7) == wanted[:7]
+        assert query.to_rows(limit=0) == []
 
 
 class TestPruningIntegration:

@@ -229,6 +229,26 @@ class TestAbort:
         tm.commit(winner)
         assert table.select(tm.begin(), slot).get(0) == 42
 
+    @pytest.mark.parametrize("write", ["update", "delete"])
+    def test_aborted_head_does_not_hide_a_newer_commit(self, tm, table, write):
+        # T2's commit is newer than T1's snapshot; T3's abort leaves its
+        # record at the chain head above it.  T1 must still lose.
+        slot = committed_insert(tm, table, {0: 1, 1: "x", 2: 0.0})
+        t1 = tm.begin()
+        t2 = tm.begin()
+        assert table.update(t2, slot, {0: 2})
+        tm.commit(t2)
+        t3 = tm.begin()
+        assert table.update(t3, slot, {0: 3})
+        tm.abort(t3)
+        if write == "update":
+            assert not table.update(t1, slot, {0: 4})
+        else:
+            assert not table.delete(t1, slot)
+        assert t1.must_abort
+        tm.abort(t1)
+        assert table.select(tm.begin(), slot).get(0) == 2
+
     def test_abort_restores_null_state(self, tm, table):
         slot = committed_insert(tm, table, {0: 1, 1: None, 2: 0.0})
         txn = tm.begin()
