@@ -46,6 +46,23 @@ class RawBlock:
         self.layout = layout
         self.block_id = block_id
         self.buffer = Buffer.allocate(layout.block_size)
+        #: The buffer as one ``memoryview``: with :attr:`BlockLayout.access`,
+        #: every per-slot read and write is a byte index or a ``struct`` call
+        #: at a computed offset (Section 3.2).
+        self.mem = memoryview(self.buffer.data)
+        #: Typed zero-copy view of each fixed-width column region (``None``
+        #: for varlen columns), built once; in-place writes assign through
+        #: it, so they coerce values exactly as numpy does.
+        self.column_views: list[np.ndarray | None] = [
+            None
+            if spec.is_varlen
+            else self.buffer.typed_view(
+                spec.dtype.numpy_dtype,  # type: ignore[union-attr]
+                layout.column_offsets[column_id],
+                layout.num_slots,
+            )
+            for column_id, spec in enumerate(layout.columns)
+        ]
         #: Parallel (Arrow-invisible) version-pointer column: one undo-record
         #: reference per slot, ``None`` when the tuple has no versions.
         self.version_ptrs: list[Any] = [None] * layout.num_slots
@@ -227,14 +244,11 @@ class RawBlock:
 
     def column_view(self, column_id: int) -> np.ndarray:
         """Typed zero-copy view over a fixed-width column region."""
-        spec = self.layout.columns[column_id]
-        if spec.is_varlen:
-            raise StorageError(f"column {spec.name!r} is varlen; use varlen views")
-        return self.buffer.typed_view(
-            spec.dtype.numpy_dtype,  # type: ignore[union-attr]
-            self.layout.column_offsets[column_id],
-            self.layout.num_slots,
-        )
+        view = self.column_views[column_id]
+        if view is None:
+            name = self.layout.columns[column_id].name
+            raise StorageError(f"column {name!r} is varlen; use varlen views")
+        return view
 
     def varlen_entry_view(self, column_id: int, slot: int) -> np.ndarray:
         """The 16-byte uint8 view of one varlen entry."""
@@ -269,8 +283,8 @@ class RawBlock:
             while self._insert_head < self.layout.num_slots:
                 slot = self._insert_head
                 self._insert_head += 1
-                if not self.allocation_bitmap.get(slot):
-                    self.allocation_bitmap.set(slot)
+                if not self.is_allocated(slot):
+                    self.set_allocated(slot, True)
                     return slot
             return None
 
@@ -290,6 +304,18 @@ class RawBlock:
         slots at the front of the block)."""
         with self.write_latch:
             self._insert_head = 0
+
+    def is_allocated(self, slot: int) -> bool:
+        """Whether ``slot`` holds a tuple (its allocation bit)."""
+        return bool(self.mem[self.layout.allocation_bitmap_offset + (slot >> 3)] & (1 << (slot & 7)))
+
+    def set_allocated(self, slot: int, allocated: bool) -> None:
+        """Set or clear the allocation bit of ``slot`` (under the write latch)."""
+        pos = self.layout.allocation_bitmap_offset + (slot >> 3)
+        if allocated:
+            self.mem[pos] |= 1 << (slot & 7)
+        else:
+            self.mem[pos] &= ~(1 << (slot & 7)) & 0xFF
 
     @property
     def insert_head(self) -> int:

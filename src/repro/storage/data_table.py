@@ -21,15 +21,14 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.arrowfmt.datatypes import VarBinaryType
 from repro.errors import StorageError
 from repro.storage.block import RawBlock, zone_bounds
 from repro.storage.block_store import BlockStore
-from repro.storage.constants import BlockState
-from repro.storage.layout import BlockLayout, ColumnSpec
+from repro.storage.constants import BlockState, VARLEN_ENTRY_SIZE
+from repro.storage.layout import KIND_FIXED, KIND_UTF8, BlockLayout, ColumnSpec
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
-from repro.storage.varlen import encode_entries, read_entry, read_value, write_entry
+from repro.storage.varlen import decode_entry, encode_entry, encode_entries, free_entry
 from repro.txn.redo import RedoRecord
 from repro.txn.undo import (
     DeleteUndoRecord,
@@ -40,6 +39,9 @@ from repro.txn.undo import (
 
 if TYPE_CHECKING:
     from repro.txn.context import TransactionContext
+
+#: The entry a varlen NULL leaves in place: no size, no heap reference.
+_NULL_ENTRY = bytes(VARLEN_ENTRY_SIZE)
 
 
 class DataTable:
@@ -56,8 +58,10 @@ class DataTable:
         #: Listeners notified with (txn, slot, kind, new_values, old_values)
         #: after each write; index maintenance hooks in here.
         self._write_listeners: list[Any] = []
-        #: Union of columns any listener needs old values for on deletes.
-        self._indexed_columns: set[int] = set()
+        #: Union of columns any listener needs old values for on deletes,
+        #: ascending.
+        self._indexed_columns: list[int] = []
+        self._all_columns = range(layout.num_columns)
 
     # ------------------------------------------------------------------ #
     # public API                                                          #
@@ -98,21 +102,19 @@ class DataTable:
         here — this is where deleted slots are recycled (Section 3.3).
         """
         self._require_active(txn)
-        block = self._block(slot.block_id)
+        block = self._block_of(slot)
+        offset = slot.offset
         block.touch_hot()
         with block.write_latch:
-            if block.allocation_bitmap.get(slot.offset):
+            if block.is_allocated(offset):
                 raise StorageError(f"{slot} is already allocated")
-            if block.version_ptrs[slot.offset] is not None:
+            if block.version_ptrs[offset] is not None:
                 raise StorageError(f"{slot} still has a version chain")
-            for column_id in self.layout.varlen_column_ids():
-                if block.validity_bitmaps[column_id].get(slot.offset):
-                    self._free_owned_entry(block, column_id, slot.offset)
-                    block.validity_bitmaps[column_id].clear(slot.offset)
-            block.allocation_bitmap.set(slot.offset)
+            self._free_varlens(block, offset)
+            block.set_allocated(offset, True)
             record = txn.undo_buffer.append(InsertUndoRecord(txn, self, slot))
-            block.version_ptrs[slot.offset] = record
-            self._write_in_place(block, slot.offset, values.items())
+            block.version_ptrs[offset] = record
+            self._write_in_place(block, offset, values.items())
         txn.redo_buffer.append(
             RedoRecord(self.name, slot, RedoRecord.INSERT, ProjectedRow(values))
         )
@@ -131,7 +133,7 @@ class DataTable:
         txn.ensure_writable()
         if not delta:
             raise StorageError("empty update delta")
-        block = self._block(slot.block_id)
+        block = self._block_of(slot)
         block.touch_hot()
         with block.write_latch:
             if not self._writable(txn, block, slot.offset):
@@ -156,23 +158,19 @@ class DataTable:
         """Delete a tuple: flips its allocation bit, contents untouched."""
         self._require_active(txn)
         txn.ensure_writable()
-        block = self._block(slot.block_id)
+        block = self._block_of(slot)
         block.touch_hot()
         with block.write_latch:
             if not self._writable(txn, block, slot.offset):
                 txn.must_abort = True
                 return False
-            if not block.allocation_bitmap.get(slot.offset):
+            if not block.is_allocated(slot.offset):
                 raise StorageError(f"{slot} is not allocated")
-            old_indexed = (
-                self._read_in_place(block, slot.offset, sorted(self._indexed_columns)).to_dict()
-                if self._indexed_columns
-                else {}
-            )
+            old_indexed = self._read_in_place(block, slot.offset, self._indexed_columns).to_dict()
             record = txn.undo_buffer.append(DeleteUndoRecord(txn, self, slot))
             record.next = block.version_ptrs[slot.offset]
             block.version_ptrs[slot.offset] = record
-            block.allocation_bitmap.clear(slot.offset)
+            block.set_allocated(slot.offset, False)
         txn.redo_buffer.append(RedoRecord(self.name, slot, RedoRecord.DELETE, None))
         self._notify(txn, slot, "delete", None, old_indexed)
         return True
@@ -254,12 +252,13 @@ class DataTable:
             mask = mask[start:stop]
             bits = np.packbits(mask, bitorder="little")
         block.validity_bitmaps[column_id].buffer.data[: len(bits)] = bits
-        if self.layout.columns[column_id].is_varlen:
+        view = block.column_views[column_id]
+        if view is None:
             entries = encode_entries(values[start:stop], block.varlen_heaps[column_id])
             block.varlen_region_view(column_id)[: entries.nbytes] = entries.view(np.uint8)
             return
         chunk = values[start:stop]
-        block.column_view(column_id)[:count] = chunk
+        view[:count] = chunk
         if column_id in block.zone_eligible:
             zone = zone_bounds(chunk if mask is None else chunk[mask])
             if zone is not None:
@@ -279,11 +278,11 @@ class DataTable:
         newest-to-oldest until a visible one is reached.
         """
         self._require_active(txn)
-        block = self._block(slot.block_id)
+        block = self._block_of(slot)
         if column_ids is None:
-            column_ids = list(range(self.layout.num_columns))
+            column_ids = self._all_columns
         with block.write_latch:
-            present = block.allocation_bitmap.get(slot.offset)
+            present = block.is_allocated(slot.offset)
             chain = block.version_ptrs[slot.offset]
             if not present and chain is None:
                 return None
@@ -320,7 +319,7 @@ class DataTable:
         values for when tuples are deleted (index key columns)."""
         self._write_listeners.append(listener)
         if indexed_columns:
-            self._indexed_columns |= set(indexed_columns)
+            self._indexed_columns = sorted(set(self._indexed_columns) | set(indexed_columns))
 
     # ------------------------------------------------------------------ #
     # physical helpers (shared with rollback, GC, and the transformer)    #
@@ -333,6 +332,13 @@ class DataTable:
             raise StorageError(
                 f"block {block_id} does not belong to table {self.name!r}"
             ) from None
+
+    def _block_of(self, slot: TupleSlot) -> RawBlock:
+        """The block holding ``slot``, once its offset is known to be in
+        range: the plan's per-slot addresses are not bounds-checked."""
+        if slot.offset >= self.layout.num_slots:
+            raise StorageError(f"{slot} is past the {self.layout.num_slots} slots of a block")
+        return self._block(slot.block_id)
 
     def _allocate_slot(self) -> tuple[RawBlock, int]:
         with self._insert_lock:
@@ -363,87 +369,77 @@ class DataTable:
         self.block_store.release(block)
 
     def _read_in_place(
-        self, block: RawBlock, offset: int, column_ids: list[int]
+        self, block: RawBlock, offset: int, column_ids: Sequence[int]
     ) -> ProjectedRow:
-        row = ProjectedRow()
+        mem = block.mem
+        access = self.layout.access
+        byte = offset >> 3
+        bit = 1 << (offset & 7)
+        values: dict[int, Any] = {}
         for column_id in column_ids:
-            spec = self.layout.columns[column_id]
-            if not block.validity_bitmaps[column_id].get(offset):
-                row.set(column_id, None)
-            elif spec.is_varlen:
-                raw = read_value(
-                    block.varlen_entry_view(column_id, offset),
-                    block.varlen_heaps[column_id],
-                    self._gathered_values(block, column_id),
-                )
-                if isinstance(spec.dtype, VarBinaryType) and spec.dtype.is_utf8:
-                    row.set(column_id, raw.decode("utf-8"))
-                else:
-                    row.set(column_id, raw)
+            kind, validity, column, width, codec = access[column_id]
+            if not mem[validity + byte] & bit:
+                values[column_id] = None
+            elif kind == KIND_FIXED:
+                values[column_id] = codec.unpack_from(mem, column + offset * width)[0]
             else:
-                value = block.column_view(column_id)[offset]
-                if spec.dtype.name == "bool":
-                    row.set(column_id, bool(value))
-                else:
-                    row.set(column_id, value.item())
-        return row
+                gathered = block.gathered.get(column_id)
+                raw = decode_entry(
+                    mem,
+                    column + offset * width,
+                    block.varlen_heaps[column_id],
+                    None if gathered is None else gathered[1],
+                )
+                values[column_id] = raw.decode("utf-8") if kind == KIND_UTF8 else raw
+        return ProjectedRow(values)
 
-    def _write_in_place(
-        self, block: RawBlock, offset: int, items: Any
-    ) -> None:
+    def _write_in_place(self, block: RawBlock, offset: int, items: Any) -> None:
+        mem = block.mem
+        access = self.layout.access
+        byte = offset >> 3
+        bit = 1 << (offset & 7)
         for column_id, value in items:
-            spec = self.layout.columns[column_id]
+            kind, validity, column, width, _ = access[column_id]
             if value is None:
-                if not self.layout_allows_null(column_id):
-                    raise StorageError(f"column {spec.name!r} does not allow NULL")
-                block.validity_bitmaps[column_id].clear(offset)
-                if spec.is_varlen:
+                mem[validity + byte] &= ~bit & 0xFF
+                if kind != KIND_FIXED:
                     # A NULL entry references no heap bytes: the old value
                     # belongs to the before-image now, and rollback or GC
                     # must not free it a second time through this entry.
-                    block.varlen_entry_view(column_id, offset)[:] = 0
+                    pos = column + offset * width
+                    mem[pos : pos + VARLEN_ENTRY_SIZE] = _NULL_ENTRY
                 continue
-            block.validity_bitmaps[column_id].set(offset)
-            if spec.is_varlen:
-                raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
-                write_entry(
-                    block.varlen_entry_view(column_id, offset),
-                    raw,
+            mem[validity + byte] |= bit
+            if kind != KIND_FIXED:
+                encode_entry(
+                    mem,
+                    column + offset * width,
+                    value.encode("utf-8") if isinstance(value, str) else bytes(value),
                     block.varlen_heaps[column_id],
                 )
-            else:
-                block.column_view(column_id)[offset] = value
-                # NaN (``value != value``) satisfies no range filter.
-                if column_id in block.zone_eligible and value == value:
-                    zone = block.hot_zone_maps.get(column_id)
-                    if zone is None:
-                        block.hot_zone_maps[column_id] = [value, value]
-                    elif value < zone[0]:
-                        zone[0] = value
-                    elif value > zone[1]:
-                        zone[1] = value
-
-    def layout_allows_null(self, column_id: int) -> bool:
-        """Whether NULL may be stored in ``column_id``.
-
-        The block format always reserves a validity bitmap; logical NOT NULL
-        constraints belong to the catalog layer, so storage accepts NULLs
-        everywhere.
-        """
-        return True
+                continue
+            block.column_views[column_id][offset] = value  # type: ignore[index]
+            # NaN (``value != value``) satisfies no range filter.
+            if column_id in block.zone_eligible and value == value:
+                zone = block.hot_zone_maps.get(column_id)
+                if zone is None:
+                    block.hot_zone_maps[column_id] = [value, value]
+                elif value < zone[0]:
+                    zone[0] = value
+                elif value > zone[1]:
+                    zone[1] = value
 
     def _capture_raw_varlen(
         self, block: RawBlock, offset: int, column_ids: list[int]
     ) -> dict[int, bytes]:
+        """The raw 16-byte entries of the varlen columns among ``column_ids``."""
         raw: dict[int, bytes] = {}
         for column_id in column_ids:
-            if self.layout.columns[column_id].is_varlen:
-                raw[column_id] = block.varlen_entry_view(column_id, offset).tobytes()
+            kind, _, column, width, _ = self.layout.access[column_id]
+            if kind != KIND_FIXED:
+                pos = column + offset * width
+                raw[column_id] = bytes(block.mem[pos : pos + VARLEN_ENTRY_SIZE])
         return raw
-
-    def _gathered_values(self, block: RawBlock, column_id: int) -> np.ndarray | None:
-        gathered = block.gathered.get(column_id)
-        return gathered[1] if gathered is not None else None
 
     def _writable(self, txn: "TransactionContext", block: RawBlock, offset: int) -> bool:
         """The write-write conflict rule (first updater wins): the newest
@@ -475,52 +471,54 @@ class DataTable:
     def rollback_update(self, record: UpdateUndoRecord) -> None:
         """Restore the before-image of an aborted update, freeing any
         out-of-line values the aborting transaction allocated."""
-        block = self._block(record.slot.block_id)
+        block = self._block_of(record.slot)
         offset = record.slot.offset
+        mem = block.mem
+        byte = offset >> 3
+        bit = 1 << (offset & 7)
         with block.write_latch:
-            for column_id in record.before.column_ids:
-                spec = self.layout.columns[column_id]
-                if spec.is_varlen:
-                    self._free_owned_entry(block, column_id, offset)
-                    raw = record.before_raw[column_id]
-                    block.varlen_entry_view(column_id, offset)[:] = np.frombuffer(
-                        raw, dtype=np.uint8
-                    )
-                    before_value = record.before.get(column_id)
-                    if before_value is None:
-                        block.validity_bitmaps[column_id].clear(offset)
-                    else:
-                        block.validity_bitmaps[column_id].set(offset)
+            for column_id, value in record.before.items():
+                kind, validity, column, width, _ = self.layout.access[column_id]
+                if value is None:
+                    mem[validity + byte] &= ~bit & 0xFF
                 else:
-                    value = record.before.get(column_id)
-                    if value is None:
-                        block.validity_bitmaps[column_id].clear(offset)
-                    else:
-                        block.validity_bitmaps[column_id].set(offset)
-                        block.column_view(column_id)[offset] = value
+                    mem[validity + byte] |= bit
+                if kind != KIND_FIXED:
+                    pos = column + offset * width
+                    free_entry(mem, pos, block.varlen_heaps[column_id])
+                    mem[pos : pos + VARLEN_ENTRY_SIZE] = record.before_raw[column_id]
+                elif value is not None:
+                    block.column_views[column_id][offset] = value  # type: ignore[index]
 
     def rollback_insert(self, record: InsertUndoRecord) -> None:
         """Undo an aborted insert: free its varlens, clear its bits."""
-        block = self._block(record.slot.block_id)
+        block = self._block_of(record.slot)
         offset = record.slot.offset
         with block.write_latch:
-            for column_id in self.layout.varlen_column_ids():
-                if block.validity_bitmaps[column_id].get(offset):
-                    self._free_owned_entry(block, column_id, offset)
-            for column_id in range(self.layout.num_columns):
-                block.validity_bitmaps[column_id].clear(offset)
-            block.allocation_bitmap.clear(offset)
+            self._free_varlens(block, offset)
+            mem = block.mem
+            clear = ~(1 << (offset & 7)) & 0xFF
+            for access in self.layout.access:
+                mem[access.validity_offset + (offset >> 3)] &= clear
+            block.set_allocated(offset, False)
 
     def rollback_delete(self, record: DeleteUndoRecord) -> None:
         """Undo an aborted delete: restore the allocation bit."""
-        block = self._block(record.slot.block_id)
+        block = self._block_of(record.slot)
         with block.write_latch:
-            block.allocation_bitmap.set(record.slot.offset)
+            block.set_allocated(record.slot.offset, True)
 
-    def _free_owned_entry(self, block: RawBlock, column_id: int, offset: int) -> None:
-        entry = read_entry(block.varlen_entry_view(column_id, offset))
-        if entry.owns_buffer:
-            block.varlen_heaps[column_id].free(entry.pointer)
+    def _free_varlens(self, block: RawBlock, offset: int) -> None:
+        """Free the heap bytes every non-NULL varlen entry of ``offset``
+        owns and mark the entries NULL (under the write latch)."""
+        mem = block.mem
+        byte = offset >> 3
+        bit = 1 << (offset & 7)
+        for column_id, heap in block.varlen_heaps.items():
+            _, validity, column, width, _ = self.layout.access[column_id]
+            if mem[validity + byte] & bit:
+                free_entry(mem, column + offset * width, heap)
+                mem[validity + byte] &= ~bit & 0xFF
 
     # ------------------------------------------------------------------ #
     # statistics                                                          #

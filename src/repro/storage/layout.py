@@ -5,14 +5,18 @@ the table is created.  The layout records (1) the number of tuple slots per
 block, (2) each attribute's size, and (3) the byte offset of each column
 region (and its validity bitmap) from the head of the block.  Combined with
 a :class:`~repro.storage.tuple_slot.TupleSlot`, this lets the engine compute
-the address of any attribute in constant time.
+the address of any attribute in constant time.  :attr:`BlockLayout.access`
+compiles those offsets, once per table, into the plan every per-slot read
+and write of :class:`~repro.storage.data_table.DataTable` follows.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.arrowfmt.datatypes import DataType, FixedWidthType, VarBinaryType
+from repro.arrowfmt.datatypes import BoolType, DataType, FixedWidthType, VarBinaryType
 from repro.errors import StorageError
 from repro.storage.constants import (
     BLOCK_HEADER_SIZE,
@@ -24,6 +28,44 @@ from repro.storage.constants import (
 
 def _pad(nbytes: int) -> int:
     return (nbytes + COLUMN_ALIGNMENT - 1) // COLUMN_ALIGNMENT * COLUMN_ALIGNMENT
+
+
+#: :attr:`ColumnAccess.kind`: a fixed-width value (bools included), a
+#: varlen entry decoded to ``str``, a varlen entry read as ``bytes``.
+KIND_FIXED, KIND_UTF8, KIND_BINARY = range(3)
+
+#: Standard-size ``struct`` codes by numpy ``(kind, itemsize)``.  Not
+#: ``dtype.char``: numpy's ``l``/``L`` are 8-byte int64/uint64 where
+#: ``struct``'s standard sizes make them 4 bytes.
+_STRUCT_CODES = {
+    ("i", 1): "b", ("i", 2): "h", ("i", 4): "i", ("i", 8): "q",
+    ("u", 1): "B", ("u", 2): "H", ("u", 4): "I", ("u", 8): "Q",
+    ("f", 4): "f", ("f", 8): "d",
+}
+
+
+def _fixed_codec(dtype: FixedWidthType) -> struct.Struct:
+    """The little-endian ``struct`` reading one value of ``dtype``: ``?``
+    for bools (stored as one byte), ``{n}s`` for fixed binary."""
+    if isinstance(dtype, BoolType):
+        return struct.Struct("<?")
+    kind, width = dtype.numpy_dtype.kind, dtype.numpy_dtype.itemsize
+    code = f"{width}s" if kind == "V" else _STRUCT_CODES[kind, width]
+    return struct.Struct("<" + code)
+
+
+class ColumnAccess(NamedTuple):
+    """One column's compiled access plan: a slot's validity bit is bit
+    ``slot & 7`` of byte ``validity_offset + (slot >> 3)``, and its value
+    (or 16-byte varlen entry) starts at ``column_offset + slot * width``,
+    all from the head of the block."""
+
+    kind: int
+    validity_offset: int
+    column_offset: int
+    width: int
+    #: Reads one fixed-width value (``unpack_from``); ``None`` for varlen.
+    codec: struct.Struct | None
 
 
 @dataclass(frozen=True)
@@ -137,6 +179,21 @@ class BlockLayout:
         self.used_bytes = cursor
         if cursor > self.block_size:
             raise StorageError("layout overflows block (internal error)")
+        #: Per-column :class:`ColumnAccess`, indexed by column id.
+        self.access = [
+            ColumnAccess(
+                (KIND_UTF8 if spec.dtype.is_utf8 else KIND_BINARY)
+                if isinstance(spec.dtype, VarBinaryType)
+                else KIND_FIXED,
+                validity,
+                column,
+                size,
+                None if spec.is_varlen else _fixed_codec(spec.dtype),  # type: ignore[arg-type]
+            )
+            for spec, validity, column, size in zip(
+                self.columns, self.validity_offsets, self.column_offsets, self.attr_sizes
+            )
+        ]
 
     def attribute_offset(self, column_id: int, slot: int) -> int:
         """Byte offset of attribute ``column_id`` of tuple ``slot`` — the

@@ -31,8 +31,8 @@ import numpy as np
 from repro.errors import StorageError
 from repro.storage.constants import VARLEN_ENTRY_SIZE, VARLEN_INLINE_LIMIT
 
-_HEADER = struct.Struct("<i4s8s")  # size, prefix, pointer-or-inline-suffix
-_POINTER = struct.Struct("<q")
+_ENTRY = struct.Struct("<i4sq")  # size, prefix, heap id or -(gathered offset + 1)
+_INLINE = struct.Struct("<i12s")  # size, the value zero-padded to 12 bytes
 
 #: The same 16 bytes as a numpy record, for reading a whole entry region at
 #: once (``region.view(ENTRY_DTYPE)``).  An inlined value's bytes start at
@@ -77,29 +77,22 @@ class VarlenEntry:
         return not self.is_inlined and self.pointer >= 0
 
 
-def write_entry(view: np.ndarray, value: bytes, heap: "VarlenHeap") -> None:
-    """Encode ``value`` into the 16-byte region ``view``.
+def encode_entry(mem: memoryview | np.ndarray, pos: int, value: bytes, heap: "VarlenHeap") -> None:
+    """Encode ``value`` as the 16-byte entry at ``mem[pos:pos + 16]``.
 
-    Short values are inlined; longer ones are stored in ``heap`` and the
-    entry keeps the heap id.  If the region previously owned a heap entry,
-    the caller is responsible for freeing it (the engine defers frees to the
-    garbage collector, Section 4.4).
+    Short values are inlined (zero-padded); longer ones are stored in
+    ``heap`` and the entry keeps the heap id.  If the region previously
+    owned a heap entry, the caller is responsible for freeing it (the
+    engine defers frees to the garbage collector, Section 4.4).
     """
-    _check_view(view)
     if len(value) <= VARLEN_INLINE_LIMIT:
-        padded = value.ljust(VARLEN_INLINE_LIMIT, b"\x00")
-        view[:] = np.frombuffer(
-            _HEADER.pack(len(value), padded[:4], padded[4:]), dtype=np.uint8
-        )
-        return
-    heap_id = heap.put(value)
-    view[:] = np.frombuffer(
-        _HEADER.pack(len(value), value[:4], _POINTER.pack(heap_id)), dtype=np.uint8
-    )
+        _INLINE.pack_into(mem, pos, len(value), value)
+    else:
+        _ENTRY.pack_into(mem, pos, len(value), value[:4], heap.put(value))
 
 
 def encode_entries(values: Sequence[bytes], heap: "VarlenHeap") -> np.ndarray:
-    """:func:`write_entry` for many values at once: one ``ENTRY_DTYPE``
+    """:func:`encode_entry` for many values at once: one ``ENTRY_DTYPE``
     array, with every out-of-line value stored by one ``heap.put_many``.
 
     An entry's bytes 4–15 are the value's first 12 bytes, zero-padded
@@ -151,7 +144,7 @@ def decode_entries(
     its entry (``None``: NULL).  Every value is one run of bytes in one
     source — its entry, the gathered buffer, the heap bytes or the
     overrides — so offsets are one ``cumsum`` and values one numpy gather.
-    :func:`read_value`'s checks hold: no negative size, no gathered
+    :func:`decode_entry`'s checks hold: no negative size, no gathered
     reference past (or without) the buffer, heap bytes matching sizes.
     """
     entries = region.view(ENTRY_DTYPE)
@@ -211,38 +204,52 @@ def decode_entries(
     return offsets, np.concatenate(sources)[source], keep
 
 
-def read_entry(view: np.ndarray) -> VarlenEntry:
-    """Decode the 16-byte region ``view`` into a :class:`VarlenEntry`."""
-    _check_view(view)
-    size, prefix, tail = _HEADER.unpack(view.tobytes())
+def _unpack(mem: memoryview | np.ndarray, pos: int) -> tuple[int, bytes, int]:
+    """``(size, prefix, pointer)`` of the entry at ``mem[pos:pos + 16]``."""
+    size, prefix, pointer = _ENTRY.unpack_from(mem, pos)
     if size < 0:
         raise StorageError(f"corrupt varlen entry: negative size {size}")
-    if size <= VARLEN_INLINE_LIMIT:
-        payload = (prefix + tail)[:size]
-        return VarlenEntry(size, prefix[: min(size, 4)], 0, payload)
-    (pointer,) = _POINTER.unpack(tail)
-    return VarlenEntry(size, prefix, pointer)
+    return size, prefix, pointer
 
 
-def read_value(view: np.ndarray, heap: "VarlenHeap", gathered: bytes | np.ndarray | None) -> bytes:
-    """Materialize the full value behind an entry.
+def decode_entry(
+    mem: memoryview | np.ndarray, pos: int, heap: "VarlenHeap", gathered: np.ndarray | None
+) -> bytes:
+    """The full value behind the 16-byte entry at ``mem[pos:pos + 16]``.
 
     ``gathered`` is the block's canonical Arrow values buffer for this
     column (needed only for non-owning entries).
     """
-    entry = read_entry(view)
-    if entry.is_inlined:
-        assert entry.inline_payload is not None
-        return entry.inline_payload
-    if entry.pointer >= 0:
-        return heap.get(entry.pointer)
-    offset = -entry.pointer - 1
+    size, inlined = _INLINE.unpack_from(mem, pos)
+    if 0 <= size <= VARLEN_INLINE_LIMIT:
+        return inlined[:size]
+    size, _, pointer = _unpack(mem, pos)
+    if pointer >= 0:
+        return heap.get(pointer)
+    offset = -pointer - 1
     if gathered is None:
         raise StorageError("entry references a gathered buffer that is absent")
-    raw = bytes(gathered[offset : offset + entry.size])
-    if len(raw) != entry.size:
+    raw = bytes(gathered[offset : offset + size])
+    if len(raw) != size:
         raise StorageError("gathered buffer shorter than entry size")
     return raw
+
+
+def free_entry(mem: memoryview | np.ndarray, pos: int, heap: "VarlenHeap") -> None:
+    """Free the heap bytes the entry at ``mem[pos:pos + 16]`` owns, if any."""
+    size, _, pointer = _unpack(mem, pos)
+    if size > VARLEN_INLINE_LIMIT and pointer >= 0:
+        heap.free(pointer)
+
+
+def read_entry(view: np.ndarray) -> VarlenEntry:
+    """Decode the 16-byte region ``view`` into a :class:`VarlenEntry`."""
+    _check_view(view)
+    size, prefix, pointer = _unpack(view, 0)
+    if size <= VARLEN_INLINE_LIMIT:
+        payload = view[INLINE_VALUE_OFFSET : INLINE_VALUE_OFFSET + size].tobytes()
+        return VarlenEntry(size, prefix[: min(size, 4)], 0, payload)
+    return VarlenEntry(size, prefix, pointer)
 
 
 def _check_view(view: np.ndarray) -> None:

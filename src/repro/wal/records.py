@@ -53,7 +53,9 @@ DECISION_COMMIT = 1
 _OP_TAGS = {RedoRecord.INSERT: 0, RedoRecord.UPDATE: 1, RedoRecord.DELETE: 2}
 _OP_NAMES = {v: k for k, v in _OP_TAGS.items()}
 
-_T_NULL, _T_INT, _T_FLOAT, _T_BOOL, _T_BYTES, _T_STR = range(6)
+#: ``_T_INT`` is a signed 64-bit payload; ``_T_UINT`` an unsigned one,
+#: for the ``UINT64`` values in ``[2**63, 2**64)`` the signed one cannot hold.
+_T_NULL, _T_INT, _T_FLOAT, _T_BOOL, _T_BYTES, _T_STR, _T_UINT = range(7)
 
 
 def _normalize(value: Any) -> Any:
@@ -155,7 +157,10 @@ def _encode_value(out: io.BytesIO, column_id: int, value: Any) -> None:
     elif isinstance(value, bool):
         out.write(struct.pack("<B?", _T_BOOL, value))
     elif isinstance(value, int):
-        out.write(struct.pack("<Bq", _T_INT, value))
+        if value >= 1 << 63:
+            out.write(struct.pack("<BQ", _T_UINT, value))
+        else:
+            out.write(struct.pack("<Bq", _T_INT, value))
     elif isinstance(value, float):
         out.write(struct.pack("<Bd", _T_FLOAT, value))
     elif isinstance(value, bytes):
@@ -246,6 +251,7 @@ _VARLEN_HEAD = struct.Struct("<HBI")  # column_id, type_tag, length
 #: A fixed-width value with its header: column_id, type_tag, value.
 _FIXED_VALUES = {
     _T_INT: struct.Struct("<HBq"),
+    _T_UINT: struct.Struct("<HBQ"),
     _T_FLOAT: struct.Struct("<HBd"),
     _T_BOOL: struct.Struct("<HB?"),
 }

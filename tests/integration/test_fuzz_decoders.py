@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro import ColumnSpec, Database, INT64, UTF8
 from repro.arrowfmt import ipc
 from repro.arrowfmt.builder import array_from_pylist
-from repro.arrowfmt.datatypes import Field, Schema
+from repro.arrowfmt.datatypes import UINT64, Field, Schema
 from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import ReproError
 from repro.export import postgres_wire, vectorized
@@ -33,10 +33,15 @@ def sample_ipc_stream() -> bytes:
 
 
 def sample_log() -> bytes:
+    """One transaction holding signed and unsigned 64-bit ints at their
+    extremes, strings and a NULL."""
     db = Database()
-    info = db.create_table("t", [ColumnSpec("a", INT64), ColumnSpec("s", UTF8)])
+    info = db.create_table(
+        "t", [ColumnSpec("a", INT64), ColumnSpec("s", UTF8), ColumnSpec("u", UINT64)]
+    )
     with db.transaction() as txn:
-        info.table.insert(txn, {0: 1, 1: "hello"})
+        info.table.insert(txn, {0: -(2**63), 1: "hello", 2: 2**64 - 1})
+        info.table.insert(txn, {0: 1, 1: None, 2: 2**63 - 1})
     db.quiesce()
     return db.log_contents()
 

@@ -195,7 +195,7 @@ def test_no_nulls_means_no_validity_buffer():
 
 
 class TestCorruptionIsDetected:
-    """The vectorized reader keeps the per-entry checks of ``read_value``."""
+    """The vectorized reader keeps the per-entry checks of ``decode_entry``."""
 
     def setup_method(self):
         self.db = Database(logging_enabled=False)

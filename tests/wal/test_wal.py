@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.arrowfmt.datatypes import FLOAT64, INT64, UTF8
+from repro import Database
+from repro.arrowfmt.datatypes import FLOAT64, INT64, UINT64, UTF8
 from repro.errors import RecoveryError
 from repro.storage.block_store import BlockStore
 from repro.storage.data_table import DataTable
@@ -210,3 +211,27 @@ class TestRecovery:
         reader = tm2.begin()
         [(_, row)] = list(table2.scan(reader))
         assert row.get(1) == long_value
+
+
+class TestUnsignedValues:
+    """A ``UINT64`` value at or above 2**63 has no signed 64-bit encoding."""
+
+    def test_uint64_above_int64_range_commits_recovers_and_stays_durable(self):
+        columns = [ColumnSpec("id", INT64), ColumnSpec("u", UINT64)]
+        db = Database()
+        table = db.create_table("u", columns).table
+        with db.transaction() as big:
+            table.insert(big, {0: 1, 1: 2**64 - 1})
+        with db.transaction() as later:
+            table.insert(later, {0: 2, 1: 2**63})
+        with db.transaction() as small:
+            table.insert(small, {0: 3, 1: 7})
+        db.quiesce()
+        assert big.is_durable and later.is_durable and small.is_durable
+
+        fresh = Database()
+        fresh.create_table("u", columns)
+        assert fresh.recover_from(db.log_contents()) == 3
+        reader = fresh.begin()
+        rows = sorted(row.to_dict()[1] for _, row in fresh.catalog.table("u").scan(reader))
+        assert rows == [7, 2**63, 2**64 - 1]

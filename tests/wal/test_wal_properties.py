@@ -5,16 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ColumnSpec, Database, FLOAT64, INT64, UTF8
+from repro.arrowfmt.datatypes import UINT64
 from repro.wal.records import decode_stream
 
 value_strategies = {
-    "i": st.one_of(st.none(), st.integers(-(2**62), 2**62)),
+    "i": st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)),
+    "u": st.one_of(st.none(), st.integers(0, 2**64 - 1)),
     "f": st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=64)),
     "s": st.one_of(st.none(), st.text(max_size=40)),
 }
 
 row_strategy = st.fixed_dictionaries(
-    {0: value_strategies["i"], 1: value_strategies["s"], 2: value_strategies["f"]}
+    {
+        0: value_strategies["i"],
+        1: value_strategies["s"],
+        2: value_strategies["f"],
+        3: value_strategies["u"],
+    }
 )
 
 
@@ -22,7 +29,12 @@ def make_db():
     db = Database()
     db.create_table(
         "t",
-        [ColumnSpec("i", INT64), ColumnSpec("s", UTF8), ColumnSpec("f", FLOAT64)],
+        [
+            ColumnSpec("i", INT64),
+            ColumnSpec("s", UTF8),
+            ColumnSpec("f", FLOAT64),
+            ColumnSpec("u", UINT64),
+        ],
         block_size=1 << 14,
     )
     return db
