@@ -33,7 +33,7 @@ import heapq
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Literal, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Literal, Mapping
 
 from repro.cluster.coordinator import CoordinatorLog, TwoPhaseCoordinator
 from repro.cluster.router import Router
@@ -41,12 +41,12 @@ from repro.db import Database
 from repro.errors import CatalogError, TransactionAborted, TwoPhaseInDoubt
 from repro.obs.recorder import Recorder
 from repro.obs.registry import MetricRegistry
-from repro.obs.slo import RequestLog, SloTracker, stamp_phase
+from repro.obs.slo import RequestLog, SloTracker
 from repro.storage.constants import BLOCK_SIZE
 from repro.storage.layout import ColumnSpec
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
-from repro.txn.context import TransactionContext, TxnState
+from repro.txn.context import DurabilitySignal, TransactionContext, TxnState
 from repro.wal.records import DECISION_COMMIT
 from repro.wal.recovery import RecoveryManager
 
@@ -62,8 +62,11 @@ class ShardSlot:
         return f"ShardSlot(shard={self.shard_id}, {self.slot})"
 
 
-class DistributedTransaction:
-    """One logical transaction spanning lazily-begun shard participants."""
+class DistributedTransaction(DurabilitySignal):
+    """One logical transaction spanning lazily-begun shard participants.
+
+    It is durable once every participant is (see ``_wire_durability``).
+    """
 
     def __init__(self, cluster: "ShardedDatabase", txn_id: int) -> None:
         self._cluster = cluster
@@ -74,8 +77,6 @@ class DistributedTransaction:
         #: Global id, assigned only if commit goes through 2PC.
         self.gid: str | None = None
         self.commit_ts: int | None = None
-        self._durable = threading.Event()
-        self._callbacks: list[Callable[[], None]] = []
 
     # -- state --------------------------------------------------------- #
 
@@ -120,37 +121,6 @@ class DistributedTransaction:
         return self.txn_id % self._cluster.n_shards
 
     # -- durability ---------------------------------------------------- #
-
-    def on_durable(self, callback: Callable[[], None]) -> None:
-        if self._durable.is_set():
-            callback()
-        else:
-            self._callbacks.append(callback)
-
-    def signal_durable(self) -> None:
-        self._durable.set()
-        callbacks, self._callbacks = self._callbacks, []
-        first_error: BaseException | None = None
-        for callback in callbacks:
-            try:
-                callback()
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    def wait_durable(self, timeout: float | None = None) -> bool:
-        if self._durable.is_set():
-            return True
-        # Same attribution as the single-node path: with background group
-        # commit, this wait is fsync latency on the request's critical path.
-        with stamp_phase("wal.fsync_wait"):
-            return self._durable.wait(timeout)
-
-    @property
-    def is_durable(self) -> bool:
-        return self._durable.is_set()
 
     def _wire_durability(self) -> None:
         """Count down participant durability into one cluster-level signal."""

@@ -27,11 +27,103 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-class TransactionContext:
+#: Serialises installing a waiter's ``Event``: only ``wait_durable`` on a
+#: transaction that is not yet durable ever takes it.
+_EVENT_LOCK = threading.Lock()
+
+
+class DurabilitySignal:
+    """The commit→durable handshake of a transaction (Section 3.4).
+
+    The state is a plain flag plus, on demand, a callback list and a
+    ``threading.Event``: a transaction nobody waits on or registers a
+    callback with allocates neither.  The class attributes below are the
+    defaults, so a subclass needs no ``__init__`` call for them.
+
+    Lost wake-ups are ruled out by ordering alone: ``signal_durable`` sets
+    the flag *before* it looks for an Event, and ``wait_durable`` installs
+    the Event *before* it looks at the flag again.  Whichever side acts
+    second sees the other's write.
+    """
+
+    _durable = False
+    _durable_event: threading.Event | None = None
+    _durability_callbacks: list[Callable[[], None]] | None = None
+
+    def on_durable(self, callback: Callable[[], None]) -> None:
+        """Register a callback to run once the commit is persistent.
+
+        The DBMS refrains from sending results to the client until then;
+        tests use this to assert the speculative-visibility rule.
+        """
+        if self._durable:
+            callback()
+        elif self._durability_callbacks is None:
+            self._durability_callbacks = [callback]
+        else:
+            self._durability_callbacks.append(callback)
+
+    def signal_durable(self) -> None:
+        """Invoked by the log manager after fsync covers the commit record.
+
+        Callbacks are isolated from each other: one raising does not stop
+        the rest from running.  The first failure is re-raised afterwards
+        so the caller can observe it.
+        """
+        self._durable = True
+        event = self._durable_event
+        if event is not None:
+            event.set()
+        callbacks = self._durability_callbacks
+        if callbacks is None:
+            return
+        self._durability_callbacks = None
+        first_error: BaseException | None = None
+        for callback in callbacks:
+            try:
+                callback()
+            except Exception as exc:
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
+
+    def wait_durable(self, timeout: float | None = None) -> bool:
+        """Block until the transaction's commit record is persistent.
+
+        The wait is charged to ``wal.fsync_wait`` on the surrounding
+        service request (if any): with group commit running in the
+        background this is pure fsync latency on the request's critical
+        path, and the breakdown must say so.
+        """
+        if self._durable:
+            return True
+        event = self._durable_event
+        if event is None:
+            with _EVENT_LOCK:
+                if self._durable_event is None:
+                    self._durable_event = threading.Event()
+                event = self._durable_event
+        # A signal that looked for the Event before it was installed has
+        # already set the flag.
+        if self._durable:
+            return True
+        with stamp_phase("wal.fsync_wait"):
+            return event.wait(timeout)
+
+    @property
+    def is_durable(self) -> bool:
+        """Whether the log manager has persisted the commit record."""
+        return self._durable
+
+
+class TransactionContext(DurabilitySignal):
     """Everything the engine knows about one running transaction.
 
     Version deltas live *here*, in the undo buffer, external to Arrow
     storage (Section 3.1); the version-pointer column points into it.
+    The log manager fires its durability signal after the commit record
+    reaches "disk" (Section 3.4's callback scheme).
     """
 
     def __init__(self, start_ts: int, txn_id: int) -> None:
@@ -53,10 +145,6 @@ class TransactionContext:
         #: Global transaction id, set when this context becomes a 2PC
         #: participant at prepare time; ``None`` for local transactions.
         self.gid: str | None = None
-        #: Durability signal: fired by the log manager after the commit
-        #: record reaches "disk" (Section 3.4's callback scheme).
-        self._durable = threading.Event()
-        self._durability_callbacks: list[Callable[[], None]] = []
         #: Compensation actions run (newest first) if the transaction
         #: aborts; used by index maintenance to undo staged entries.
         self.abort_actions: list[Callable[[], None]] = []
@@ -76,17 +164,6 @@ class TransactionContext:
         """Whether the transaction can still read and write."""
         return self.state is TxnState.ACTIVE
 
-    def on_durable(self, callback: Callable[[], None]) -> None:
-        """Register a callback to run once the commit is persistent.
-
-        The DBMS refrains from sending results to the client until then;
-        tests use this to assert the speculative-visibility rule.
-        """
-        if self._durable.is_set():
-            callback()
-        else:
-            self._durability_callbacks.append(callback)
-
     def ensure_writable(self) -> None:
         """Raise :class:`~repro.errors.DegradedError` when writes are barred.
 
@@ -96,43 +173,6 @@ class TransactionContext:
         gate = self.write_gate
         if gate is not None:
             gate()
-
-    def signal_durable(self) -> None:
-        """Invoked by the log manager after fsync covers the commit record.
-
-        Callbacks are isolated from each other: one raising does not stop
-        the rest from running.  The first failure is re-raised afterwards
-        so the caller can observe it.
-        """
-        self._durable.set()
-        callbacks, self._durability_callbacks = self._durability_callbacks, []
-        first_error: BaseException | None = None
-        for callback in callbacks:
-            try:
-                callback()
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    def wait_durable(self, timeout: float | None = None) -> bool:
-        """Block until the transaction's commit record is persistent.
-
-        The wait is charged to ``wal.fsync_wait`` on the surrounding
-        service request (if any): with group commit running in the
-        background this is pure fsync latency on the request's critical
-        path, and the breakdown must say so.
-        """
-        if self._durable.is_set():
-            return True
-        with stamp_phase("wal.fsync_wait"):
-            return self._durable.wait(timeout)
-
-    @property
-    def is_durable(self) -> bool:
-        """Whether the log manager has persisted the commit record."""
-        return self._durable.is_set()
 
     def __repr__(self) -> str:
         return (

@@ -27,10 +27,12 @@ Recovery follows presumed-abort: a prepare without a commit decision is
 
 from __future__ import annotations
 
-import io
+import functools
 import struct
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
+
+import numpy as np
 
 from repro.errors import RecoveryError
 from repro.storage.projection import ProjectedRow
@@ -58,17 +60,52 @@ _OP_NAMES = {v: k for k, v in _OP_TAGS.items()}
 _T_NULL, _T_INT, _T_FLOAT, _T_BOOL, _T_BYTES, _T_STR, _T_UINT = range(7)
 
 
-def _normalize(value: Any) -> Any:
-    """Fold numpy scalars into Python primitives before tagging."""
-    import numpy as np
+_TXN_HEAD = struct.Struct("<QI")  # commit_ts, op_count
+_OP_HEAD = struct.Struct("<BH")  # op_tag, table_len
+_SLOT_COUNT = struct.Struct("<QH")  # slot, value_count
+_VARLEN_HEAD = struct.Struct("<HBI")  # column_id, type_tag, length
+#: A fixed-width value with its header: column_id, type_tag, value.
+_FIXED_VALUES = {
+    _T_INT: struct.Struct("<HBq"),
+    _T_UINT: struct.Struct("<HBQ"),
+    _T_FLOAT: struct.Struct("<HBd"),
+    _T_BOOL: struct.Struct("<HB?"),
+}
+_INT_VALUE = _FIXED_VALUES[_T_INT]
+_UINT_VALUE = _FIXED_VALUES[_T_UINT]
+_FLOAT_VALUE = _FIXED_VALUES[_T_FLOAT]
+_BOOL_VALUE = _FIXED_VALUES[_T_BOOL]
+_NULL_VALUE = struct.Struct("<HB")  # column_id, type_tag
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_DECISION = struct.Struct("<BQ")  # decision, commit_ts
 
+#: The exact types the encoder packs without folding first.
+_PRIMITIVES = frozenset((int, float, str, bytes, bool, type(None)))
+
+
+def _fold(value: Any) -> Any:
+    """The primitive a non-primitive value is logged as.
+
+    numpy scalars fold to their Python value; subclasses of the primitive
+    types (``IntEnum``, a ``(str, Enum)`` member) to the primitive they
+    hold, read past any overridden ``__str__``.
+    """
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
-    return value
+    if isinstance(value, int):
+        return int.__int__(value)
+    if isinstance(value, float):
+        return float.__float__(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, bytes):
+        return bytes(memoryview(value))
+    raise RecoveryError(f"cannot log value of type {type(value).__name__}")
 
 
 @dataclass
@@ -149,29 +186,48 @@ class LogMarker:
             self._txn.signal_durable()
 
 
-def _encode_value(out: io.BytesIO, column_id: int, value: Any) -> None:
-    value = _normalize(value)
-    out.write(struct.pack("<H", column_id))
-    if value is None:
-        out.write(struct.pack("<B", _T_NULL))
-    elif isinstance(value, bool):
-        out.write(struct.pack("<B?", _T_BOOL, value))
-    elif isinstance(value, int):
-        if value >= 1 << 63:
-            out.write(struct.pack("<BQ", _T_UINT, value))
-        else:
-            out.write(struct.pack("<Bq", _T_INT, value))
-    elif isinstance(value, float):
-        out.write(struct.pack("<Bd", _T_FLOAT, value))
-    elif isinstance(value, bytes):
-        out.write(struct.pack("<BI", _T_BYTES, len(value)))
-        out.write(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.write(struct.pack("<BI", _T_STR, len(raw)))
-        out.write(raw)
-    else:
-        raise RecoveryError(f"cannot log value of type {type(value).__name__}")
+@functools.lru_cache(maxsize=1024)
+def _op_header(op: str, table_name: str) -> bytes:
+    """``op_tag table_len table``: the same for every op of a kind on a table."""
+    raw = table_name.encode("utf-8")
+    return _OP_HEAD.pack(_OP_TAGS[op], len(raw)) + raw
+
+
+def _append_operations(out: bytearray, records: Iterable[RedoRecord]) -> None:
+    """Append each record's op header, slot and tagged values to ``out``.
+
+    The mirror of :func:`_decode_operations`, through the same ``Struct``s.
+    """
+    for record in records:
+        out += _op_header(record.op, record.table_name)
+        after = record.after
+        if after is None:
+            out += _SLOT_COUNT.pack(record.slot.pack(), 0)
+            continue
+        out += _SLOT_COUNT.pack(record.slot.pack(), len(after))
+        for column_id, value in after.items():
+            kind = type(value)
+            if kind not in _PRIMITIVES:
+                value = _fold(value)
+                kind = type(value)
+            if kind is int:
+                if value >= 1 << 63:
+                    out += _UINT_VALUE.pack(column_id, _T_UINT, value)
+                else:
+                    out += _INT_VALUE.pack(column_id, _T_INT, value)
+            elif kind is str:
+                raw = value.encode("utf-8")
+                out += _VARLEN_HEAD.pack(column_id, _T_STR, len(raw))
+                out += raw
+            elif kind is float:
+                out += _FLOAT_VALUE.pack(column_id, _T_FLOAT, value)
+            elif kind is bytes:
+                out += _VARLEN_HEAD.pack(column_id, _T_BYTES, len(value))
+                out += value
+            elif kind is bool:
+                out += _BOOL_VALUE.pack(column_id, _T_BOOL, value)
+            else:
+                out += _NULL_VALUE.pack(column_id, _T_NULL)
 
 
 def encode_transaction(txn: TransactionContext) -> bytes:
@@ -182,15 +238,14 @@ def encode_transaction(txn: TransactionContext) -> bytes:
     """
     if txn.commit_ts is None:
         raise RecoveryError("cannot encode an uncommitted transaction")
-    if len(txn.redo_buffer) == 0:
+    records = txn.redo_buffer
+    if len(records) == 0:
         return b""
-    out = io.BytesIO()
-    out.write(_TXN_BEGIN)
-    out.write(struct.pack("<QI", txn.commit_ts, len(txn.redo_buffer)))
-    for record in txn.redo_buffer:
-        _encode_record(out, record)
-    out.write(_TXN_END)
-    return out.getvalue()
+    out = bytearray(_TXN_BEGIN)
+    out += _TXN_HEAD.pack(txn.commit_ts, len(records))
+    _append_operations(out, records)
+    out += _TXN_END
+    return bytes(out)
 
 
 def encode_prepare(txn: TransactionContext, gid: str) -> bytes:
@@ -200,18 +255,17 @@ def encode_prepare(txn: TransactionContext, gid: str) -> bytes:
     writes needs no durable vote (aborting it is indistinguishable from
     committing it), and its commit decision is likewise never logged.
     """
-    if len(txn.redo_buffer) == 0:
+    records = txn.redo_buffer
+    if len(records) == 0:
         return b""
-    out = io.BytesIO()
-    out.write(_PRP_BEGIN)
     raw_gid = gid.encode("utf-8")
-    out.write(struct.pack("<H", len(raw_gid)))
-    out.write(raw_gid)
-    out.write(struct.pack("<I", len(txn.redo_buffer)))
-    for record in txn.redo_buffer:
-        _encode_record(out, record)
-    out.write(_PRP_END)
-    return out.getvalue()
+    out = bytearray(_PRP_BEGIN)
+    out += _U16.pack(len(raw_gid))
+    out += raw_gid
+    out += _U32.pack(len(records))
+    _append_operations(out, records)
+    out += _PRP_END
+    return bytes(out)
 
 
 def encode_decision(gid: str, decision: int, commit_ts: int = 0) -> bytes:
@@ -223,41 +277,16 @@ def encode_decision(gid: str, decision: int, commit_ts: int = 0) -> bytes:
     """
     if decision not in (DECISION_ABORT, DECISION_COMMIT):
         raise RecoveryError(f"invalid decision {decision!r}")
-    out = io.BytesIO()
-    out.write(_DEC_BEGIN)
     raw_gid = gid.encode("utf-8")
-    out.write(struct.pack("<H", len(raw_gid)))
-    out.write(raw_gid)
-    out.write(struct.pack("<BQ", decision, commit_ts))
-    out.write(_DEC_END)
-    return out.getvalue()
-
-
-def _encode_record(out: io.BytesIO, record: RedoRecord) -> None:
-    table_raw = record.table_name.encode("utf-8")
-    out.write(struct.pack("<BH", _OP_TAGS[record.op], len(table_raw)))
-    out.write(table_raw)
-    out.write(struct.pack("<Q", record.slot.pack()))
-    values = list(record.after.items()) if record.after is not None else []
-    out.write(struct.pack("<H", len(values)))
-    for column_id, value in values:
-        _encode_value(out, column_id, value)
-
-
-_TXN_HEAD = struct.Struct("<QI")  # commit_ts, op_count
-_OP_HEAD = struct.Struct("<BH")  # op_tag, table_len
-_SLOT_COUNT = struct.Struct("<QH")  # slot, value_count
-_VARLEN_HEAD = struct.Struct("<HBI")  # column_id, type_tag, length
-#: A fixed-width value with its header: column_id, type_tag, value.
-_FIXED_VALUES = {
-    _T_INT: struct.Struct("<HBq"),
-    _T_UINT: struct.Struct("<HBQ"),
-    _T_FLOAT: struct.Struct("<HBd"),
-    _T_BOOL: struct.Struct("<HB?"),
-}
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_DECISION = struct.Struct("<BQ")  # decision, commit_ts
+    return b"".join(
+        (
+            _DEC_BEGIN,
+            _U16.pack(len(raw_gid)),
+            raw_gid,
+            _DECISION.pack(decision, commit_ts),
+            _DEC_END,
+        )
+    )
 
 
 class _Damage(RecoveryError):

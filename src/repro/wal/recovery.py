@@ -25,6 +25,7 @@ slots placement chose (:attr:`RecoveryManager.slot_map`).
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -34,6 +35,26 @@ from repro.storage.tuple_slot import TupleSlot
 from repro.txn.context import TransactionContext
 from repro.txn.manager import TransactionManager
 from repro.wal.records import LoggedOperation, decode_stream, decode_with_indoubt
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector while a log is replayed.
+
+    Replay builds one large object graph (decoded entries, folded images,
+    index entries) that stays reachable until it returns, so a collection
+    in the middle walks all of it and frees almost nothing.  On a 2-core
+    box, one full collection landing inside the 0.15 s replay of a 0.8 MB
+    log took about 40 ms.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class RecoveryManager:
@@ -68,8 +89,9 @@ class RecoveryManager:
         ``tolerate_torn_tail=True`` drops a truncated final transaction
         (a crash mid-flush): its commit never became durable.
         """
-        committed = decode_stream(raw, tolerate_torn_tail=tolerate_torn_tail)
-        self._apply([logged.operations for logged in committed])
+        with _collector_paused():
+            committed = decode_stream(raw, tolerate_torn_tail=tolerate_torn_tail)
+            self._apply([logged.operations for logged in committed])
         return self.transactions_replayed
 
     def replay_with_indoubt(
@@ -84,10 +106,11 @@ class RecoveryManager:
         makes the prepared operations' old slots resolvable); anything
         else is presumed aborted and simply never applied.
         """
-        committed, indoubt = decode_with_indoubt(
-            raw, tolerate_torn_tail=tolerate_torn_tail
-        )
-        self._apply([logged.operations for logged in committed])
+        with _collector_paused():
+            committed, indoubt = decode_with_indoubt(
+                raw, tolerate_torn_tail=tolerate_torn_tail
+            )
+            self._apply([logged.operations for logged in committed])
         return self.transactions_replayed, {
             prepare.gid: prepare.operations for prepare in indoubt
         }

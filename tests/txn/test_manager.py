@@ -11,6 +11,7 @@ from repro.storage.data_table import DataTable
 from repro.storage.layout import BlockLayout, ColumnSpec
 from repro.txn.manager import TransactionManager
 from repro.txn.timestamps import is_aborted
+from repro.txn.undo import UndoBuffer
 from repro.wal.manager import LogManager
 
 
@@ -67,6 +68,66 @@ class TestLifecycle:
         tm.commit(a)
         tm.abort(b)
         assert tm.active_count == 0
+
+
+class _ReaderAwareLock:
+    """Wraps the manager's ``_lock``; sets ``parked`` when ``reader``
+    tries to take it (and then blocks like the real lock would)."""
+
+    def __init__(self, inner: threading.Lock, parked: threading.Event) -> None:
+        self._inner = inner
+        self.parked = parked
+        self.reader: threading.Thread | None = None
+
+    def __enter__(self):
+        if threading.current_thread() is self.reader:
+            self.parked.set()
+        self._inner.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._inner.release()
+
+
+class TestCommitStampingWindow:
+    def test_reader_begun_mid_stamp_sees_both_writes_or_neither(self, tm, table):
+        """A reader that starts between the stamping of a commit's first
+        and second undo record must not see a torn commit.
+
+        ``begin`` registers the reader in ``_active`` under ``_lock``,
+        which the commit holds while stamping, so the reader cannot
+        return from ``begin`` (let alone read) until every record is
+        stamped.  The committer pauses after the first record until the
+        reader has either blocked on ``_lock`` or finished reading, so
+        the schedule is the same on every run.
+        """
+        parked = threading.Event()
+        lock = tm._lock = _ReaderAwareLock(tm._lock, parked)
+        seen: list[tuple[bool, bool]] = []
+
+        writer = tm.begin()
+        slots = [table.insert(writer, {0: i, 1: f"row{i}"}) for i in range(2)]
+
+        def read() -> None:
+            txn = tm.begin()
+            seen.append(tuple(table.select(txn, s) is not None for s in slots))
+            parked.set()
+            tm.commit(txn)
+
+        class PausingUndo(UndoBuffer):
+            def __iter__(self):
+                first, *rest = self._records
+                yield first
+                lock.reader = threading.Thread(target=read)
+                lock.reader.start()
+                assert parked.wait(5.0), "reader neither blocked nor finished"
+                yield from rest
+
+        writer.undo_buffer.__class__ = PausingUndo
+        tm.commit(writer)
+        lock.reader.join(5.0)
+        assert not lock.reader.is_alive()
+        assert seen in ([(True, True)], [(False, False)])
 
 
 class TestGcInterface:

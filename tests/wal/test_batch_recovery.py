@@ -11,6 +11,7 @@ table is frozen between writes, so tuples move into the gaps deletes
 left and the log records each move).
 """
 
+import gc
 import random
 
 import pytest
@@ -288,6 +289,31 @@ def test_failed_replay_leaves_no_transaction_open():
         fresh.recover_from(db.log_contents()[first:])
     assert fresh.txn_manager.active_count == 0
     assert typed_rows(fresh) == {}
+
+
+def test_replay_pauses_the_collector_and_restores_its_state(monkeypatch):
+    """Replay runs with the cyclic collector off and leaves it as it
+    found it: on again after success or failure, off if it was off."""
+    raw = one_insert_log()
+    during = []
+    apply = RecoveryManager._apply
+
+    def spying_apply(self, transactions):
+        during.append(gc.isenabled())
+        return apply(self, transactions)
+
+    monkeypatch.setattr(RecoveryManager, "_apply", spying_apply)
+    assert make_db().recover_from(raw) == 1
+    assert during == [False] and gc.isenabled()
+    with pytest.raises(RecoveryError):
+        make_db().recover_from(raw + raw)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        make_db().recover_from(raw)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_insert_at_a_live_old_slot_is_rejected():
