@@ -20,6 +20,7 @@ import pytest
 from repro import Database
 from repro.bench.reporting import format_series
 from repro.export import TableExporter
+from repro.export.flight import client_receive, export_stream
 from repro.storage.constants import BlockState
 from repro.storage.layout import BlockLayout
 from repro.workloads.tpcc.schema import TPCC_TABLES
@@ -41,10 +42,9 @@ _SLOTS = BlockLayout(TPCC_TABLES["order_line"], BLOCK_SIZE).num_slots
 ROWS = _SLOTS * max(1, round(scaled(6000, minimum=2000) / _SLOTS))
 
 
-@pytest.fixture(scope="module")
-def order_line_db():
-    """An order_line table, fully frozen, reused across the sweep."""
-    db = Database(logging_enabled=False, cold_threshold_epochs=1)
+def build_order_line(**db_kwargs):
+    """An order_line table of ``ROWS`` rows, fully frozen."""
+    db = Database(logging_enabled=False, cold_threshold_epochs=1, **db_kwargs)
     info = db.create_table(
         "order_line", TPCC_TABLES["order_line"], block_size=BLOCK_SIZE, watch_cold=True
     )
@@ -60,6 +60,12 @@ def order_line_db():
             })
     db.freeze_table("order_line", max_passes=16)
     return db, info
+
+
+@pytest.fixture(scope="module")
+def order_line_db():
+    """An order_line table, fully frozen, reused across the sweep."""
+    return build_order_line()
 
 
 def set_frozen_fraction(info, fraction: float) -> float:
@@ -83,6 +89,32 @@ def test_flight_fully_frozen(benchmark, order_line_db):
     exporter = TableExporter(db.txn_manager, info.table)
     result = benchmark.pedantic(lambda: exporter.export("flight"), rounds=1, iterations=1)
     assert result.rows == ROWS
+
+
+def test_flight_dictionary_frozen(benchmark):
+    """Dictionary-compressed cold blocks (§4.4, Fig. 12's variant) ship
+    through Flight decoded to plain varbinary: the same rows and values as
+    the gather-frozen twin."""
+    twins = {fmt: build_order_line(cold_format=fmt) for fmt in ("gather", "dictionary")}
+    exporters = {}
+    for fmt, (db, info) in twins.items():
+        assert all(b.state is BlockState.FROZEN for b in info.table.blocks)
+        exporters[fmt] = TableExporter(db.txn_manager, info.table)
+    result = benchmark.pedantic(
+        lambda: exporters["dictionary"].export("flight"), rounds=1, iterations=1
+    )
+    assert result.rows == exporters["gather"].export("flight").rows == ROWS
+    received = {
+        fmt: client_receive(export_stream(db.txn_manager, info.table).payload)
+        for fmt, (db, info) in twins.items()
+    }
+    for column in ("ol_i_id", "ol_amount"):
+        assert sum(received["dictionary"].column_values(column)) == sum(
+            received["gather"].column_values(column)
+        )
+    assert sorted(received["dictionary"].column_values("ol_dist_info")) == sorted(
+        received["gather"].column_values("ol_dist_info")
+    )
 
 
 def test_postgres_export(benchmark, order_line_db):

@@ -122,6 +122,12 @@ class GarbageCollector:
             for txn in completed:
                 unlink_ts = self.txn_manager.timestamps.checkpoint()
                 for record in txn.undo_buffer:
+                    # Breaks txn -> undo buffer -> record -> txn, so the
+                    # finished transaction is freed by reference counting.
+                    # A reader still on the chain needs no owner: the
+                    # record is committed below every active snapshot, or
+                    # aborted.
+                    record.txn = None
                     try:
                         block = record.table._block(record.slot.block_id)
                     except StorageError:

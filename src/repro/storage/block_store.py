@@ -2,8 +2,8 @@
 
 The C++ engine resolves a TupleSlot's block component by pointer; Python
 cannot, so the :class:`BlockStore` keeps the id → block mapping.  It also
-recycles raw blocks through a free list, mirroring the object pools the
-paper uses for undo/redo buffer segments and blocks.
+recycles raw blocks through a free list, mirroring the paper's block
+object pool.
 """
 
 from __future__ import annotations

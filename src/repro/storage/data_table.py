@@ -29,7 +29,7 @@ from repro.storage.layout import KIND_FIXED, KIND_UTF8, BlockLayout, ColumnSpec
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
 from repro.storage.varlen import decode_entry, encode_entry, encode_entries, free_entry
-from repro.txn.redo import RedoRecord
+from repro.txn.redo import RedoRecord, check_loggable
 from repro.txn.undo import (
     DeleteUndoRecord,
     InsertUndoRecord,
@@ -79,10 +79,12 @@ class DataTable:
         missing = set(range(self.layout.num_columns)) - set(values)
         if missing:
             raise StorageError(f"insert missing columns {sorted(missing)}")
+        check_loggable(values.values())
         block, offset = self._allocate_slot()
         slot = TupleSlot(block.block_id, offset)
         with block.write_latch:
-            record = txn.undo_buffer.append(InsertUndoRecord(txn, self, slot))
+            record = InsertUndoRecord(txn, self, slot)
+            txn.undo_buffer.append(record)
             block.version_ptrs[offset] = record
             self._write_in_place(block, offset, values.items())
         txn.redo_buffer.append(
@@ -100,6 +102,8 @@ class DataTable:
         gap; regular inserts go through :meth:`insert`, which allocates.
         Stale varlen contents left behind by a committed delete are freed
         here — this is where deleted slots are recycled (Section 3.3).
+        ``values`` are a row read back from the table, so the log can
+        encode them (:func:`~repro.txn.redo.check_loggable` is not rerun).
         """
         self._require_active(txn)
         block = self._block_of(slot)
@@ -112,7 +116,8 @@ class DataTable:
                 raise StorageError(f"{slot} still has a version chain")
             self._free_varlens(block, offset)
             block.set_allocated(offset, True)
-            record = txn.undo_buffer.append(InsertUndoRecord(txn, self, slot))
+            record = InsertUndoRecord(txn, self, slot)
+            txn.undo_buffer.append(record)
             block.version_ptrs[offset] = record
             self._write_in_place(block, offset, values.items())
         txn.redo_buffer.append(
@@ -133,6 +138,7 @@ class DataTable:
         txn.ensure_writable()
         if not delta:
             raise StorageError("empty update delta")
+        check_loggable(delta.values())
         block = self._block_of(slot)
         block.touch_hot()
         with block.write_latch:
@@ -142,9 +148,8 @@ class DataTable:
             column_ids = sorted(delta)
             before = self._read_in_place(block, slot.offset, column_ids)
             before_raw = self._capture_raw_varlen(block, slot.offset, column_ids)
-            record = txn.undo_buffer.append(
-                UpdateUndoRecord(txn, self, slot, before, before_raw)
-            )
+            record = UpdateUndoRecord(txn, self, slot, before, before_raw)
+            txn.undo_buffer.append(record)
             record.next = block.version_ptrs[slot.offset]
             block.version_ptrs[slot.offset] = record
             self._write_in_place(block, slot.offset, delta.items())
@@ -167,7 +172,8 @@ class DataTable:
             if not block.is_allocated(slot.offset):
                 raise StorageError(f"{slot} is not allocated")
             old_indexed = self._read_in_place(block, slot.offset, self._indexed_columns).to_dict()
-            record = txn.undo_buffer.append(DeleteUndoRecord(txn, self, slot))
+            record = DeleteUndoRecord(txn, self, slot)
+            txn.undo_buffer.append(record)
             record.next = block.version_ptrs[slot.offset]
             block.version_ptrs[slot.offset] = record
             block.set_allocated(slot.offset, False)
@@ -197,6 +203,8 @@ class DataTable:
             columns = [[row[c] for row in rows] for c in range(layout.num_columns)]
         except KeyError as exc:
             raise StorageError(f"insert missing column {exc.args[0]}") from None
+        for column in columns:
+            check_loggable(column)
         valid, values = zip(*map(self._storable, layout.columns, columns))
         slots: list[TupleSlot] = []
         block = None

@@ -47,10 +47,6 @@ class ProjectedRow:
         """(column id, value) pairs in ascending column order."""
         return iter(sorted(self._values.items()))
 
-    def values(self) -> Iterator[Any]:
-        """The values, in no particular order."""
-        return iter(self._values.values())
-
     def apply_onto(self, other: "ProjectedRow") -> None:
         """Overwrite ``other``'s values with this row's, where present.
 

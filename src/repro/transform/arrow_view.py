@@ -11,7 +11,7 @@ once per freeze (:func:`frozen_batch`) and every pinned reader reuses it.
 A HOT block must be read through a transactional snapshot instead
 (:func:`materialize_hot`), block at a time: one latched copy, version
 chains walked only where they exist, and numpy gathers into fresh
-buffers.  Every MVCC block read — Flight, RDMA, streaming exports and
+buffers.  Every MVCC block read — Flight and RDMA exports and
 ``TableScanner`` — goes through it.
 
 Those readers all walk a table the same way, through one

@@ -16,30 +16,24 @@ from repro.txn.timestamps import (
     is_uncommitted,
 )
 from repro.txn.undo import (
-    UNDO_SEGMENT_SIZE,
     DeleteUndoRecord,
     InsertUndoRecord,
-    UndoBuffer,
     UndoRecord,
     UpdateUndoRecord,
 )
-from repro.txn.redo import CommitRecord, RedoBuffer, RedoRecord
+from repro.txn.redo import RedoRecord
 from repro.txn.context import TransactionContext
 from repro.txn.manager import TransactionManager
 
 __all__ = [
-    "CommitRecord",
     "DeleteUndoRecord",
     "InsertUndoRecord",
     "NULL_TIMESTAMP",
-    "RedoBuffer",
     "RedoRecord",
     "TimestampManager",
     "TransactionContext",
     "TransactionManager",
     "UNCOMMITTED_FLAG",
-    "UNDO_SEGMENT_SIZE",
-    "UndoBuffer",
     "UndoRecord",
     "UpdateUndoRecord",
     "is_aborted",

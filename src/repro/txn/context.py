@@ -7,8 +7,8 @@ import threading
 from typing import Callable
 
 from repro.obs.slo import stamp_phase
-from repro.txn.redo import RedoBuffer
-from repro.txn.undo import UndoBuffer
+from repro.txn.redo import RedoRecord
+from repro.txn.undo import UndoRecord
 
 
 class TxnState(enum.Enum):
@@ -137,8 +137,10 @@ class TransactionContext(DurabilitySignal):
         #: commit/abort derive the whole-transaction latency the flight
         #: recorder's slow-transaction log thresholds on.
         self.began_at = 0.0
-        self.undo_buffer = UndoBuffer()
-        self.redo_buffer = RedoBuffer()
+        #: Undo records in write order; abort applies them newest first.
+        self.undo_buffer: list[UndoRecord] = []
+        #: Redo records in write order: what the log manager writes.
+        self.redo_buffer: list[RedoRecord] = []
         self.state = TxnState.ACTIVE
         #: Set when a conflict forces this transaction to abort.
         self.must_abort = False

@@ -124,7 +124,13 @@ class TransactionManager:
             self._completed.append((commit_ts, txn))
         if callback is not None:
             txn.on_durable(callback)
-        self._submit_to_log(txn, commit_ts)
+        if self.log_manager is not None:
+            # Read-only transactions go through the queue too (Section 3.4):
+            # they write no bytes, but are signalled only after the flush.
+            self.log_manager.submit(txn)
+        else:
+            # No durability requested: results are immediately publishable.
+            txn.signal_durable()
         if began:
             self._m_commit_total.inc()
             self._m_commit_seconds.observe(perf_counter() - began)
@@ -212,7 +218,6 @@ class TransactionManager:
         the disk, recovery resolves the in-doubt prepare from the
         coordinator log instead.
         """
-        from repro.txn.redo import CommitRecord
         from repro.wal.records import DECISION_COMMIT, LogMarker, encode_decision
 
         if txn.state is not TxnState.PREPARED:
@@ -228,7 +233,6 @@ class TransactionManager:
             txn.state = TxnState.COMMITTED
             del self._active[txn.start_ts]
             self._completed.append((commit_ts, txn))
-        txn.redo_buffer.seal(CommitRecord(commit_ts, None, txn.is_read_only))
         if self.log_manager is not None and len(txn.redo_buffer) > 0:
             assert txn.gid is not None
             marker = LogMarker(
@@ -269,7 +273,7 @@ class TransactionManager:
         if txn.state not in (TxnState.ACTIVE, TxnState.PREPARED):
             raise TransactionAborted(f"transaction already {txn.state.value}")
         began = perf_counter() if STATE.enabled else 0.0
-        for record in txn.undo_buffer.reverse_iter():
+        for record in reversed(txn.undo_buffer):
             if isinstance(record, UpdateUndoRecord):
                 record.table.rollback_update(record)
             elif isinstance(record, InsertUndoRecord):
@@ -375,14 +379,3 @@ class TransactionManager:
         """Snapshot of the active transactions table."""
         with self._lock:
             return list(self._active.values())
-
-    def _submit_to_log(self, txn: TransactionContext, commit_ts: int) -> None:
-        from repro.txn.redo import CommitRecord
-
-        commit_record = CommitRecord(commit_ts, None, txn.is_read_only)
-        txn.redo_buffer.seal(commit_record)
-        if self.log_manager is not None:
-            self.log_manager.submit(txn)
-        else:
-            # No durability requested: results are immediately publishable.
-            txn.signal_durable()

@@ -1,23 +1,33 @@
-"""Redo records and per-transaction redo buffers (Section 3.4).
+"""Redo records (Section 3.4).
 
-Each transaction appends physical after-images of its changes to a private
-redo buffer in the order they occur.  At commit a commit record is appended
-and the whole buffer joins the log manager's flush queue; record order on
-disk is implied by commit timestamps rather than log sequence numbers.
+Each transaction appends physical after-images of its changes to its redo
+buffer, a plain list, in the order they occur.  At commit the transaction
+joins the log manager's flush queue; record order on disk is implied by
+commit timestamps rather than log sequence numbers.  A read-only
+transaction (an empty buffer) writes no bytes but still passes through the
+queue, so its durability signal fires only after every earlier commit is
+on disk (see :meth:`repro.wal.manager.LogManager.flush`).
+
+Every after-image value must be one the log can encode.  That is decided
+where a record is built (:func:`check_loggable`), before the write and long
+before the commit timestamp is drawn.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Any, Iterable
 
+import numpy as np
+
+from repro.errors import RecoveryError
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
 
-if TYPE_CHECKING:
-    from repro.txn.context import TransactionContext
+#: The exact types the log encodes without folding first.
+PRIMITIVES = frozenset((int, float, str, bytes, bool, type(None)))
 
-#: Modeled fixed overhead per redo record.
-_RECORD_HEADER_BYTES = 24
+#: The integers the log's signed and unsigned 64-bit value tags can hold.
+_LOGGABLE_INTS = range(-(1 << 63), 1 << 64)
 
 
 class RedoRecord:
@@ -42,79 +52,45 @@ class RedoRecord:
         #: After-image values; ``None`` for deletes.
         self.after = after
 
-    def modeled_size(self) -> int:
-        """Bytes this record would occupy in the on-disk log body."""
-        payload = 0
-        if self.after is not None:
-            for value in self.after.values():
-                payload += len(value) + 4 if isinstance(value, (bytes, str)) else 8
-        return _RECORD_HEADER_BYTES + payload
 
+def fold(value: Any) -> Any:
+    """The primitive a non-primitive value is logged as.
 
-class CommitRecord:
-    """Terminates a transaction's redo stream.
-
-    Carries the durability callback the log manager must invoke after the
-    next fsync (the paper embeds a function pointer in the record).  Read-
-    only transactions also obtain one — required for correctness of the
-    speculative-read rule — but the log manager skips writing it to disk.
+    numpy scalars fold to their Python value; subclasses of the primitive
+    types (``IntEnum``, a ``(str, Enum)`` member) to the primitive they
+    hold, read past any overridden ``__str__``.
     """
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, int):
+        return int.__int__(value)
+    if isinstance(value, float):
+        return float.__float__(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, bytes):
+        return bytes(memoryview(value))
+    raise RecoveryError(f"cannot log value of type {type(value).__name__}")
 
-    __slots__ = ("commit_ts", "callback", "is_read_only")
 
-    def __init__(
-        self,
-        commit_ts: int,
-        callback: Callable[[], None] | None,
-        is_read_only: bool,
-    ) -> None:
-        self.commit_ts = commit_ts
-        self.callback = callback
-        self.is_read_only = is_read_only
+def check_loggable(values: Iterable[Any]) -> None:
+    """Raise unless the log can encode every value: :class:`OverflowError`
+    for an integer outside 64 bits, :class:`RecoveryError` for a type the
+    log has no tag for.
 
-    def modeled_size(self) -> int:
-        """Bytes on disk (zero for read-only commits, which are elided)."""
-        return 0 if self.is_read_only else 16
-
-
-class RedoBuffer:
-    """Per-transaction append-only list of redo records.
-
-    The paper limits each transaction to a single reusable buffer segment
-    (flushing incrementally when full) and observes a speedup from cache
-    reuse; we model the segment boundary purely for accounting.
+    Storage takes some values the log cannot: ``10**30`` in a FLOAT64
+    column, a ``bytearray`` in a BINARY one.  Left to the encoder, such a
+    value would fail only after the transaction was stamped and visible,
+    and its queued redo stream would fail every later flush.
     """
-
-    def __init__(self, segment_size: int = 4096) -> None:
-        self.segment_size = segment_size
-        self._records: list[RedoRecord] = []
-        self.commit_record: CommitRecord | None = None
-        self.flushed_segments = 0
-        self._segment_used = 0
-
-    def append(self, record: RedoRecord) -> None:
-        """Append one after-image record."""
-        size = record.modeled_size()
-        if self._segment_used + size > self.segment_size:
-            # Incremental pre-commit flush of a full segment (Section 3.4).
-            self.flushed_segments += 1
-            self._segment_used = 0
-        self._segment_used += min(size, self.segment_size)
-        self._records.append(record)
-
-    def seal(self, commit_record: CommitRecord) -> None:
-        """Attach the commit record, completing the stream."""
-        self.commit_record = commit_record
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[RedoRecord]:
-        return iter(self._records)
-
-    def modeled_bytes(self) -> int:
-        """Total modeled bytes of the stream, commit record included."""
-        total = sum(r.modeled_size() for r in self._records)
-        if self.commit_record is not None:
-            total += self.commit_record.modeled_size()
-        return total
+    for value in values:
+        kind = type(value)
+        if kind not in PRIMITIVES:
+            value = fold(value)
+            kind = type(value)
+        if kind is int and value not in _LOGGABLE_INTS:
+            raise OverflowError(f"cannot log integer {value}: outside [-2**63, 2**64)")

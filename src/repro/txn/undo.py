@@ -1,20 +1,17 @@
-"""Undo (delta) records and segmented undo buffers (Section 3.1).
+"""Undo (delta) records (Section 3.1).
 
 Undo records are physical before-images of the attributes a transaction
 modified, stored newest-to-oldest on each tuple's version chain.  They live
-in per-transaction undo buffers built from fixed-size segments: the version
-chain points physically *into* the buffer, so records can never move — the
-buffer grows by linking new segments, never by reallocating (the paper's
-argument against naive doubling).  Python objects never move, so the
-segment structure here primarily provides faithful space accounting, which
-Figures 14a/14b measure.
+in the transaction's undo buffer, a plain list in write order:
+the version chain points at the record objects themselves, and Python
+objects never move, so the paper's linked fixed-size segments (which keep
+C++ records from moving as the buffer grows) have nothing to do here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from repro.errors import StorageError
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
 from repro.txn.timestamps import ABORTED_TIMESTAMP, is_aborted, is_uncommitted
@@ -22,13 +19,6 @@ from repro.txn.timestamps import ABORTED_TIMESTAMP, is_aborted, is_uncommitted
 if TYPE_CHECKING:
     from repro.storage.data_table import DataTable
     from repro.txn.context import TransactionContext
-
-#: Fixed size of one undo-buffer segment, matching the paper's 4096 bytes.
-UNDO_SEGMENT_SIZE = 4096
-
-#: Modeled bytes of fixed overhead per record: timestamp, table/slot ref,
-#: chain pointer, type tag.
-_RECORD_HEADER_BYTES = 32
 
 
 class UndoRecord:
@@ -49,7 +39,11 @@ class UndoRecord:
         self.slot = slot
         #: Next-older record on the version chain.
         self.next: UndoRecord | None = None
-        self.txn = txn
+        #: The writer, for the own-writes rule of :meth:`is_visible_to`.
+        #: The garbage collector clears it when it unlinks the record, so
+        #: a finished transaction (whose undo buffer holds this record) is
+        #: freed by reference counting, not left to the cyclic collector.
+        self.txn: "TransactionContext | None" = txn
 
     @property
     def aborted(self) -> bool:
@@ -74,10 +68,6 @@ class UndoRecord:
         if is_uncommitted(self.timestamp) or self.aborted:
             return False
         return self.timestamp <= txn.start_ts
-
-    def modeled_size(self) -> int:
-        """Bytes this record would occupy in the C++ engine's buffer."""
-        raise NotImplementedError
 
     def undo_presence(self, present: bool) -> bool:
         """Roll the tuple's logical existence back across this record."""
@@ -110,12 +100,6 @@ class UpdateUndoRecord(UndoRecord):
     def apply_before_image(self, row: ProjectedRow) -> None:
         self.before.apply_onto(row)
 
-    def modeled_size(self) -> int:
-        payload = 0
-        for column_id in self.before.column_ids:
-            payload += self.table.layout.attr_sizes[column_id]
-        return _RECORD_HEADER_BYTES + payload
-
 
 class InsertUndoRecord(UndoRecord):
     """Marks a slot as created by this transaction (before-image: absent)."""
@@ -124,9 +108,6 @@ class InsertUndoRecord(UndoRecord):
 
     def undo_presence(self, present: bool) -> bool:
         return False
-
-    def modeled_size(self) -> int:
-        return _RECORD_HEADER_BYTES
 
 
 class DeleteUndoRecord(UndoRecord):
@@ -141,47 +122,3 @@ class DeleteUndoRecord(UndoRecord):
 
     def undo_presence(self, present: bool) -> bool:
         return True
-
-    def modeled_size(self) -> int:
-        return _RECORD_HEADER_BYTES
-
-
-class UndoBuffer:
-    """A linked list of fixed-size segments holding a txn's undo records."""
-
-    def __init__(self, segment_size: int = UNDO_SEGMENT_SIZE) -> None:
-        if segment_size <= _RECORD_HEADER_BYTES:
-            raise StorageError("undo segment size too small for any record")
-        self.segment_size = segment_size
-        self._records: list[UndoRecord] = []
-        self._segment_used: int = 0
-        self.segment_count: int = 0
-
-    def append(self, record: UndoRecord) -> UndoRecord:
-        """Reserve space for ``record`` at the end of the buffer.
-
-        Adds a new segment whenever the current one cannot fit the record —
-        the incremental growth scheme that keeps existing records pinned.
-        """
-        size = record.modeled_size()
-        if self.segment_count == 0 or self._segment_used + size > self.segment_size:
-            self.segment_count += 1
-            self._segment_used = 0
-        self._segment_used += min(size, self.segment_size)
-        self._records.append(record)
-        return record
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[UndoRecord]:
-        return iter(self._records)
-
-    def reverse_iter(self) -> Iterator[UndoRecord]:
-        """Newest-first iteration, the order rollback must apply."""
-        return reversed(self._records)
-
-    def modeled_bytes(self) -> int:
-        """Total bytes the records would occupy (segments are not padded in
-        this count; ``segment_count`` captures allocation granularity)."""
-        return sum(r.modeled_size() for r in self._records)

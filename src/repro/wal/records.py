@@ -8,8 +8,8 @@ The serialized form of one transaction is::
     '>TXN'
 
 Values are self-describing (type tags) so recovery needs no catalog access
-to parse the stream.  Read-only transactions produce no bytes at all: their
-commit records exist only for the in-memory callback protocol.
+to parse the stream.  Read-only transactions produce no bytes at all: they
+pass through the flush queue only for the durability-callback protocol.
 
 Two-phase commit (see :mod:`repro.cluster`) adds two more record kinds:
 
@@ -32,13 +32,11 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-import numpy as np
-
 from repro.errors import RecoveryError
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
 from repro.txn.context import TransactionContext
-from repro.txn.redo import RedoRecord
+from repro.txn.redo import PRIMITIVES, RedoRecord, fold
 
 _TXN_BEGIN = b"TXN<"
 _TXN_END = b">TXN"
@@ -79,34 +77,6 @@ _NULL_VALUE = struct.Struct("<HB")  # column_id, type_tag
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _DECISION = struct.Struct("<BQ")  # decision, commit_ts
-
-#: The exact types the encoder packs without folding first.
-_PRIMITIVES = frozenset((int, float, str, bytes, bool, type(None)))
-
-
-def _fold(value: Any) -> Any:
-    """The primitive a non-primitive value is logged as.
-
-    numpy scalars fold to their Python value; subclasses of the primitive
-    types (``IntEnum``, a ``(str, Enum)`` member) to the primitive they
-    hold, read past any overridden ``__str__``.
-    """
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, int):
-        return int.__int__(value)
-    if isinstance(value, float):
-        return float.__float__(value)
-    if isinstance(value, str):
-        return str.__str__(value)
-    if isinstance(value, bytes):
-        return bytes(memoryview(value))
-    raise RecoveryError(f"cannot log value of type {type(value).__name__}")
-
 
 @dataclass
 class LoggedOperation:
@@ -207,8 +177,8 @@ def _append_operations(out: bytearray, records: Iterable[RedoRecord]) -> None:
         out += _SLOT_COUNT.pack(record.slot.pack(), len(after))
         for column_id, value in after.items():
             kind = type(value)
-            if kind not in _PRIMITIVES:
-                value = _fold(value)
+            if kind not in PRIMITIVES:
+                value = fold(value)
                 kind = type(value)
             if kind is int:
                 if value >= 1 << 63:

@@ -10,15 +10,19 @@ from repro.arrowfmt.builder import VarBinaryBuilder
 from repro.arrowfmt.table import RecordBatch
 from repro.export import NetworkProfile, SimulatedNetwork, TableExporter
 from repro.export import postgres_wire, vectorized
-from repro.export.flight import _decode_dictionary_batch, client_receive, export_stream
+from repro.export.flight import (
+    _decode_dictionary_batch,
+    client_receive,
+    encode_blocks,
+    export_stream,
+)
 from repro.export.rdma import CACHE_BYPASS_PENALTY, export_rdma
-from repro.export.streaming import stream_blocks
 from repro.errors import SerializationError
 from repro.storage.constants import BlockState
 from repro.storage.data_table import rowwise_scan
 from repro.storage.tuple_slot import TupleSlot
 from repro.transform import arrow_view
-from repro.transform.arrow_view import frozen_batch, table_schema
+from repro.transform.arrow_view import BlockWalk, frozen_batch, table_schema
 
 
 def build_db(rows=500, freeze=True, block_size=1 << 14, full_blocks=None, **db_kwargs):
@@ -123,6 +127,28 @@ class TestFlight:
         table = client_receive(stream.payload)
         assert table.num_rows == 300
 
+    def test_reheated_block_in_a_frozen_stream_and_a_block_slice(self):
+        db, info = build_db(full_blocks=3)
+        blocks = list(info.table.blocks)
+        blocks[1].touch_hot()
+        reader = db.begin()
+        ids = {
+            block.block_id: sorted(
+                row.get(0) for slot, row in rowwise_scan(info.table, reader)
+                if slot.block_id == block.block_id
+            )
+            for block in blocks
+        }
+        db.commit(reader)
+        whole = export_stream(db.txn_manager, info.table)
+        assert (whole.frozen_blocks, whole.materialized_blocks) == (2, 1)
+        received = client_receive(whole.payload).column_values("id")
+        assert sorted(received) == sorted(sum(ids.values(), []))
+        part = encode_blocks(info.table.layout, [(db.txn_manager, lambda: blocks[1:])])
+        assert (part.frozen_blocks, part.materialized_blocks) == (1, 1)
+        received = client_receive(part.payload).column_values("id")
+        assert sorted(received) == sorted(ids[blocks[1].block_id] + ids[blocks[2].block_id])
+
     def test_nulls_preserved(self):
         db, info = build_db(rows=100)
         table = client_receive(export_stream(db.txn_manager, info.table).payload)
@@ -215,10 +241,11 @@ class TestOneSnapshotPerExport:
         db, info = build_db(full_blocks=3, freeze=False)
         moved = self.move_row_after_first_hot_block(monkeypatch, db, info)
         expected = self.rows_and_sum(db, info)
-        ids = [
-            i for batch in stream_blocks(db.txn_manager, info.table)
-            for i in batch.column("id").to_pylist()
-        ]
+        with BlockWalk(db.txn_manager, lambda: info.table.blocks) as walk:
+            ids = [
+                i for block, frozen in walk
+                for i in walk.batch(block, frozen).column("id").to_pylist()
+            ]
         assert moved
         assert (len(ids), sum(ids)) == expected
 

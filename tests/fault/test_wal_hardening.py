@@ -88,14 +88,13 @@ class TestFailureAtomicFlush:
         from repro.txn.context import TransactionContext
 
         txn = TransactionContext(start_ts=1, txn_id=-1)
-        from repro.txn.redo import CommitRecord, RedoRecord
+        from repro.txn.redo import RedoRecord
         from repro.storage.projection import ProjectedRow
         from repro.storage.tuple_slot import TupleSlot
 
         txn.redo_buffer.append(
             RedoRecord("t", TupleSlot(0, 0), "insert", ProjectedRow({0: 1}))
         )
-        txn.redo_buffer.seal(CommitRecord(1, None, False))
         txn.commit_ts = 1
         manager.submit(txn)
         with pytest.raises(OSError):

@@ -1,6 +1,11 @@
 """Tests for the two-phase garbage collector and epoch protection."""
 
+import gc as cyclic_gc
+import weakref
+
 import pytest
+
+from repro import Database
 
 from repro.arrowfmt.datatypes import INT64, UTF8
 from repro.gc_engine.collector import GarbageCollector
@@ -111,6 +116,32 @@ class TestChainPruning:
         gc.run()
         assert gc.stats.transactions_processed == 3
         assert gc.stats.passes == 1
+
+
+class TestTransactionLifetime:
+    def test_collected_transactions_are_freed_by_reference_counting(self):
+        db = Database()
+        table = db.create_table("t", [ColumnSpec("id", INT64), ColumnSpec("s", UTF8)]).table
+        was_enabled = cyclic_gc.isenabled()
+        cyclic_gc.disable()
+        try:
+            refs = []
+            with db.transaction() as txn:
+                slot = table.insert(txn, {0: 1, 1: LONG})
+            refs.append(weakref.ref(txn))
+            with db.transaction() as txn:
+                table.update(txn, slot, {1: LONGER})
+            refs.append(weakref.ref(txn))
+            txn = db.begin()
+            table.delete(txn, slot)
+            db.abort(txn)
+            refs.append(weakref.ref(txn))
+            del txn
+            db.gc.run_until_quiet()
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if was_enabled:
+                cyclic_gc.enable()
 
 
 class TestVarlenReclamation:

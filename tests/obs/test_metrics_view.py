@@ -72,6 +72,8 @@ def test_counts_track_engine_activity():
     m = db.metrics()
     assert m["tables"] == 1
     assert m["live_tuples"] == rows
+    assert m["blocks_live"] >= 1
+    assert set(m["block_states"]) == {"HOT", "COOLING", "FREEZING", "FROZEN"}
     assert m["txns_active"] == 0
     assert m["wal_bytes_written"] == db.log_manager.bytes_written > 0
     assert m["wal_flushes"] == db.log_manager.flush_count >= 1
@@ -84,6 +86,16 @@ def test_counts_track_engine_activity():
     m = db.metrics()
     assert m["transform_blocks_frozen"] == db.transformer.stats.blocks_frozen > 0
     assert m["gc_records_unlinked"] == db.gc.stats.records_unlinked
+
+
+def test_quiesce_leaves_nothing_pending_gc():
+    db, info = _make_db()
+    with db.transaction() as txn:
+        info.table.insert(txn, {0: 1, 1: "a"})
+    db.quiesce()
+    m = db.metrics()
+    assert m["gc_passes"] >= 1
+    assert m["txns_pending_gc"] == 0
 
 
 def test_txns_active_is_live():

@@ -9,12 +9,11 @@ import pytest
 from repro import ColumnSpec, Database, INT64, UTF8
 from repro.errors import BlockStateError
 from repro.export.flight import client_receive, export_stream
-from repro.export.streaming import stream_blocks
 from repro.query import scan
 from repro.query.scan import TableScanner
 from repro.storage.constants import BlockState
 from repro.transform import arrow_view
-from repro.transform.arrow_view import frozen_batch
+from repro.transform.arrow_view import BlockWalk, frozen_batch
 
 
 def build(blocks=2):
@@ -33,6 +32,17 @@ def build(blocks=2):
     db.freeze_table("t")
     assert all(b.state is BlockState.FROZEN for b in info.table.blocks)
     return db, info, slots
+
+
+def walk_batches(txn_manager, table):
+    """One record batch per non-empty block, read through one
+    :class:`BlockWalk` that keeps its pins until the generator is
+    exhausted or closed."""
+    with BlockWalk(txn_manager, lambda: table.blocks) as walk:
+        for block, frozen in walk:
+            batch = walk.batch(block, frozen)
+            if batch.num_rows:
+                yield batch
 
 
 def exported(db, info):
@@ -174,7 +184,7 @@ class TestPinsLastTheWholeWalk:
             batches = TableScanner(db.txn_manager, info.table, column_ids=[0]).batches()
             ids = next(batches).column(0)
         else:
-            batches = stream_blocks(db.txn_manager, info.table)
+            batches = walk_batches(db.txn_manager, info.table)
             ids = next(batches).column("id").to_numpy()
         assert ids[0] == 0
         updated = threading.Event()
@@ -213,7 +223,7 @@ class TestOneSnapshotPerWalk:
             batches = TableScanner(db.txn_manager, info.table, column_ids=[0]).batches()
             ids = lambda batch: batch.pylist(0)  # noqa: E731
         else:
-            batches = stream_blocks(db.txn_manager, info.table)
+            batches = walk_batches(db.txn_manager, info.table)
             ids = lambda batch: batch.column("id").to_numpy().tolist()  # noqa: E731
         seen = ids(next(batches))  # the first frozen block: the walk is open
         blocks_before = len(info.table.blocks)

@@ -1,17 +1,12 @@
-"""Tests for undo/redo buffers and their segment accounting."""
+"""Tests for the order of a transaction's undo and redo records."""
 
 import pytest
 
 from repro.arrowfmt.datatypes import INT64, UTF8
-from repro.errors import StorageError
 from repro.storage.block_store import BlockStore
 from repro.storage.data_table import DataTable
 from repro.storage.layout import BlockLayout, ColumnSpec
-from repro.storage.projection import ProjectedRow
-from repro.storage.tuple_slot import TupleSlot
 from repro.txn.manager import TransactionManager
-from repro.txn.redo import CommitRecord, RedoBuffer, RedoRecord
-from repro.txn.undo import UNDO_SEGMENT_SIZE, UndoBuffer, UpdateUndoRecord
 
 
 @pytest.fixture
@@ -25,91 +20,25 @@ def tm():
     return TransactionManager()
 
 
-def make_update_record(tm, table):
-    txn = tm.begin()
-    slot = table.insert(txn, {0: 1, 1: "x"})
-    tm.commit(txn)
-    txn2 = tm.begin()
-    record = UpdateUndoRecord(
-        txn2, table, slot, ProjectedRow({0: 1}), {}
-    )
-    return txn2, record
-
-
 class TestUndoBuffer:
-    def test_segments_grow_incrementally(self, tm, table):
-        txn, record = make_update_record(tm, table)
-        buffer = UndoBuffer()
-        per_segment = UNDO_SEGMENT_SIZE // record.modeled_size()
-        for _ in range(per_segment + 1):
-            buffer.append(record)
-        assert buffer.segment_count == 2
-
-    def test_first_append_creates_segment(self, tm, table):
-        txn, record = make_update_record(tm, table)
-        buffer = UndoBuffer()
-        assert buffer.segment_count == 0
-        buffer.append(record)
-        assert buffer.segment_count == 1
-
     def test_reverse_iter_is_newest_first(self, tm, table):
         txn = tm.begin()
         slots = [table.insert(txn, {0: i, 1: "v"}) for i in range(3)]
         records = list(txn.undo_buffer)
         assert [r.slot for r in records] == slots
-        assert [r.slot for r in txn.undo_buffer.reverse_iter()] == slots[::-1]
-
-    def test_modeled_bytes_accumulate(self, tm, table):
-        txn, record = make_update_record(tm, table)
-        buffer = UndoBuffer()
-        buffer.append(record)
-        buffer.append(record)
-        assert buffer.modeled_bytes() == 2 * record.modeled_size()
-
-    def test_tiny_segment_rejected(self):
-        with pytest.raises(StorageError):
-            UndoBuffer(segment_size=8)
-
-    def test_update_record_size_scales_with_columns(self, tm, table):
-        txn = tm.begin()
-        slot = table.insert(txn, {0: 1, 1: "x"})
-        narrow = UpdateUndoRecord(txn, table, slot, ProjectedRow({0: 1}), {})
-        wide = UpdateUndoRecord(
-            txn, table, slot, ProjectedRow({0: 1, 1: "x"}), {}
-        )
-        assert wide.modeled_size() > narrow.modeled_size()
+        assert [r.slot for r in reversed(txn.undo_buffer)] == slots[::-1]
 
 
 class TestRedoBuffer:
-    def test_records_kept_in_order(self):
-        buffer = RedoBuffer()
-        for i in range(3):
-            buffer.append(
-                RedoRecord("t", TupleSlot(0, i), RedoRecord.INSERT, ProjectedRow({0: i}))
-            )
-        assert [r.slot.offset for r in buffer] == [0, 1, 2]
-
-    def test_incremental_flush_when_segment_full(self):
-        buffer = RedoBuffer(segment_size=64)
-        big_row = ProjectedRow({0: "x" * 40})
-        for _ in range(3):
-            buffer.append(RedoRecord("t", TupleSlot(0, 0), RedoRecord.UPDATE, big_row))
-        assert buffer.flushed_segments >= 1
-
-    def test_commit_record_sealing(self):
-        buffer = RedoBuffer()
-        buffer.seal(CommitRecord(42, None, is_read_only=False))
-        assert buffer.commit_record.commit_ts == 42
-        assert buffer.modeled_bytes() == 16
-
-    def test_read_only_commit_record_costs_nothing(self):
-        assert CommitRecord(1, None, is_read_only=True).modeled_size() == 0
-
-    def test_varlen_payload_sizing(self):
-        short = RedoRecord("t", TupleSlot(0, 0), RedoRecord.UPDATE, ProjectedRow({0: "ab"}))
-        long = RedoRecord("t", TupleSlot(0, 0), RedoRecord.UPDATE, ProjectedRow({0: "ab" * 50}))
-        assert long.modeled_size() > short.modeled_size()
-
-    def test_delete_record_has_header_only(self):
-        record = RedoRecord("t", TupleSlot(0, 0), RedoRecord.DELETE, None)
-        assert record.modeled_size() == 24
+    def test_records_kept_in_order(self, tm, table):
+        txn = tm.begin()
+        slots = [table.insert(txn, {0: i, 1: "v"}) for i in range(3)]
+        table.update(txn, slots[1], {1: "w"})
+        table.delete(txn, slots[0])
+        assert [(r.op, r.slot) for r in txn.redo_buffer] == [
+            ("insert", slots[0]),
+            ("insert", slots[1]),
+            ("insert", slots[2]),
+            ("update", slots[1]),
+            ("delete", slots[0]),
+        ]

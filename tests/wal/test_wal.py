@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro import Database
-from repro.arrowfmt.datatypes import FLOAT64, INT64, UINT64, UTF8
+from repro.arrowfmt.datatypes import BINARY, FLOAT64, INT64, UINT64, UTF8
 from repro.errors import RecoveryError
 from repro.storage.block_store import BlockStore
 from repro.storage.data_table import DataTable
@@ -235,3 +235,43 @@ class TestUnsignedValues:
         reader = fresh.begin()
         rows = sorted(row.to_dict()[1] for _, row in fresh.catalog.table("u").scan(reader))
         assert rows == [7, 2**63, 2**64 - 1]
+
+
+class TestUnloggableValues:
+    """Storage takes values the log cannot encode.  The write that carries
+    one fails inside the caller's transaction, before any commit timestamp
+    is drawn, so the log stays writable and recovers exactly the good rows."""
+
+    COLUMNS = [ColumnSpec("id", INT64), ColumnSpec("f", FLOAT64), ColumnSpec("b", BINARY)]
+
+    @pytest.mark.parametrize("write", ["insert", "update", "place"])
+    @pytest.mark.parametrize(
+        "column, value, error",
+        [(1, 10**30, OverflowError), (2, bytearray(b"x"), RecoveryError)],
+        ids=["int-past-64-bits", "bytearray"],
+    )
+    def test_rejected_before_the_commit_stamp(self, write, column, value, error):
+        db = Database()
+        table = db.create_table("t", self.COLUMNS).table
+        with db.transaction() as txn:
+            slot = table.insert(txn, {0: 1, 1: 1.5, 2: b"a"})
+        bad = {0: 2, 1: 2.5, 2: b"b", column: value}
+        with pytest.raises(error, match="cannot log"):
+            with db.transaction() as txn:
+                if write == "insert":
+                    table.insert(txn, bad)
+                elif write == "update":
+                    table.update(txn, slot, {column: value})
+                else:
+                    table.place(txn, [bad])
+        with db.transaction() as txn:
+            table.insert(txn, {0: 3, 1: 3.5, 2: b"c"})
+        assert db.log_manager.flush() == 0  # nothing left queued
+        assert txn.is_durable
+
+        fresh = Database()
+        fresh.create_table("t", self.COLUMNS)
+        assert fresh.recover_from(db.log_contents()) == 2
+        reader = fresh.begin()
+        rows = sorted(tuple(row.to_dict().values()) for _, row in fresh.catalog.table("t").scan(reader))
+        assert rows == [(1, 1.5, b"a"), (3, 3.5, b"c")]
