@@ -72,8 +72,6 @@ def test_counts_track_engine_activity():
     m = db.metrics()
     assert m["tables"] == 1
     assert m["live_tuples"] == rows
-    assert m["blocks_live"] >= 1
-    assert set(m["block_states"]) == {"HOT", "COOLING", "FREEZING", "FROZEN"}
     assert m["txns_active"] == 0
     assert m["wal_bytes_written"] == db.log_manager.bytes_written > 0
     assert m["wal_flushes"] == db.log_manager.flush_count >= 1
@@ -86,6 +84,24 @@ def test_counts_track_engine_activity():
     m = db.metrics()
     assert m["transform_blocks_frozen"] == db.transformer.stats.blocks_frozen > 0
     assert m["gc_records_unlinked"] == db.gc.stats.records_unlinked
+
+
+def test_metrics_snapshot_keys():
+    db, info = _make_db(logging_enabled=False, cold_threshold_epochs=1)
+    rows = info.table.layout.num_slots * 2  # several blocks so some can freeze
+    with db.transaction() as txn:
+        for i in range(rows):
+            info.table.insert(txn, {0: i, 1: f"row-{i}"})
+    db.freeze_table("t")
+    with db.transaction() as txn:
+        info.table.insert(txn, {0: rows, 1: "x"})
+    m = db.metrics()
+    assert m["tables"] == 1
+    assert m["live_tuples"] == rows + 1
+    assert m["blocks_live"] >= 1
+    assert m["transform_blocks_frozen"] >= 1
+    assert m["wal_bytes_written"] == 0  # logging disabled
+    assert set(m["block_states"]) == {"HOT", "COOLING", "FREEZING", "FROZEN"}
 
 
 def test_quiesce_leaves_nothing_pending_gc():
