@@ -6,11 +6,18 @@ the paper's storage engine relies on:
 - 8-byte aligned buffers and validity bitmaps (:mod:`repro.arrowfmt.buffer`),
 - the logical type system (:mod:`repro.arrowfmt.datatypes`),
 - fixed-size, variable-length binary, and dictionary-encoded arrays
-  (:mod:`repro.arrowfmt.array`),
-- incremental builders (:mod:`repro.arrowfmt.builder`),
-- record batches and tables (:mod:`repro.arrowfmt.table`), and
+  (:mod:`repro.arrowfmt.array`): the buffers of a frozen block,
+- fixed-size and varbinary builders (:mod:`repro.arrowfmt.builder`) for
+  materialized hot blocks and checkpoints,
+- record batches and tables (:mod:`repro.arrowfmt.table`),
+- structural validation (:mod:`repro.arrowfmt.validate`) behind
+  ``verify_integrity``, and
 - a binary IPC stream encoding (:mod:`repro.arrowfmt.ipc`) used by the
-  export layer to ship data with no per-value serialization.
+  export layer and checkpoints to ship data with no per-value
+  serialization.
+
+That is all the engine writes, ships and lands; slicing, reshaping and a
+random-access file format are left to real Arrow libraries.
 
 It deliberately does **not** depend on ``pyarrow``: implementing the format
 is part of reproducing the paper, whose storage blocks *are* Arrow buffers.
@@ -38,12 +45,7 @@ from repro.arrowfmt.datatypes import (
     VarBinaryType,
 )
 from repro.arrowfmt.array import Array, DictionaryArray, FixedSizeArray, VarBinaryArray
-from repro.arrowfmt.builder import (
-    DictionaryBuilder,
-    FixedSizeBuilder,
-    VarBinaryBuilder,
-    array_from_pylist,
-)
+from repro.arrowfmt.builder import FixedSizeBuilder, VarBinaryBuilder
 from repro.arrowfmt.table import RecordBatch, Table
 from repro.arrowfmt.ipc import read_table, write_table
 
@@ -54,7 +56,6 @@ __all__ = [
     "Buffer",
     "DataType",
     "DictionaryArray",
-    "DictionaryBuilder",
     "DictionaryType",
     "Field",
     "FixedSizeArray",
@@ -77,7 +78,6 @@ __all__ = [
     "VarBinaryArray",
     "VarBinaryBuilder",
     "VarBinaryType",
-    "array_from_pylist",
     "read_table",
     "write_table",
 ]

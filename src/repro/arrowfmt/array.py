@@ -8,7 +8,7 @@ transformation pipeline emits these canonical arrays for cold data.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -268,48 +268,6 @@ class DictionaryArray(Array):
         return self.dictionary[code]
 
 
-class SlicedArray(Array):
-    """A zero-copy window ``[offset, offset + length)`` over another array.
-
-    Arrow slices share buffers with their parent; only the logical bounds
-    change.  Used by readers that want a row range without materializing.
-    """
-
-    def __init__(self, parent: Array, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > parent.length:
-            raise ArrowFormatError(
-                f"slice [{offset}, {offset + length}) out of bounds for "
-                f"array of length {parent.length}"
-            )
-        self.parent = parent
-        self.dtype = parent.dtype
-        self.offset = offset
-        self.length = length
-        self.validity = None  # validity is consulted through the parent
-
-    def is_valid(self, i: int) -> bool:
-        self._check(i)
-        return self.parent.is_valid(self.offset + i)
-
-    @property
-    def null_count(self) -> int:
-        return sum(1 for i in range(self.length) if not self.is_valid(i))
-
-    def buffers(self) -> list[Buffer | None]:
-        return self.parent.buffers()
-
-    def __getitem__(self, i: int):
-        self._check(i)
-        return self.parent[self.offset + i]
-
-
-def slice_array(array: Array, offset: int, length: int) -> SlicedArray:
-    """Zero-copy slice of any array (flattens nested slices)."""
-    if isinstance(array, SlicedArray):
-        return SlicedArray(array.parent, array.offset + offset, length)
-    return SlicedArray(array, offset, length)
-
-
 def total_buffer_bytes(array: Array) -> int:
     """Sum of the physical buffer sizes backing ``array``.
 
@@ -317,19 +275,3 @@ def total_buffer_bytes(array: Array) -> int:
     zero-copy protocols.
     """
     return sum(b.size for b in array.buffers() if b is not None)
-
-
-def concat_varbinary(arrays: Sequence[VarBinaryArray]) -> VarBinaryArray:
-    """Concatenate several varbinary arrays into one canonical array."""
-    if not arrays:
-        raise ArrowFormatError("cannot concatenate zero arrays")
-    dtype = arrays[0].dtype
-    if any(a.dtype != dtype for a in arrays):
-        raise ArrowFormatError("mismatched dtypes in concatenation")
-    from repro.arrowfmt.builder import VarBinaryBuilder
-
-    builder = VarBinaryBuilder(dtype)
-    for array in arrays:
-        for i in range(array.length):
-            builder.append(array.value_bytes(i))
-    return builder.finish()

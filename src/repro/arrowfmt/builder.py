@@ -7,22 +7,13 @@ phase uses these to produce the contiguous varlen buffers Arrow requires.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
-from repro.arrowfmt.array import DictionaryArray, FixedSizeArray, VarBinaryArray
+from repro.arrowfmt.array import FixedSizeArray, VarBinaryArray
 from repro.arrowfmt.buffer import Bitmap, Buffer
-from repro.arrowfmt.datatypes import (
-    BOOL,
-    DataType,
-    DictionaryType,
-    FixedWidthType,
-    INT32,
-    UTF8,
-    VarBinaryType,
-)
-from repro.errors import ArrowFormatError
+from repro.arrowfmt.datatypes import UTF8, FixedWidthType, VarBinaryType
 
 
 class FixedSizeBuilder:
@@ -106,62 +97,3 @@ class VarBinaryBuilder:
         )
         self._chunks, self._lengths, self._valid = [], [], []
         return array
-
-
-class DictionaryBuilder:
-    """Builds a :class:`DictionaryArray` with a sorted dictionary.
-
-    The paper's dictionary-compression gather sorts the distinct values
-    (Section 4.4) so that codes are order-preserving; we do the same.
-    """
-
-    def __init__(self, value_type: VarBinaryType = UTF8) -> None:
-        self.dtype = DictionaryType(INT32, value_type)
-        self._values: list[bytes | None] = []
-
-    def append(self, value: str | bytes | None) -> "DictionaryBuilder":
-        """Append a value, or ``None`` for null."""
-        if value is None:
-            self._values.append(None)
-        else:
-            self._values.append(
-                value.encode("utf-8") if isinstance(value, str) else bytes(value)
-            )
-        return self
-
-    def extend(self, values: Iterable[str | bytes | None]) -> "DictionaryBuilder":
-        """Append many values."""
-        for value in values:
-            self.append(value)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def finish(self) -> DictionaryArray:
-        """Sort distinct values, assign codes, and emit the array."""
-        distinct = sorted({v for v in self._values if v is not None})
-        code_of = {v: i for i, v in enumerate(distinct)}
-        codes = np.array(
-            [code_of.get(v, 0) for v in self._values], dtype=np.int32
-        )
-        valid = np.array([v is not None for v in self._values], dtype=bool)
-        validity = None if valid.all() else Bitmap.from_numpy(valid)
-        dictionary = VarBinaryBuilder(self.dtype.value_type).extend(distinct).finish()
-        code_array = FixedSizeArray(INT32, len(codes), Buffer.from_numpy(codes), validity)
-        array = DictionaryArray(self.dtype, code_array, dictionary, validity)
-        self._values = []
-        return array
-
-
-def array_from_pylist(values: Sequence[Any], dtype: DataType) -> "FixedSizeArray | VarBinaryArray | DictionaryArray":
-    """Convenience constructor: build an array of ``dtype`` from a list."""
-    if isinstance(dtype, FixedWidthType):
-        return FixedSizeBuilder(dtype).extend(values).finish()
-    if isinstance(dtype, VarBinaryType):
-        return VarBinaryBuilder(dtype).extend(values).finish()
-    if isinstance(dtype, DictionaryType):
-        if not isinstance(dtype.value_type, VarBinaryType):
-            raise ArrowFormatError("only varbinary dictionaries are supported")
-        return DictionaryBuilder(dtype.value_type).extend(values).finish()
-    raise ArrowFormatError(f"cannot build arrays of type {dtype!r}")

@@ -37,6 +37,10 @@ class DataType:
     def __repr__(self) -> str:
         return self.name
 
+    def to_json(self) -> dict:
+        """Serializable description used by the IPC schema header."""
+        raise ArrowFormatError(f"type {self!r} has no IPC form")
+
 
 class FixedWidthType(DataType):
     """A type whose values occupy a fixed number of bytes."""
@@ -97,7 +101,10 @@ class VarBinaryType(DataType):
 
 
 class DictionaryType(DataType):
-    """Dictionary encoding: integer codes referencing a value dictionary."""
+    """Dictionary encoding: integer codes referencing a value dictionary.
+
+    The type of a dictionary-frozen block's varlen columns in memory; it
+    has no IPC form, because exports decode those columns first."""
 
     def __init__(self, index_type: FixedWidthType, value_type: DataType) -> None:
         if not isinstance(index_type, FixedWidthType):
@@ -105,13 +112,6 @@ class DictionaryType(DataType):
         self.name = f"dictionary<{index_type.name}, {value_type.name}>"
         self.index_type = index_type
         self.value_type = value_type
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "dictionary",
-            "index": self.index_type.to_json(),
-            "value": self.value_type.to_json(),
-        }
 
 
 INT8 = FixedWidthType("int8", 1, "int8")
@@ -148,12 +148,6 @@ def type_from_json(spec: dict) -> DataType:
             raise ArrowFormatError(f"unknown type name {spec['name']!r}") from None
     if kind == "fixed_binary":
         return FixedBinaryType(spec["width"])
-    if kind == "dictionary":
-        index = type_from_json(spec["index"])
-        value = type_from_json(spec["value"])
-        if not isinstance(index, FixedWidthType):
-            raise ArrowFormatError("dictionary index must be fixed-width")
-        return DictionaryType(index, value)
     raise ArrowFormatError(f"unknown type kind {kind!r}")
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.arrowfmt.array import Array, total_buffer_bytes
 from repro.arrowfmt.datatypes import Schema
@@ -47,10 +47,6 @@ class RecordBatch:
         """Total physical buffer bytes across all columns."""
         return sum(total_buffer_bytes(c) for c in self.columns)
 
-    def row(self, i: int) -> tuple:
-        """Materialize row ``i`` as a tuple (used by row-wire protocols)."""
-        return tuple(c[i] for c in self.columns)
-
     def to_pydict(self) -> dict[str, list]:
         """Materialize as ``{column name: list of values}``."""
         return {
@@ -75,27 +71,10 @@ class Table:
         self.schema = schema
         self.batches = list(batches)
 
-    @classmethod
-    def from_batches(cls, batches: Sequence[RecordBatch]) -> "Table":
-        """Build a table from a non-empty batch list."""
-        if not batches:
-            raise ArrowFormatError("need at least one batch")
-        return cls(batches[0].schema, batches)
-
     @property
     def num_rows(self) -> int:
         """Total rows across batches."""
         return sum(b.num_rows for b in self.batches)
-
-    def nbytes(self) -> int:
-        """Total physical buffer bytes across batches."""
-        return sum(b.nbytes() for b in self.batches)
-
-    def append_batch(self, batch: RecordBatch) -> None:
-        """Add a batch, validating its schema."""
-        if batch.schema != self.schema:
-            raise ArrowFormatError("batch schema does not match table schema")
-        self.batches.append(batch)
 
     def column_values(self, name: str) -> list:
         """All values of one column, concatenated across batches."""
@@ -104,67 +83,9 @@ class Table:
             values.extend(batch.column(name).to_pylist())
         return values
 
-    def iter_rows(self) -> Iterator[tuple]:
-        """Yield every row as a tuple, batch by batch."""
-        for batch in self.batches:
-            for i in range(batch.num_rows):
-                yield batch.row(i)
-
     def to_pydict(self) -> dict[str, list]:
         """Materialize the whole table as a column dict."""
         return {name: self.column_values(name) for name in self.schema.names}
-
-    def select(self, column_names: Sequence[str]) -> "Table":
-        """Zero-copy projection onto a subset of columns."""
-        indices = [self.schema.index_of(name) for name in column_names]
-        schema = Schema([self.schema.fields[i] for i in indices])
-        batches = [
-            RecordBatch(schema, [batch.columns[i] for i in indices])
-            for batch in self.batches
-        ]
-        return Table(schema, batches)
-
-    def slice(self, offset: int, length: int) -> "Table":
-        """Zero-copy row window ``[offset, offset + length)`` across batches."""
-        from repro.arrowfmt.array import slice_array
-
-        if offset < 0 or length < 0 or offset + length > self.num_rows:
-            raise ArrowFormatError(
-                f"slice [{offset}, {offset + length}) out of bounds for "
-                f"{self.num_rows} rows"
-            )
-        batches = []
-        remaining = length
-        cursor = offset
-        for batch in self.batches:
-            if remaining == 0:
-                break
-            if cursor >= batch.num_rows:
-                cursor -= batch.num_rows
-                continue
-            take = min(batch.num_rows - cursor, remaining)
-            batches.append(
-                RecordBatch(
-                    self.schema,
-                    [slice_array(c, cursor, take) for c in batch.columns],
-                )
-            )
-            remaining -= take
-            cursor = 0
-        return Table(self.schema, batches)
-
-    @staticmethod
-    def concat(tables: Sequence["Table"]) -> "Table":
-        """Concatenate tables of identical schema (batches are shared)."""
-        if not tables:
-            raise ArrowFormatError("cannot concatenate zero tables")
-        schema = tables[0].schema
-        batches = []
-        for table in tables:
-            if table.schema != schema:
-                raise ArrowFormatError("mismatched schemas in concat")
-            batches.extend(table.batches)
-        return Table(schema, batches)
 
     def __len__(self) -> int:
         return self.num_rows

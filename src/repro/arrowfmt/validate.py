@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arrowfmt.array import (
-    Array,
-    DictionaryArray,
-    FixedSizeArray,
-    SlicedArray,
-    VarBinaryArray,
-)
-from repro.arrowfmt.table import RecordBatch, Table
+from repro.arrowfmt.array import Array, DictionaryArray, FixedSizeArray, VarBinaryArray
+from repro.arrowfmt.table import RecordBatch
 from repro.errors import ArrowFormatError
 
 
@@ -31,9 +25,6 @@ def validate_array(array: Array) -> None:
             f"validity bitmap ({array.validity.length} bits) shorter than "
             f"array ({array.length})"
         )
-    if isinstance(array, SlicedArray):
-        validate_array(array.parent)
-        return
     if isinstance(array, FixedSizeArray):
         needed = array.length * array.dtype.byte_width
         if array.values.size < needed:
@@ -85,11 +76,3 @@ def validate_batch(batch: RecordBatch) -> None:
         validate_array(column)
         if not field.nullable and column.null_count:
             raise ArrowFormatError(f"nulls in non-nullable column {field.name!r}")
-
-
-def validate_table(table: Table) -> None:
-    """Validate every batch of a table."""
-    for batch in table.batches:
-        if batch.schema != table.schema:
-            raise ArrowFormatError("batch schema drifted from table schema")
-        validate_batch(batch)

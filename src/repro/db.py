@@ -49,7 +49,6 @@ class Database:
         cold_threshold_epochs: int = 1,
         compaction_group_size: int = 50,
         cold_format: Literal["gather", "dictionary"] = "gather",
-        optimal_compaction: bool = False,
         obs_registry: MetricRegistry | None = None,
         recorder: Recorder | None = None,
         slow_txn_threshold: float | None = None,
@@ -105,7 +104,6 @@ class Database:
             self.access_observer,
             compaction_group_size=compaction_group_size,
             cold_format=cold_format,
-            optimal_compaction=optimal_compaction,
             registry=self.obs,
             recorder=self.recorder,
         )

@@ -1,19 +1,18 @@
 """A minimal columnar DataFrame: the landing zone of Figure 1's pipeline.
 
 The paper's motivation experiment ends with data "loaded into a Pandas
-program".  This module is that destination, self-contained: a column-
-oriented frame constructed zero-copy from an exported Arrow table, with
-the handful of operations the analytics scripts in ``examples/`` need —
-selection, filtering, sorting, summary statistics, CSV round-trip.
+program".  This module is that destination, self-contained: named columns
+of equal length, built from Python rows (the CSV and row-wire paths) or
+zero-copy from an exported Arrow table (``from_arrow``), which is all
+Figure 1 (``benchmarks/bench_fig01_transform_cost.py``) measures.
 
 It is deliberately not Pandas; it demonstrates that once data is Arrow,
-a useful dataframe is a thin veneer over the buffers.
+landing it in a dataframe is a thin veneer over the buffers.
 """
 
 from __future__ import annotations
 
-import io
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -52,10 +51,6 @@ class DataFrame:
             return np.array(values)
         return values
 
-    # ------------------------------------------------------------------ #
-    # construction                                                        #
-    # ------------------------------------------------------------------ #
-
     @classmethod
     def from_arrow(cls, table: "Table") -> "DataFrame":
         """Build from an exported Arrow table.
@@ -87,15 +82,6 @@ class DataFrame:
                 columns[field.name] = values
         return cls(columns)
 
-    # ------------------------------------------------------------------ #
-    # access                                                              #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def column_names(self) -> list[str]:
-        """Column names in insertion order."""
-        return list(self._columns)
-
     def __getitem__(self, name: str) -> Any:
         try:
             return self._columns[name]
@@ -104,120 +90,3 @@ class DataFrame:
 
     def __len__(self) -> int:
         return self.num_rows
-
-    def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Yield rows as name-keyed dicts."""
-        names = self.column_names
-        vectors = [self._columns[n] for n in names]
-        for i in range(self.num_rows):
-            yield {
-                n: (v[i].item() if isinstance(v, np.ndarray) else v[i])
-                for n, v in zip(names, vectors)
-            }
-
-    # ------------------------------------------------------------------ #
-    # transformation                                                      #
-    # ------------------------------------------------------------------ #
-
-    def select(self, names: Sequence[str]) -> "DataFrame":
-        """Column projection (shares vectors)."""
-        return DataFrame({n: self[n] for n in names})
-
-    def head(self, n: int = 5) -> "DataFrame":
-        """The first ``n`` rows."""
-        return self._take(slice(0, n))
-
-    def filter(self, name: str, predicate: Callable[[Any], Any]) -> "DataFrame":
-        """Rows where ``predicate(column value)`` holds.
-
-        numpy columns receive the whole vector (return a boolean array);
-        list columns are filtered per value.
-        """
-        vector = self[name]
-        if isinstance(vector, np.ndarray):
-            mask = np.asarray(predicate(vector), dtype=bool)
-            if mask.shape != vector.shape:
-                raise FrameError("vectorized predicate must return one bool per row")
-        else:
-            mask = np.array(
-                [v is not None and bool(predicate(v)) for v in vector], dtype=bool
-            )
-        return self._take(mask)
-
-    def sort_values(self, name: str, descending: bool = False) -> "DataFrame":
-        """Rows reordered by one column (nulls last)."""
-        vector = self[name]
-        if isinstance(vector, np.ndarray):
-            order = np.argsort(vector, kind="stable")
-        else:
-            keyed = sorted(
-                range(self.num_rows),
-                key=lambda i: (vector[i] is None, vector[i] if vector[i] is not None else ""),
-            )
-            order = np.array(keyed, dtype=np.int64)
-        if descending:
-            order = order[::-1]
-        return self._take(order)
-
-    def _take(self, selector) -> "DataFrame":
-        out: dict[str, Any] = {}
-        for name, vector in self._columns.items():
-            if isinstance(vector, np.ndarray):
-                out[name] = vector[selector]
-            elif isinstance(selector, slice):
-                out[name] = vector[selector]
-            else:
-                indices = np.arange(self.num_rows)[selector] if (
-                    isinstance(selector, np.ndarray) and selector.dtype == bool
-                ) else selector
-                out[name] = [vector[int(i)] for i in indices]
-        return DataFrame(out)
-
-    # ------------------------------------------------------------------ #
-    # summarization                                                       #
-    # ------------------------------------------------------------------ #
-
-    def describe(self) -> dict[str, dict[str, float]]:
-        """count / mean / min / max for each numeric column."""
-        stats: dict[str, dict[str, float]] = {}
-        for name, vector in self._columns.items():
-            if isinstance(vector, np.ndarray) and vector.dtype.kind in "iuf":
-                if len(vector):
-                    stats[name] = {
-                        "count": float(len(vector)),
-                        "mean": float(vector.mean()),
-                        "min": float(vector.min()),
-                        "max": float(vector.max()),
-                    }
-                else:
-                    stats[name] = {"count": 0.0, "mean": float("nan"),
-                                   "min": float("nan"), "max": float("nan")}
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # interchange                                                         #
-    # ------------------------------------------------------------------ #
-
-    def to_csv(self, separator: str = ",") -> str:
-        """Serialize with a header row; ``None`` becomes empty."""
-        out = io.StringIO()
-        names = self.column_names
-        out.write(separator.join(names) + "\n")
-        for row in self.iter_rows():
-            out.write(
-                separator.join(
-                    "" if row[n] is None else str(row[n]) for n in names
-                )
-                + "\n"
-            )
-        return out.getvalue()
-
-    def to_dict(self) -> dict[str, list]:
-        """Plain lists per column."""
-        return {
-            n: (v.tolist() if isinstance(v, np.ndarray) else list(v))
-            for n, v in self._columns.items()
-        }
-
-    def __repr__(self) -> str:
-        return f"DataFrame(rows={self.num_rows}, columns={self.column_names})"

@@ -10,9 +10,11 @@ in what order, around this incident?*
 The same off-critical-path principle as the metric registry applies
 (Section 4.2's ride-along idea): the hot-path ``record`` call appends to a
 **thread-local buffer** (no lock), and buffers spill into the shared ring
-only every ``local_buffer`` events.  The ring is bounded and drops oldest
-under pressure; every eviction is counted in ``obs.events_dropped_total``
-so a scrape can tell how much history the journal actually holds.  With
+only every ``local_buffer`` events.  A thread that exits with a partly
+filled buffer has it folded into the ring by the next spill or read.  The
+ring is bounded and drops oldest under pressure; every eviction is counted
+in ``obs.events_dropped_total`` so a scrape can tell how much history the
+journal actually holds.  With
 ``obs.configure(enabled=False)`` the whole path is one attribute load and
 a branch.
 
@@ -125,13 +127,15 @@ class _LocalBuffer:
     """Per-thread staging list, registered with its owning recorder.
 
     The owning thread's name is cached here so the hot path skips the
-    ``threading.current_thread()`` lookup on every event."""
+    ``threading.current_thread()`` lookup on every event; the thread itself
+    is kept so the recorder can tell when the owner has exited."""
 
-    __slots__ = ("events", "thread_name")
+    __slots__ = ("events", "thread", "thread_name")
 
     def __init__(self) -> None:
         self.events: list[Event] = []
-        self.thread_name = threading.current_thread().name
+        self.thread = threading.current_thread()
+        self.thread_name = self.thread.name
 
 
 class Recorder:
@@ -139,11 +143,14 @@ class Recorder:
 
     The write path is lock-free: each thread owns a staging list and only
     takes the ring lock when the list reaches ``local_buffer`` entries.
-    Readers merge the ring with every thread's staging list (buffers are
-    cleared only by their owner, so reads never lose events) and sort by
-    the global sequence number.  When a spill would overflow ``capacity``,
-    the oldest ring entries are evicted and counted in
-    ``obs.events_dropped_total``.
+    Readers merge the ring with every live thread's staging list (a live
+    buffer is cleared only by its owner, so reads never lose events) and
+    sort by the global sequence number.  Under the ring lock, every spill
+    and read first folds the staging lists of threads that have exited
+    into the ring and forgets their buffers, so short-lived threads stay
+    inside ``capacity`` and are not tracked forever.  When a fold would
+    overflow ``capacity``, the oldest ring entries are evicted and counted
+    in ``obs.events_dropped_total``.
     """
 
     def __init__(
@@ -244,21 +251,36 @@ class Recorder:
     def _spill(self, buf: _LocalBuffer) -> None:
         """Move a thread's staged events into the ring (owner thread only)."""
         with self._lock:
-            staged = buf.events
-            if not staged:
-                return
-            ring = self._ring
-            overflow = len(ring) + len(staged) - self.capacity
-            if overflow > 0:
-                evict = min(overflow, len(ring))
-                for _ in range(evict):
-                    ring.popleft()
-                dropped = overflow  # staged beyond capacity also never land
-                if len(staged) > self.capacity:
-                    staged = staged[-self.capacity:]
-                self._dropped_counter().inc(dropped)
-            ring.extend(staged)
-            buf.events.clear()
+            self._fold_exited()
+            self._fold(buf)
+
+    def _fold(self, buf: _LocalBuffer) -> None:
+        """Append ``buf``'s events to the ring, evicting the oldest beyond
+        ``capacity`` (caller holds ``_lock``; ``buf``'s owner is this
+        thread or has exited)."""
+        staged = buf.events
+        if not staged:
+            return
+        ring = self._ring
+        overflow = len(ring) + len(staged) - self.capacity
+        if overflow > 0:
+            evict = min(overflow, len(ring))
+            for _ in range(evict):
+                ring.popleft()
+            dropped = overflow  # staged beyond capacity also never land
+            if len(staged) > self.capacity:
+                staged = staged[-self.capacity:]
+            self._dropped_counter().inc(dropped)
+        ring.extend(staged)
+        buf.events.clear()
+
+    def _fold_exited(self) -> None:
+        """Fold and forget the buffers of threads that have exited (caller
+        holds ``_lock``)."""
+        exited = [buf for buf in self._buffers if not buf.thread.is_alive()]
+        for buf in exited:
+            self._fold(buf)
+            self._buffers.remove(buf)
 
     def _dropped_counter(self) -> Counter:
         if self._m_dropped is None:
@@ -297,6 +319,7 @@ class Recorder:
         ``limit`` keeps the *newest* matches.  Filters compose (AND).
         """
         with self._lock:
+            self._fold_exited()
             merged = list(self._ring)
             for buf in self._buffers:
                 merged.extend(list(buf.events))
@@ -317,6 +340,7 @@ class Recorder:
 
     def __len__(self) -> int:
         with self._lock:
+            self._fold_exited()
             return len(self._ring) + sum(len(b.events) for b in self._buffers)
 
     def __iter__(self) -> Iterator[Event]:

@@ -33,12 +33,7 @@ from repro.storage.constants import BlockState
 from repro.storage.data_table import DataTable, rowwise_scan
 from repro.transform.access_observer import AccessObserver
 from repro.transform.arrow_view import frozen_batch, rows_to_record_batch
-from repro.transform.compaction import (
-    CompactionPlan,
-    execute_compaction,
-    plan_compaction,
-    plan_compaction_optimal,
-)
+from repro.transform.compaction import CompactionPlan, execute_compaction, plan_compaction
 from repro.transform.dictionary import dictionary_compress_block
 from repro.transform.gather import gather_block
 
@@ -83,7 +78,6 @@ class BlockTransformer:
         observer: AccessObserver,
         compaction_group_size: int = 50,
         cold_format: Literal["gather", "dictionary"] = "gather",
-        optimal_compaction: bool = False,
         group_policy=None,
         registry: MetricRegistry | None = None,
         recorder: Recorder | None = None,
@@ -101,7 +95,6 @@ class BlockTransformer:
             group_policy = FixedGroupPolicy(compaction_group_size)
         self.group_policy = group_policy
         self.cold_format = cold_format
-        self.optimal_compaction = optimal_compaction
         self.stats = TransformStats()
         self._stats_lock = threading.Lock()
         #: (table, block) pairs compacted and awaiting the freeze attempt.
@@ -172,10 +165,9 @@ class BlockTransformer:
         with self._stats_lock:
             self.stats.groups_attempted += 1
         blocks = [b for b in blocks if b.state is BlockState.HOT]
-        planner = plan_compaction_optimal if self.optimal_compaction else plan_compaction
         began = time.perf_counter()
         with trace.span("transform.compaction"):
-            plan = planner(blocks) if blocks else CompactionPlan(blocks=[])
+            plan = plan_compaction(blocks) if blocks else CompactionPlan(blocks=[])
             if not blocks:
                 return GroupResult(plan, compacted=False)
             txn = execute_compaction(self.txn_manager, table, plan)

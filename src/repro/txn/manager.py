@@ -114,14 +114,7 @@ class TransactionManager:
                 f"{self._degraded_reason}"
             )
         began = perf_counter() if STATE.enabled else 0.0
-        with self._lock:
-            commit_ts = self.timestamps.commit_timestamp()
-            for record in txn.undo_buffer:
-                record.timestamp = commit_ts
-            txn.commit_ts = commit_ts
-            txn.state = TxnState.COMMITTED
-            del self._active[txn.start_ts]
-            self._completed.append((commit_ts, txn))
+        commit_ts = self._stamp_commit(txn)
         if callback is not None:
             txn.on_durable(callback)
         if self.log_manager is not None:
@@ -132,17 +125,7 @@ class TransactionManager:
             # No durability requested: results are immediately publishable.
             txn.signal_durable()
         if began:
-            self._m_commit_total.inc()
-            self._m_commit_seconds.observe(perf_counter() - began)
-            lifetime = perf_counter() - txn.began_at if txn.began_at else 0.0
-            self.recorder.record(
-                "txn.commit",
-                txn_id=txn.txn_id,
-                commit_ts=commit_ts,
-                writes=len(txn.undo_buffer),
-                duration_seconds=lifetime,
-            )
-            self.recorder.note_txn_complete(txn.txn_id, lifetime, "committed")
+            self._note_commit(txn, began)
         return commit_ts
 
     # ------------------------------------------------------------------ #
@@ -225,14 +208,7 @@ class TransactionManager:
                 f"cannot commit a {txn.state.value} transaction as prepared"
             )
         began = perf_counter() if STATE.enabled else 0.0
-        with self._lock:
-            commit_ts = self.timestamps.commit_timestamp()
-            for record in txn.undo_buffer:
-                record.timestamp = commit_ts
-            txn.commit_ts = commit_ts
-            txn.state = TxnState.COMMITTED
-            del self._active[txn.start_ts]
-            self._completed.append((commit_ts, txn))
+        commit_ts = self._stamp_commit(txn)
         if self.log_manager is not None and len(txn.redo_buffer) > 0:
             assert txn.gid is not None
             marker = LogMarker(
@@ -248,19 +224,38 @@ class TransactionManager:
         else:
             txn.signal_durable()
         if began:
-            self._m_commit_total.inc()
-            self._m_commit_seconds.observe(perf_counter() - began)
-            lifetime = perf_counter() - txn.began_at if txn.began_at else 0.0
-            self.recorder.record(
-                "txn.commit",
-                txn_id=txn.txn_id,
-                commit_ts=commit_ts,
-                gid=txn.gid,
-                writes=len(txn.undo_buffer),
-                duration_seconds=lifetime,
-            )
-            self.recorder.note_txn_complete(txn.txn_id, lifetime, "committed")
+            self._note_commit(txn, began)
         return commit_ts
+
+    def _stamp_commit(self, txn: TransactionContext) -> int:
+        """The commit critical section: draw the timestamp, stamp every undo
+        record and move ``txn`` from the active table to the completed
+        queue, all under ``_lock`` so no ``begin`` sees it half-stamped."""
+        with self._lock:
+            commit_ts = self.timestamps.commit_timestamp()
+            for record in txn.undo_buffer:
+                record.timestamp = commit_ts
+            txn.commit_ts = commit_ts
+            txn.state = TxnState.COMMITTED
+            del self._active[txn.start_ts]
+            self._completed.append((commit_ts, txn))
+        return commit_ts
+
+    def _note_commit(self, txn: TransactionContext, began: float) -> None:
+        """Commit metrics and the ``txn.commit`` journal entry (``gid`` is
+        the distributed id of a prepared transaction, else ``None``)."""
+        self._m_commit_total.inc()
+        self._m_commit_seconds.observe(perf_counter() - began)
+        lifetime = perf_counter() - txn.began_at if txn.began_at else 0.0
+        self.recorder.record(
+            "txn.commit",
+            txn_id=txn.txn_id,
+            commit_ts=txn.commit_ts,
+            gid=txn.gid,
+            writes=len(txn.undo_buffer),
+            duration_seconds=lifetime,
+        )
+        self.recorder.note_txn_complete(txn.txn_id, lifetime, "committed")
 
     def abort(self, txn: TransactionContext) -> None:
         """Roll back ``txn``: restore before-images newest-first, then stamp

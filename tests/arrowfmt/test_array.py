@@ -7,17 +7,22 @@ from repro.arrowfmt.array import (
     DictionaryArray,
     FixedSizeArray,
     VarBinaryArray,
-    concat_varbinary,
     total_buffer_bytes,
 )
 from repro.arrowfmt.buffer import Bitmap, Buffer
-from repro.arrowfmt.builder import (
-    DictionaryBuilder,
-    FixedSizeBuilder,
-    VarBinaryBuilder,
-)
-from repro.arrowfmt.datatypes import BINARY, INT32, INT64, UTF8
+from repro.arrowfmt.builder import FixedSizeBuilder, VarBinaryBuilder
+from repro.arrowfmt.datatypes import BINARY, INT32, INT64, UTF8, DictionaryType
 from repro.errors import ArrowFormatError
+
+
+def dictionary_array(words, codes):
+    """Codes (``None`` for null) into a dictionary of ``words``, the shape a
+    dictionary-frozen block exposes."""
+    return DictionaryArray(
+        DictionaryType(INT32, UTF8),
+        FixedSizeBuilder(INT32).extend(codes).finish(),
+        VarBinaryBuilder(UTF8).extend(words).finish(),
+    )
 
 
 class TestFixedSizeArray:
@@ -87,35 +92,26 @@ class TestVarBinaryArray:
         array = VarBinaryBuilder(UTF8).extend([None]).finish()
         assert array.value_bytes(0) is None
 
-    def test_concat(self):
-        a = VarBinaryBuilder(UTF8).extend(["x", None]).finish()
-        b = VarBinaryBuilder(UTF8).extend(["yz"]).finish()
-        merged = concat_varbinary([a, b])
-        assert merged.to_pylist() == ["x", None, "yz"]
-
-    def test_concat_empty_rejected(self):
-        with pytest.raises(ArrowFormatError):
-            concat_varbinary([])
 
 
 class TestDictionaryArray:
     def test_codes_reference_sorted_dictionary(self):
-        array = DictionaryBuilder(UTF8).extend(["beta", "alpha", "beta"]).finish()
-        assert array.dictionary.to_pylist() == ["alpha", "beta"]
-        assert list(array.codes.to_numpy()) == [1, 0, 1]
+        array = dictionary_array(["alpha", "beta"], [1, 0, 1])
         assert array.to_pylist() == ["beta", "alpha", "beta"]
+        assert [array[i] for i in range(3)] == ["beta", "alpha", "beta"]
 
     def test_nulls(self):
-        array = DictionaryBuilder(UTF8).extend(["a", None]).finish()
+        array = dictionary_array(["a"], [0, None])
         assert array.to_pylist() == ["a", None]
+        assert array[1] is None
         assert array.null_count == 1
 
     def test_dictionary_size(self):
-        array = DictionaryBuilder(UTF8).extend(["a", "b", "a", "c"]).finish()
+        array = dictionary_array(["a", "b", "c"], [0, 1, 0, 2])
         assert array.dictionary_size == 3
 
     def test_out_of_range_code_rejected(self):
-        array = DictionaryBuilder(UTF8).extend(["a"]).finish()
+        array = dictionary_array(["a"], [0])
         array.codes.to_numpy()[0] = 7
         with pytest.raises(ArrowFormatError):
             array[0]

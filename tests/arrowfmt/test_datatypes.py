@@ -43,9 +43,11 @@ class TestTypes:
         for dtype in (INT64, FLOAT64, BOOL, UTF8, BINARY):
             assert type_from_json(dtype.to_json()) == dtype
 
-    def test_json_roundtrip_dictionary(self):
-        dtype = DictionaryType(INT32, UTF8)
-        assert type_from_json(dtype.to_json()) == dtype
+    def test_json_has_no_dictionary_kind(self):
+        # Dictionary columns never reach an IPC header: exports decode them.
+        spec = {"kind": "dictionary", "index": INT32.to_json(), "value": UTF8.to_json()}
+        with pytest.raises(ArrowFormatError):
+            type_from_json(spec)
 
     def test_json_unknown_kind(self):
         with pytest.raises(ArrowFormatError):

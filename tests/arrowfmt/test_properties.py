@@ -4,14 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arrowfmt.array import DictionaryArray
 from repro.arrowfmt.buffer import Bitmap
-from repro.arrowfmt.builder import (
-    DictionaryBuilder,
-    FixedSizeBuilder,
-    VarBinaryBuilder,
-    array_from_pylist,
-)
-from repro.arrowfmt.datatypes import Field, INT64, Schema, UTF8
+from repro.arrowfmt.builder import FixedSizeBuilder, VarBinaryBuilder
+from repro.arrowfmt.datatypes import DictionaryType, Field, INT32, INT64, Schema, UTF8
 from repro.arrowfmt.ipc import read_table, write_table
 from repro.arrowfmt.table import RecordBatch, Table
 
@@ -43,12 +39,17 @@ def test_varbinary_offsets_invariants(values):
 
 
 @given(st.lists(opt_text, max_size=100))
-def test_dictionary_roundtrip_and_sortedness(values):
-    array = DictionaryBuilder(UTF8).extend(values).finish()
+def test_dictionary_roundtrip(values):
+    words = sorted({v for v in values if v is not None})
+    codes = [None if v is None else words.index(v) for v in values]
+    array = DictionaryArray(
+        DictionaryType(INT32, UTF8),
+        FixedSizeBuilder(INT32).extend(codes).finish(),
+        VarBinaryBuilder(UTF8).extend(words).finish(),
+    )
     assert array.to_pylist() == values
-    dictionary = array.dictionary.to_pylist()
-    assert dictionary == sorted(dictionary)
-    assert len(set(dictionary)) == len(dictionary)
+    assert [array[i] for i in range(len(values))] == values
+    assert array.null_count == values.count(None)
 
 
 @given(st.lists(st.booleans(), max_size=300))
@@ -70,7 +71,7 @@ def test_bitmap_roundtrip(bits):
 def test_ipc_roundtrip_any_batches(batch_specs):
     schema = Schema([Field("v", INT64)])
     batches = [
-        RecordBatch(schema, [array_from_pylist(values, INT64)])
+        RecordBatch(schema, [FixedSizeBuilder(INT64).extend(values).finish()])
         for values, _ in batch_specs
     ]
     table = Table(schema, batches)

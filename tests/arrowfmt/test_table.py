@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.arrowfmt.builder import array_from_pylist
+from repro.arrowfmt.builder import FixedSizeBuilder, VarBinaryBuilder
 from repro.arrowfmt.datatypes import Field, INT64, Schema, UTF8
 from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import ArrowFormatError
+
+
+def ints(values):
+    return FixedSizeBuilder(INT64).extend(values).finish()
+
+
+def strs(values):
+    return VarBinaryBuilder(UTF8).extend(values).finish()
 
 
 def make_schema():
@@ -13,11 +21,7 @@ def make_schema():
 
 
 def make_batch(ids, names):
-    schema = make_schema()
-    return RecordBatch(
-        schema,
-        [array_from_pylist(ids, INT64), array_from_pylist(names, UTF8)],
-    )
+    return RecordBatch(make_schema(), [ints(ids), strs(names)])
 
 
 class TestRecordBatch:
@@ -25,7 +29,11 @@ class TestRecordBatch:
         batch = make_batch([1, 2], ["a", "b"])
         assert batch.num_rows == 2
         assert batch.column("name").to_pylist() == ["a", "b"]
-        assert batch.row(1) == (2, "b")
+        assert batch.column("id")[1] == 2
+
+    def test_unknown_column(self):
+        with pytest.raises(ArrowFormatError):
+            make_batch([1], ["x"]).column("nope")
 
     def test_to_pydict(self):
         batch = make_batch([1], ["x"])
@@ -34,7 +42,7 @@ class TestRecordBatch:
     def test_column_count_mismatch(self):
         schema = make_schema()
         with pytest.raises(ArrowFormatError):
-            RecordBatch(schema, [array_from_pylist([1], INT64)])
+            RecordBatch(schema, [ints([1])])
 
     def test_column_length_mismatch(self):
         schema = make_schema()
@@ -42,8 +50,8 @@ class TestRecordBatch:
             RecordBatch(
                 schema,
                 [
-                    array_from_pylist([1, 2], INT64),
-                    array_from_pylist(["a"], UTF8),
+                    ints([1, 2]),
+                    strs(["a"]),
                 ],
             )
 
@@ -53,8 +61,8 @@ class TestRecordBatch:
             RecordBatch(
                 schema,
                 [
-                    array_from_pylist(["not int"], UTF8),
-                    array_from_pylist(["a"], UTF8),
+                    strs(["not int"]),
+                    strs(["a"]),
                 ],
             )
 
@@ -67,33 +75,25 @@ class TestRecordBatch:
 
 
 class TestTable:
-    def test_from_batches(self):
-        table = Table.from_batches([make_batch([1], ["a"]), make_batch([2], ["b"])])
-        assert table.num_rows == 2
-        assert table.column_values("id") == [1, 2]
-
-    def test_from_batches_empty_rejected(self):
-        with pytest.raises(ArrowFormatError):
-            Table.from_batches([])
-
-    def test_append_batch_schema_check(self):
-        table = Table(make_schema())
+    def test_batch_schema_check(self):
         other_schema = Schema([Field("x", INT64)])
-        bad = RecordBatch(other_schema, [array_from_pylist([1], INT64)])
+        bad = RecordBatch(other_schema, [ints([1])])
         with pytest.raises(ArrowFormatError):
-            table.append_batch(bad)
+            Table(make_schema(), [bad])
 
-    def test_iter_rows_spans_batches(self):
-        table = Table.from_batches(
-            [make_batch([1, 2], ["a", "b"]), make_batch([3], ["c"])]
+    def test_to_pydict_spans_batches(self):
+        table = Table(
+            make_schema(), [make_batch([1, 2], ["a", "b"]), make_batch([3], ["c"])]
         )
-        assert list(table.iter_rows()) == [(1, "a"), (2, "b"), (3, "c")]
+        assert table.num_rows == 3
+        assert table.column_values("id") == [1, 2, 3]
+        assert table.to_pydict() == {"id": [1, 2, 3], "name": ["a", "b", "c"]}
 
     def test_to_pydict(self):
-        table = Table.from_batches([make_batch([1], [None])])
+        table = Table(make_schema(), [make_batch([1], [None])])
         assert table.to_pydict() == {"id": [1], "name": [None]}
 
     def test_empty_table(self):
         table = Table(make_schema())
         assert table.num_rows == 0
-        assert table.nbytes() == 0
+        assert table.to_pydict() == {"id": [], "name": []}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import ColumnSpec, Database, INT64, UTF8
 from repro.arrowfmt import ipc
-from repro.arrowfmt.builder import array_from_pylist
+from repro.arrowfmt.builder import FixedSizeBuilder, VarBinaryBuilder
 from repro.arrowfmt.datatypes import UINT64, Field, Schema
 from repro.arrowfmt.table import RecordBatch, Table
 from repro.errors import ReproError
@@ -27,7 +27,10 @@ def sample_ipc_stream() -> bytes:
     schema = Schema([Field("a", INT64), Field("s", UTF8)])
     batch = RecordBatch(
         schema,
-        [array_from_pylist([1, 2, None], INT64), array_from_pylist(["x", None, "zz"], UTF8)],
+        [
+            FixedSizeBuilder(INT64).extend([1, 2, None]).finish(),
+            VarBinaryBuilder(UTF8).extend(["x", None, "zz"]).finish(),
+        ],
     )
     return ipc.write_table(Table(schema, [batch]))
 

@@ -1,6 +1,7 @@
 """Flight recorder: journal semantics, timelines, slow log, Chrome trace."""
 
 import json
+import threading
 
 import pytest
 
@@ -83,6 +84,28 @@ def test_drop_oldest_with_exact_accounting():
     assert [e.attrs["epoch"] for e in events] == list(range(12, 20))
     assert recorder.events_dropped == 12
     assert registry.counter("obs.events_dropped_total").value == 12
+
+
+def test_exited_threads_stay_inside_capacity():
+    """Threads that exit before their staging list fills never spill it
+    themselves; the next read folds their events into the bounded ring,
+    counts the evictions and forgets the threads' buffers."""
+    registry = MetricRegistry()
+    recorder = Recorder(capacity=10, registry=registry)
+
+    def work():
+        for i in range(20):
+            recorder.record("short.lived", i=i)
+
+    threads = [threading.Thread(target=work) for _ in range(50)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(recorder) <= 10
+    assert recorder.events_dropped == 990
+    assert registry.counter("obs.events_dropped_total").value == 990
+    assert recorder._buffers == []
 
 
 def test_disabled_records_nothing(recorder):

@@ -19,8 +19,7 @@ SMALL_BLOCK = 1 << 14  # keep per-test tuple counts manageable
 class MiniEngine:
     """A wired-together engine over one small-block table."""
 
-    def __init__(self, cold_format="gather", threshold=1, group_size=10,
-                 optimal=False):
+    def __init__(self, cold_format="gather", threshold=1, group_size=10):
         self.layout = BlockLayout(
             [ColumnSpec("id", INT64), ColumnSpec("payload", UTF8)],
             block_size=SMALL_BLOCK,
@@ -37,7 +36,6 @@ class MiniEngine:
             self.observer,
             compaction_group_size=group_size,
             cold_format=cold_format,
-            optimal_compaction=optimal,
         )
 
     def fill(self, n_blocks=3, delete_fraction=0.3, seed=7, long_values=True):

@@ -115,13 +115,6 @@ class TestPipeline:
         assert frozen
         assert all(b.dictionaries for b in frozen)
 
-    def test_optimal_compaction_pipeline(self):
-        engine = MiniEngine(optimal=True)
-        engine.fill(n_blocks=3, delete_fraction=0.4)
-        before = engine.visible_ids()
-        engine.transform_all()
-        assert engine.visible_ids() == before
-
     def test_stats_populated(self, engine):
         engine.fill(n_blocks=3, delete_fraction=0.3)
         engine.transform_all()
