@@ -124,35 +124,10 @@ class Bitmap:
         self.buffer = buffer
         self.length = length
 
-    @classmethod
-    def allocate(cls, length: int, all_set: bool = False) -> "Bitmap":
-        """Create a bitmap of ``length`` bits, all clear (or all set)."""
-        nbytes = (length + 7) // 8
-        bitmap = cls(Buffer.allocate(nbytes), length)
-        if all_set and length:
-            bitmap.buffer.data[:nbytes] = 0xFF
-            # Clear trailing padding bits so popcounts stay exact.
-            extra = nbytes * 8 - length
-            if extra:
-                bitmap.buffer.data[nbytes - 1] &= 0xFF >> extra
-        return bitmap
-
     def get(self, i: int) -> bool:
         """Return bit ``i``."""
         self._check(i)
         return bool(self.buffer.data[i >> 3] & (1 << (i & 7)))
-
-    def set(self, i: int, value: bool = True) -> None:
-        """Set bit ``i`` to ``value``."""
-        self._check(i)
-        if value:
-            self.buffer.data[i >> 3] |= 1 << (i & 7)
-        else:
-            self.buffer.data[i >> 3] &= ~(1 << (i & 7)) & 0xFF
-
-    def clear(self, i: int) -> None:
-        """Clear bit ``i``."""
-        self.set(i, False)
 
     def count_set(self) -> int:
         """Population count over the whole bitmap."""
@@ -165,10 +140,6 @@ class Bitmap:
     def set_indices(self) -> np.ndarray:
         """Indices of all set bits, ascending."""
         return np.nonzero(self.to_numpy())[0]
-
-    def clear_indices(self) -> np.ndarray:
-        """Indices of all clear bits, ascending."""
-        return np.nonzero(~self.to_numpy())[0]
 
     @classmethod
     def from_numpy(cls, mask: np.ndarray) -> "Bitmap":

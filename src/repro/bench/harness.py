@@ -1,7 +1,7 @@
 """Benchmark harness: timed runs with before/after metric-registry deltas.
 
 Every benchmark that drives a :class:`~repro.db.Database` can wrap its
-measured region in :class:`RegistryDelta` (or call :func:`run_timed`) to
+measured region in :class:`RegistryDelta` to
 report *what the engine did* alongside *how long it took* — commits,
 flush batches, blocks frozen, bytes written — straight from the
 ``repro.obs`` registry instead of hand-collected counters::
@@ -17,9 +17,7 @@ meaningful).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.bench.reporting import format_table
 from repro.obs.expo import snapshot
@@ -70,51 +68,6 @@ class RegistryDelta:
             if change:
                 delta[key] = change
         self.delta = delta
-
-
-@dataclass
-class BenchResult:
-    """One benchmark's timings plus the engine work it caused."""
-
-    name: str
-    seconds: list[float] = field(default_factory=list)
-    metric_deltas: dict[str, float] = field(default_factory=dict)
-    result: Any = None
-
-    @property
-    def best(self) -> float:
-        """Fastest repeat (the standard noise-resistant statistic)."""
-        return min(self.seconds)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.seconds) / len(self.seconds)
-
-
-def run_timed(
-    fn: Callable[[], Any],
-    name: str = "bench",
-    registry: MetricRegistry | None = None,
-    repeat: int = 3,
-) -> BenchResult:
-    """Run ``fn`` ``repeat`` times; capture wall time per run and, when a
-    registry is supplied, the metric delta across all runs combined."""
-    if repeat < 1:
-        raise ValueError("repeat must be at least 1")
-    out = BenchResult(name)
-    capture = RegistryDelta(registry) if registry is not None else None
-    if capture is not None:
-        capture.__enter__()
-    try:
-        for _ in range(repeat):
-            began = time.perf_counter()
-            out.result = fn()
-            out.seconds.append(time.perf_counter() - began)
-    finally:
-        if capture is not None:
-            capture.__exit__(None, None, None)
-            out.metric_deltas = capture.delta
-    return out
 
 
 def format_deltas(delta: dict[str, float], title: str = "metric deltas") -> str:

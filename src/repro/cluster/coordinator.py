@@ -172,13 +172,12 @@ class TwoPhaseCoordinator:
             for sid, txn in dtxn.participants.items()
             if not txn.is_read_only
         )
-        # The whole protocol runs under one span (adopting any enclosing
-        # trace), and the journal events carry its trace id, so timelines
-        # and Chrome traces show coordinator and per-shard work as one
-        # causal tree.
+        # The whole protocol runs under one span (nested in any enclosing
+        # one on this thread), and the journal events carry its trace id,
+        # so timelines and Chrome traces show coordinator and per-shard
+        # work as one causal tree.
         with trace.span("cluster.2pc", gid=gid) as root_span:
-            ctx = trace.current_context()
-            trace_id = ctx.trace_id if ctx is not None else None
+            trace_id = trace.current_trace_id()
             self.recorder.record(
                 "cluster.prepare", gid=gid,
                 shards=[sid for sid, _ in participants], trace_id=trace_id,

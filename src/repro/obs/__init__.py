@@ -80,10 +80,8 @@ from repro.obs.trace import (
     Span,
     SpanSummary,
     TailSampler,
-    TraceContext,
     Tracer,
-    activate,
-    current_context,
+    current_trace_id,
     get_tracer,
     span,
 )
@@ -99,28 +97,18 @@ def get_registry() -> MetricRegistry:
 
 def configure(
     enabled: bool | None = None,
-    trace_capacity: int | None = None,
-    slow_txn_threshold: float | None | str = "unset",
     exemplars: bool | None = None,
 ) -> None:
     """Adjust global observability behavior.
 
     ``enabled=False`` turns every instrument, span, and journal event into
     a near-no-op (one attribute load + branch on the hot path); ``True``
-    re-enables.  ``trace_capacity`` resizes the default tracer's ring
-    buffer.  ``slow_txn_threshold`` (seconds, or ``None`` to disable)
-    sets the default recorder's slow-transaction capture threshold —
-    databases own their recorders, so per-instance thresholds go through
-    ``Database(slow_txn_threshold=...)`` instead.  ``exemplars=True``
-    lets histograms remember the trace id behind the last sample per
-    bucket (surfaced only by the OpenMetrics exposition).
+    re-enables.  ``exemplars=True`` lets histograms remember the trace id
+    behind the last sample per bucket (surfaced only by the OpenMetrics
+    exposition).
     """
     if enabled is not None:
         STATE.enabled = enabled
-    if trace_capacity is not None:
-        trace.set_capacity(trace_capacity)
-    if slow_txn_threshold != "unset":
-        get_recorder().slow_txn_threshold = slow_txn_threshold
     if exemplars is not None:
         STATE.exemplars = exemplars
 
@@ -148,13 +136,11 @@ __all__ = [
     "Span",
     "SpanSummary",
     "TailSampler",
-    "TraceContext",
     "Tracer",
-    "activate",
     "configure",
-    "current_context",
     "current_lifecycle",
     "current_request_id",
+    "current_trace_id",
     "get_recorder",
     "get_registry",
     "get_tracer",

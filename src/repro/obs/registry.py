@@ -281,10 +281,6 @@ class Histogram:
         self._lock = threading.Lock()
         self._exemplars: dict[int, Exemplar] = {}
 
-    @property
-    def bounds(self) -> tuple[float, ...]:
-        return self._bounds
-
     def _shard(self) -> _HistogramShard:
         try:
             return self._local.shard
@@ -440,25 +436,6 @@ class MetricRegistry:
                 self._family_kind.pop(name, None)
         return removed
 
-    def unregister_family(self, name: str) -> int:
-        """Drop every series of the family ``name``; returns the count
-        removed (0 when none existed — idempotent)."""
-        with self._lock:
-            keys = [k for k, m in self._metrics.items() if m.name == name]
-            for key in keys:
-                del self._metrics[key]
-            if keys:
-                self._family_kind.pop(name, None)
-        return len(keys)
-
-    def series(self, name: str) -> list[Instrument]:
-        """Every series of the family ``name`` (labeled and unlabeled)."""
-        with self._lock:
-            return sorted(
-                (m for m in self._metrics.values() if m.name == name),
-                key=lambda m: label_suffix(m.labels),
-            )
-
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._metrics
@@ -477,10 +454,6 @@ class MetricRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
 
     def reset(self) -> None:
         """Zero every counter and histogram (gauges keep their callbacks)."""

@@ -401,23 +401,6 @@ class SloTracker:
         if availability is not None:
             self.default_availability = float(availability)
 
-    def set_objective(
-        self,
-        tenant: str,
-        target_latency: float | None = None,
-        availability: float | None = None,
-    ) -> None:
-        """Override one tenant's objective (existing samples are kept and
-        re-judged only going forward — goodness is decided at record time)."""
-        with self._lock:
-            state = self._tenant(tenant)
-            if target_latency is not None:
-                state.target_latency = float(target_latency)
-            if availability is not None:
-                if not 0.0 < availability < 1.0:
-                    raise ValueError("availability target must be in (0, 1)")
-                state.availability = float(availability)
-
     def _tenant(self, tenant: str) -> _TenantSlo:
         state = self._tenants.get(tenant)
         if state is None:

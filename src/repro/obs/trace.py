@@ -7,11 +7,10 @@ so every record knows its parent and every parent accumulates its
 children's time; ``self_seconds`` is the span's *exclusive* duration —
 the number Figure 12b's phase-breakdown series wants.
 
-Spans also carry a **trace id**: the outermost span of a nest mints one,
-every descendant inherits it, and a compact :class:`TraceContext`
-``(trace_id, span_id)`` can be shipped across a shard boundary and
-re-activated there (``with tracer.activate(ctx): ...``), so the 2PC
-coordinator and per-shard participant work land in one causal tree.
+Spans also carry a **trace id**: the outermost span of a nest mints one
+and every descendant inherits it, so work that nests on one thread's
+stack — a 2PC commit and its per-shard prepare and commit spans — lands
+in one causal tree.
 
 When observability is disabled (``obs.configure(enabled=False)``) the
 ``span`` call returns a shared no-op context manager: no clock reads, no
@@ -36,7 +35,7 @@ import os
 import threading
 from collections import deque
 from time import perf_counter
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from repro.obs.registry import STATE
 
@@ -49,14 +48,6 @@ _TRACE_IDS = itertools.count(1)
 
 def new_trace_id() -> int:
     return ((os.getpid() & 0xFFFFF) << 40) | next(_TRACE_IDS)
-
-
-class TraceContext(NamedTuple):
-    """The compact wire form of "where in the tree am I": a trace id and
-    the span id of the remote parent.  Picklable, cheap, immutable."""
-
-    trace_id: int
-    span_id: int
 
 
 class Span:
@@ -125,7 +116,7 @@ class _ActiveSpan:
 
     __slots__ = (
         "_tracer", "name", "start", "child_seconds", "_parent",
-        "span_id", "trace_id", "attrs", "_remote_parent_id",
+        "span_id", "trace_id", "attrs",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict | None) -> None:
@@ -139,16 +130,7 @@ class _ActiveSpan:
         self.span_id = next(tracer._ids)
         stack = tracer._stack()
         self._parent = parent = stack[-1] if stack else None
-        self._remote_parent_id = None
-        if parent is not None:
-            self.trace_id = parent.trace_id
-        else:
-            remote = tracer._remote()
-            if remote is not None:
-                self.trace_id = remote.trace_id
-                self._remote_parent_id = remote.span_id
-            else:
-                self.trace_id = new_trace_id()
+        self.trace_id = parent.trace_id if parent is not None else new_trace_id()
         stack.append(self)
         self.start = perf_counter()
         return self
@@ -171,7 +153,7 @@ class _ActiveSpan:
             parent.child_seconds += duration
             parent_id = parent.span_id
         else:
-            parent_id = self._remote_parent_id
+            parent_id = None
         span = Span(
             self.span_id,
             parent_id,
@@ -187,11 +169,9 @@ class _ActiveSpan:
         if sampler is None:
             tracer._buffer.append(span)
         else:
-            # A span is the root of its local trace when it has no parent
-            # at all — neither on this thread's stack nor activated from a
-            # remote context.  Root close is the tail-sampling decision
-            # point.
-            sampler.offer(tracer, span, parent is None and parent_id is None)
+            # A span with no parent on this thread's stack is the root of
+            # its trace; root close is the tail-sampling decision point.
+            sampler.offer(tracer, span, parent is None)
 
 
 class _NullSpan:
@@ -210,25 +190,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-
-class _ActivatedContext:
-    """Scope during which new root spans parent to a remote context."""
-
-    __slots__ = ("_tracer", "_ctx", "_prev")
-
-    def __init__(self, tracer: "Tracer", ctx: TraceContext | None) -> None:
-        self._tracer = tracer
-        self._ctx = ctx
-
-    def __enter__(self) -> "_ActivatedContext":
-        local = self._tracer._local
-        self._prev = getattr(local, "remote", None)
-        local.remote = self._ctx
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._tracer._local.remote = self._prev
 
 
 class TailSampler:
@@ -401,32 +362,17 @@ class Tracer:
             self._local.stack = stack
             return stack
 
-    def _remote(self) -> TraceContext | None:
-        return getattr(self._local, "remote", None)
-
     def span(self, name: str, **attrs) -> "_ActiveSpan | _NullSpan":
         """A context manager timing ``name`` (no-op while disabled)."""
         if not STATE.enabled:
             return _NULL_SPAN
         return _ActiveSpan(self, name, attrs or None)
 
-    def activate(self, ctx: TraceContext | None) -> _ActivatedContext:
-        """Adopt a remote parent: root spans opened inside the scope join
-        ``ctx.trace_id`` with ``ctx.span_id`` as parent.  ``None`` is a
-        no-op scope, so call sites can pass an optional context through."""
-        return _ActivatedContext(self, ctx)
-
-    def current_context(self) -> TraceContext | None:
-        """The innermost live span on this thread as a shippable
-        :class:`TraceContext` (falls back to an activated remote one)."""
+    def current_trace_id(self) -> int | None:
+        """The trace id of the innermost live span on this thread, or
+        ``None`` outside every span."""
         stack = self._stack()
-        if stack:
-            top = stack[-1]
-            return TraceContext(top.trace_id, top.span_id)
-        return self._remote()
-
-    def next_span_id(self) -> int:
-        return next(self._ids)
+        return stack[-1].trace_id if stack else None
 
     def spans(self) -> list[Span]:
         """Snapshot of the buffer, oldest first."""
@@ -470,22 +416,10 @@ def span(
     """Open a timing scope on ``tracer`` (default: the process tracer)."""
     if not STATE.enabled:
         return _NULL_SPAN
-    return (tracer or _DEFAULT_TRACER).span(name, **attrs)
+    # ``is None``, not ``or``: an empty Tracer is falsy (``__len__``).
+    return (_DEFAULT_TRACER if tracer is None else tracer).span(name, **attrs)
 
 
-def activate(
-    ctx: TraceContext | None, tracer: Tracer | None = None
-) -> _ActivatedContext:
-    """Module-level :meth:`Tracer.activate` on the default tracer."""
-    return (tracer or _DEFAULT_TRACER).activate(ctx)
-
-
-def current_context(tracer: Tracer | None = None) -> TraceContext | None:
-    """Module-level :meth:`Tracer.current_context` on the default tracer."""
-    return (tracer or _DEFAULT_TRACER).current_context()
-
-
-def set_capacity(capacity: int) -> None:
-    """Resize the default tracer's ring buffer (drops buffered spans)."""
-    global _DEFAULT_TRACER
-    _DEFAULT_TRACER = Tracer(capacity)
+def current_trace_id() -> int | None:
+    """Module-level :meth:`Tracer.current_trace_id` on the default tracer."""
+    return _DEFAULT_TRACER.current_trace_id()

@@ -17,13 +17,11 @@ from repro.query.ops import (
     filter_masks,
     group_by_aggregate,
 )
-from repro.query.builder import Query
 
 __all__ = [
     "AggregateResult",
     "ArrowColumnView",
     "ColumnBatch",
-    "Query",
     "TableScanner",
     "aggregate",
     "filter_mask",

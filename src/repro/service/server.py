@@ -66,7 +66,7 @@ from repro.errors import (
 from repro.export import flight, postgres_wire
 from repro.obs.registry import STATE
 from repro.obs.slo import RequestLifecycle, RequestLog, SloTracker
-from repro.obs.trace import TailSampler, current_context, get_tracer, span
+from repro.obs.trace import TailSampler, current_trace_id, get_tracer, span
 from repro.query.scan import TableScanner
 from repro.service import protocol
 from repro.service.admission import AdmissionController
@@ -536,9 +536,7 @@ class TransactionalServer:
                     tenant=request.tenant,
                     request_id=lifecycle.request_id,
                 ):
-                    ctx = current_context()
-                    if ctx is not None:
-                        lifecycle.trace_id = ctx.trace_id
+                    lifecycle.trace_id = current_trace_id()
                     try:
                         with lifecycle.phase("engine"):
                             response = work()

@@ -120,11 +120,6 @@ class BlockLayout:
         transaction engine adds is not part of the physical layout)."""
         return len(self.columns)
 
-    @property
-    def tuple_size(self) -> int:
-        """Bytes per tuple across all column regions (bitmaps excluded)."""
-        return sum(self.attr_sizes)
-
     def varlen_column_ids(self) -> list[int]:
         """Indices of columns stored as VarlenEntries."""
         return [i for i, c in enumerate(self.columns) if c.is_varlen]

@@ -40,15 +40,6 @@ class TransformQueue:
             self._queue.append((table, block))
             return True
 
-    def pop(self) -> "tuple[DataTable, RawBlock] | None":
-        """Dequeue the oldest entry, or ``None`` when empty."""
-        with self._lock:
-            if not self._queue:
-                return None
-            table, block = self._queue.popleft()
-            self._enqueued.discard(block.block_id)
-            return table, block
-
     def drain(self) -> "list[tuple[DataTable, RawBlock]]":
         """Pop everything currently queued."""
         with self._lock:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import DegradedError, TransactionAborted
 from repro.obs.recorder import Recorder, get_recorder
@@ -370,7 +370,3 @@ class TransactionManager:
         """Completed transactions not yet collected."""
         return len(self._completed)
 
-    def active_transactions(self) -> Iterable[TransactionContext]:
-        """Snapshot of the active transactions table."""
-        with self._lock:
-            return list(self._active.values())

@@ -42,9 +42,7 @@ def retry_transaction(
     rng: Any = None,
     sleep: Callable[[float], None] = time.sleep,
     retry_counter: "Counter | None" = None,
-    on_retry: Callable[[int], None] | None = None,
     deadline: float | None = None,
-    max_elapsed: float | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> Any:
     """Run ``body(txn)`` with bounded, jittered retries on conflict aborts.
@@ -58,26 +56,19 @@ def retry_transaction(
 
     ``rng`` may be anything with a ``random()`` method (seeded workload
     generators pass themselves for determinism).  ``retry_counter`` is
-    incremented and ``on_retry(attempt)`` called once per retry.  Returns
-    ``body``'s result; raises :class:`TransactionAborted` once retries are
-    exhausted.
+    incremented once per retry.  Returns ``body``'s result; raises
+    :class:`TransactionAborted` once retries are exhausted.
 
     Beyond the attempt *count*, the loop can carry a wall-clock budget:
     ``deadline`` is an absolute ``clock()`` timestamp (the service front
-    door propagates per-request deadlines this way), ``max_elapsed`` a
-    relative budget measured from entry; the tighter of the two wins.
-    The first attempt always runs — the budget bounds *retrying*: when
-    the next backoff sleep would cross the deadline, the loop stops and
-    re-raises the abort immediately instead of sleeping into a deadline
-    it can no longer meet.
+    door propagates per-request deadlines this way).  The first attempt
+    always runs — the budget bounds *retrying*: when the next backoff
+    sleep would cross the deadline, the loop stops and re-raises the
+    abort immediately instead of sleeping into a deadline it can no
+    longer meet.
     """
     draw = rng.random if rng is not None else random.random
     attempts = retries + 1
-    if max_elapsed is not None:
-        elapsed_deadline = clock() + max_elapsed
-        deadline = (
-            elapsed_deadline if deadline is None else min(deadline, elapsed_deadline)
-        )
     recorder = getattr(db, "recorder", None)
     prev_txn_id: int | None = None
     for attempt in range(attempts):
@@ -99,7 +90,7 @@ def retry_transaction(
                 db.abort(txn)
             if attempt == attempts - 1 or not _backoff(
                 attempt, base_backoff, max_backoff, jitter, draw, sleep,
-                retry_counter, on_retry, deadline, clock,
+                retry_counter, deadline, clock,
             ):
                 raise
             continue
@@ -112,7 +103,7 @@ def retry_transaction(
                 db.abort(txn)
             if attempt == attempts - 1 or not _backoff(
                 attempt, base_backoff, max_backoff, jitter, draw, sleep,
-                retry_counter, on_retry, deadline, clock,
+                retry_counter, deadline, clock,
             ):
                 raise TransactionAborted(
                     f"write-write conflict persisted across {attempts} attempts"
@@ -130,7 +121,7 @@ def retry_transaction(
                     db.abort(txn)
                 if attempt == attempts - 1 or not _backoff(
                     attempt, base_backoff, max_backoff, jitter, draw, sleep,
-                    retry_counter, on_retry, deadline, clock,
+                    retry_counter, deadline, clock,
                 ):
                     raise
                 continue
@@ -145,7 +136,6 @@ def _backoff(
     draw: Callable[[], float],
     sleep: Callable[[float], None],
     counter: "Counter | None",
-    on_retry: Callable[[int], None] | None,
     deadline: float | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> bool:
@@ -160,8 +150,6 @@ def _backoff(
         return False
     if counter is not None:
         counter.inc()
-    if on_retry is not None:
-        on_retry(attempt)
     if delay > 0:
         # Attribute the sleep to the surrounding service request (if any):
         # backoff is dead time on the request's critical path, and the

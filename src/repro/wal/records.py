@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.errors import RecoveryError
-from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
 from repro.txn.context import TransactionContext
 from repro.txn.redo import PRIMITIVES, RedoRecord, fold
@@ -464,8 +463,3 @@ def decode_stream(
     """
     committed, _ = decode_with_indoubt(raw, tolerate_torn_tail)
     return committed
-
-
-def redo_from_row(op: str, table_name: str, slot: TupleSlot, row: ProjectedRow | None) -> RedoRecord:
-    """Convenience constructor used by the engine's write paths."""
-    return RedoRecord(table_name, slot, op, row)

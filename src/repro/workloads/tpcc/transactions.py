@@ -72,9 +72,6 @@ class TpccTransactions:
     # helpers                                                             #
     # ------------------------------------------------------------------ #
 
-    def _c(self, table: str, name: str) -> int:
-        return self._cols[table][name]
-
     def _values(self, table: str, **fields: Any) -> dict[int, Any]:
         ids = self._cols[table]
         return {ids[name]: value for name, value in fields.items()}

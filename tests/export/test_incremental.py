@@ -1,10 +1,11 @@
-"""Tests for incremental export, background threads, and Query.explain."""
+"""Tests for incremental export, background threads, and what a range
+scan reports about pruning and the frozen fast path."""
 
 import pytest
 
 from repro import ColumnSpec, Database, INT64, UTF8
 from repro.export.flight import client_receive, incremental_export
-from repro.query import Query
+from repro.query import TableScanner
 from repro.storage.tuple_slot import TupleSlot
 
 
@@ -153,18 +154,32 @@ class TestBackgroundThreads:
         assert state == expected
 
 
+def scan_counts(db, info, range_filters=None):
+    """Run a scan; return it with the rows it examined and selected."""
+    scanner = TableScanner(
+        db.txn_manager, info.table, [0], range_filters=range_filters
+    )
+    examined = selected = 0
+    for batch in scanner.batches():
+        examined += batch.num_rows
+        selected += batch.num_rows if batch.selection is None else len(batch.selection)
+    return scanner, examined, selected
+
+
 class TestExplain:
+    """What a scanner's counters say about pruning and the fast path."""
+
     def test_explain_reports_pruning_and_fast_path(self):
         db, info, _ = build(rows=1200)
-        plan = Query(db, "t").where_between("id", 0, 50).explain()
-        assert plan["blocks_pruned"] >= 1
-        assert plan["blocks_in_place"] >= 1
-        assert plan["rows_matched"] == 51
-        assert plan["rows_examined"] < 1200
-        assert 0 in plan["range_filters"]
+        scanner, examined, selected = scan_counts(db, info, {0: (0, 50)})
+        assert scanner.blocks_pruned >= 1
+        assert scanner.frozen_blocks_scanned >= 1
+        assert scanner.hot_blocks_scanned == 0
+        assert selected == 51
+        assert examined < 1200
 
     def test_explain_unfiltered(self):
         db, info, _ = build(rows=300)
-        plan = Query(db, "t").explain()
-        assert plan["rows_matched"] == plan["rows_examined"] == 300
-        assert plan["blocks_pruned"] == 0
+        scanner, examined, selected = scan_counts(db, info)
+        assert selected == examined == 300
+        assert scanner.blocks_pruned == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro import ColumnSpec, Database, INT64, UTF8, obs
 from repro.export import TableExporter
-from repro.query import Query
+from repro.query import TableScanner, aggregate
 
 # One Prometheus text-format line: name{labels}? value
 _METRIC_LINE = re.compile(
@@ -43,7 +43,11 @@ def worked_db():
     db.abort(doomed)
     db.freeze_table("t")
     TableExporter(db.txn_manager, info.table, registry=db.obs).export("arrow-wire")
-    Query(db, "t").where_between("id", 0, 10).count()
+    scanner = TableScanner(
+        db.txn_manager, info.table, [0], range_filters={0: (0, 10)}, registry=db.obs
+    )
+    assert aggregate(scanner, 0).count == 11
+    assert scanner.blocks_pruned >= 1
     return db
 
 

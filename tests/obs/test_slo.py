@@ -197,11 +197,12 @@ class TestSloTracker:
         assert summary["breaching"] == ["noisy"]
         assert summary["worst_burn_rate"] > 1.0
 
-    def test_per_tenant_objective_override(self):
+    def test_new_defaults_apply_to_new_tenants(self):
         tracker, _ = self._tracker()
-        tracker.set_objective("picky", target_latency=0.01)
-        tracker.record("picky", 0.05, ok=True)   # slow for *this* tenant
-        tracker.record("lax", 0.05, ok=True)     # fine for the default
+        tracker.record("lax", 0.05, ok=True)     # inside the 0.1 s default
+        tracker.configure_defaults(target_latency=0.01)
+        tracker.record("picky", 0.05, ok=True)   # slow under the new default
+        tracker.record("lax", 0.05, ok=True)     # lax keeps its objective
         assert tracker.burn_rate("picky", 60.0) > 0.0
         assert tracker.burn_rate("lax", 60.0) == 0.0
 

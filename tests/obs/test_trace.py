@@ -86,15 +86,12 @@ def test_disabled_span_is_noop():
     assert all(s.name != "ghost.default" for s in obs.get_tracer().spans())
 
 
-def test_default_tracer_capacity_configurable():
-    obs.configure(trace_capacity=4)
-    try:
-        for _ in range(10):
-            with span("s"):
-                pass
-        assert len(obs.get_tracer()) == 4
-    finally:
-        obs.configure(trace_capacity=4096)
+def test_module_span_respects_tracer_capacity():
+    tracer = Tracer(capacity=4)
+    for _ in range(10):
+        with span("s", tracer=tracer):
+            pass
+    assert len(tracer) == 4
 
 
 def test_threads_get_independent_stacks():

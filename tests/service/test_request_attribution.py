@@ -4,8 +4,9 @@ The acceptance story of the tail-latency work: a slow disk is injected
 under live service load, and the observability surface must *name the
 culprit* without any code changes — the p99 latency bucket carries an
 exemplar trace id, the trace id resolves to a request breakdown, and the
-breakdown says the time went to ``wal.fsync_wait``.  A healthy control
-run attributes the same requests to ``engine``, and a shed request is
+breakdown says the time went to ``wal.fsync_wait``.  A control run on
+the same slow disk with a synchronous log, where commit fsyncs itself,
+attributes the same requests to ``engine``, and a shed request is
 attributed to the ``admission`` terminal phase without ever holding a
 slot.
 """
@@ -138,9 +139,12 @@ class TestForensicAttribution:
             db.close()
 
     def test_healthy_control_attributes_to_engine(self):
-        """Same requests on a healthy synchronous WAL: the breakdown says
-        ``engine``, not the disk."""
-        db = make_db()
+        """The same slow disk under a synchronous WAL: commit fsyncs on
+        the request thread, inside the ``engine`` window, so the 40 ms
+        stall is charged to ``engine`` and outweighs any slot wait —
+        the breakdown blames ``wal.fsync_wait`` only when commit *waits*
+        on group commit."""
+        db = make_db(log_device=FaultyDevice(fsync_stall=0.04))
         server = ServerThread(db, ServiceConfig(exemplars=True)).start()
         try:
             with ServiceClient(port=server.port) as client:

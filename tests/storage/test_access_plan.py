@@ -199,6 +199,37 @@ def test_frozen_blocks_read_from_the_gathered_buffer():
     assert_reads(db, table, expected)
 
 
+def test_bool_with_nulls_matches_select():
+    """BOOL is stored as uint8 with a validity bit: the block readers give
+    ``True``/``False``/``None`` as ``select`` does, frozen and hot, and
+    through a selection vector cut by ``limit``."""
+    db = Database(logging_enabled=False, cold_threshold_epochs=1)
+    table = db.create_table(
+        "flags",
+        [ColumnSpec("id", INT64), ColumnSpec("flag", BOOL)],
+        block_size=1 << 12,
+        watch_cold=True,
+    ).table
+    flag = lambda i: None if i % 3 == 0 else i % 2 == 0  # noqa: E731
+    with db.transaction() as txn:
+        slots = [table.insert(txn, {0: i, 1: flag(i)}) for i in range(600)]
+    db.freeze_table("flags")
+    with db.transaction() as txn:  # a hot block beside the frozen ones
+        slots += [table.insert(txn, {0: i, 1: flag(i)}) for i in range(600, 650)]
+    assert {b.state for b in table.blocks} == {BlockState.FROZEN, BlockState.HOT}
+    expected = {slot: select(db, table, slot) for slot in slots}
+    scan = scanned(db, table)
+    assert {s: same(v) for s, v in scan.items()} == {s: same(v) for s, v in expected.items()}
+    assert {type(v[1]) for v in scan.values()} == {bool, type(None)}
+    with db.transaction() as txn:
+        scanner = TableScanner(None, table, txn=txn, range_filters={0: (100, None)})
+        for batch in scanner.batches():
+            ids, flags = scanner.batch_values(batch, limit=7)
+            assert len(ids) == min(7, len(batch.selection))
+            assert [same({1: f}) for f in flags] == [same({1: flag(i)}) for i in ids]
+            assert all(i >= 100 for i in ids)
+
+
 class TestWriteCoercion:
     """Fixed-width writes assign through numpy, so they coerce as numpy does."""
 

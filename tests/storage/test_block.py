@@ -104,14 +104,14 @@ class TestSlotAllocation:
     def test_deleted_slots_not_reused_without_reset(self, block):
         a = block.allocate_slot()
         block.allocate_slot()
-        block.allocation_bitmap.clear(a)
+        block.set_allocated(a, False)
         # Insert head only moves forward (recycling is compaction's job).
         assert block.allocate_slot() == 2
 
     def test_reset_insert_head_rescans(self, block):
         a = block.allocate_slot()
         block.allocate_slot()
-        block.allocation_bitmap.clear(a)
+        block.set_allocated(a, False)
         block.reset_insert_head()
         assert block.allocate_slot() == a
 

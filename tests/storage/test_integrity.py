@@ -93,7 +93,7 @@ class TestCorruptionDetected:
     def test_frozen_block_with_gap(self):
         db, info, slots = build()
         frozen = next(b for b in info.table.blocks if b.state is BlockState.FROZEN)
-        frozen.allocation_bitmap.clear(0)  # punch a hole behind its back
+        frozen.set_allocated(0, False)  # punch a hole behind its back
         report = check_table(info.table)
         assert any("dense prefix" in f for f in report.findings)
 

@@ -70,12 +70,13 @@ class TestRetryTransaction:
             db,
             body,
             retries=5,
-            base_backoff=0.0,
+            base_backoff=0.001,
+            jitter=0.0,
             retry_counter=counter,
-            on_retry=lambda attempt: seen.append(attempt),
+            sleep=seen.append,
         )
         assert result == "ok"
-        assert seen == [0, 1]
+        assert seen == [0.001, 0.002]
         assert int(counter.value) == 2
 
     def test_zero_backoff_never_sleeps(self):
@@ -187,44 +188,6 @@ class TestRetryDeadline:
         assert clock.sleeps == [0.04]
         assert clock.now <= 100.0 + 0.05
 
-    def test_max_elapsed_is_a_relative_deadline(self):
-        db = make_db()
-        clock = FakeClock()
-        attempts = []
-        with pytest.raises(TransactionAborted):
-            retry_transaction(
-                db,
-                self._always_conflicts(attempts),
-                retries=10,
-                base_backoff=0.04,
-                max_backoff=1.0,
-                jitter=0.0,
-                sleep=clock.sleep,
-                max_elapsed=0.13,
-                clock=clock,
-            )
-        # 0.04 + 0.08 fit inside 0.13; the next 0.16 would cross.
-        assert clock.sleeps == [0.04, 0.08]
-        assert len(attempts) == 3
-
-    def test_tighter_of_deadline_and_max_elapsed_wins(self):
-        db = make_db()
-        clock = FakeClock()
-        attempts = []
-        with pytest.raises(TransactionAborted):
-            retry_transaction(
-                db,
-                self._always_conflicts(attempts),
-                retries=10,
-                base_backoff=0.04,
-                jitter=0.0,
-                sleep=clock.sleep,
-                deadline=clock.now + 0.05,
-                max_elapsed=10.0,
-                clock=clock,
-            )
-        assert clock.sleeps == [0.04]
-
     def test_first_attempt_runs_even_past_deadline(self):
         db = make_db()
         table = db.catalog.table("t")
@@ -242,7 +205,6 @@ class TestRetryDeadline:
         db = make_db()
         clock = FakeClock()
         counter = db.obs.counter("workload.txn_retries_total", "test")
-        hooks = []
         attempts = []
         with pytest.raises(TransactionAborted):
             retry_transaction(
@@ -254,11 +216,9 @@ class TestRetryDeadline:
                 jitter=0.0,
                 sleep=clock.sleep,
                 retry_counter=counter,
-                on_retry=hooks.append,
                 deadline=clock.now + 0.5,  # no 1s sleep ever fits
                 clock=clock,
             )
         assert len(attempts) == 1
         assert int(counter.value) == 0
-        assert hooks == []
         assert clock.sleeps == []
