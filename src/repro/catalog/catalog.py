@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, StorageError
 from repro.index.manager import IndexManager, TableIndex
 from repro.storage.block_store import BlockStore
 from repro.storage.constants import BLOCK_SIZE
@@ -24,7 +24,9 @@ if TYPE_CHECKING:
 
 @dataclass
 class TableInfo:
-    """Everything the catalog knows about one table."""
+    """Everything the catalog knows about one table.  On a cluster
+    ``table`` and ``indexes`` hold the routing facades
+    (:mod:`repro.cluster.sharded`) instead of one node's objects."""
 
     name: str
     table: DataTable
@@ -32,8 +34,11 @@ class TableInfo:
     indexes: dict[str, TableIndex] = field(default_factory=dict)
 
     def column_id(self, column_name: str) -> int:
-        """Position of ``column_name`` in the table's layout."""
-        return self.table.layout.index_of(column_name)
+        """Position of ``column_name`` among the table's columns."""
+        for i, column in enumerate(self.columns):
+            if column.name == column_name:
+                return i
+        raise StorageError(f"no column named {column_name!r}")
 
 
 class Catalog:

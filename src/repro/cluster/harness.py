@@ -367,15 +367,11 @@ def _verify_cluster_kv(
 
     actual: list[dict[int, tuple[str, int]]] = []
     if not violations:
-        for shard in fresh.shards:
-            reader = shard.begin()
-            actual.append(
-                {
-                    row.get(0): (row.get(1), row.get(2))
-                    for _, row in shard.catalog.table("kv").scan(reader)
-                }
-            )
-            shard.commit(reader)
+        with fresh.transaction() as reader:
+            actual = [
+                {row.get(0): (row.get(1), row.get(2)) for _, row in table.scan(local)}
+                for local, table in fresh.partitions("kv", reader)
+            ]
 
         for rec in records:
             rec.present = {

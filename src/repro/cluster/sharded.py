@@ -18,31 +18,29 @@ a shard.  At commit:
   coordinator (prepare is WAL-forced per shard, the commit decision is
   forced to the coordinator log, recovery is presumed-abort).
 
-The facade deliberately mirrors enough of ``Database``'s surface —
-``catalog.table()/index()/get()``, ``begin/commit/abort/transaction``,
-``run_transaction``, ``health()``, ``obs``, ``recorder``, ``serve_obs``,
-``timeline`` — that the TPC-C loader, driver, transaction profiles,
-consistency checker, retry helper, and obs HTTP server all run against a
-cluster unmodified.
+``ShardedDatabase`` and ``Database`` share one base, :class:`repro.db.Engine`
+(observability wiring, ``transaction()``, ``run_transaction()``,
+``timeline()``, ``serve_obs()``).  The cluster adds ``begin/commit/abort``,
+a catalog of plain :class:`~repro.catalog.catalog.TableInfo`, a ``health()``
+of ``Database``'s shape, ``flush_all()`` and ``partitions()``, so TPC-C,
+the retry helper, the service and the obs server run on either engine.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import threading
 from dataclasses import dataclass
 from typing import Any, BinaryIO, Iterable, Iterator, Literal, Mapping
 
+from repro.catalog.catalog import TableInfo
 from repro.cluster.coordinator import CoordinatorLog, TwoPhaseCoordinator
 from repro.cluster.router import Router
-from repro.db import Database
+from repro.db import Database, Engine
 from repro.errors import CatalogError, TransactionAborted, TwoPhaseInDoubt
-from repro.obs.recorder import Recorder
-from repro.obs.registry import MetricRegistry
-from repro.obs.slo import RequestLog, SloTracker
 from repro.storage.constants import BLOCK_SIZE
+from repro.storage.data_table import DataTable
 from repro.storage.layout import ColumnSpec
 from repro.storage.projection import ProjectedRow
 from repro.storage.tuple_slot import TupleSlot
@@ -87,10 +85,6 @@ class DistributedTransaction(DurabilitySignal):
     @property
     def must_abort(self) -> bool:
         return any(txn.must_abort for txn in self.participants.values())
-
-    @property
-    def is_read_only(self) -> bool:
-        return all(txn.is_read_only for txn in self.participants.values())
 
     @property
     def redo_buffer(self) -> list:
@@ -188,43 +182,24 @@ class ShardedTable:
             txn.on_shard(slot.shard_id), slot.slot
         )
 
-    def select(
-        self,
-        txn: DistributedTransaction,
-        slot: ShardSlot,
-        column_ids: list[int] | None = None,
-    ) -> ProjectedRow | None:
-        return self._local(slot.shard_id).select(
-            txn.on_shard(slot.shard_id), slot.slot, column_ids
-        )
-
     def scan(
         self, txn: DistributedTransaction, column_ids: list[int] | None = None
     ) -> Iterator[tuple[ShardSlot, ProjectedRow]]:
-        route = self._cluster.router.route(self.name)
-        if route.replicated:
-            shard_id = txn.read_shard()
-            for slot, row in self._local(shard_id).scan(
-                txn.on_shard(shard_id), column_ids
-            ):
-                yield ShardSlot(shard_id, slot), row
-            return
-        for shard_id in range(self._cluster.n_shards):
+        for shard_id in self._cluster.read_shards(self.name, txn):
             for slot, row in self._local(shard_id).scan(
                 txn.on_shard(shard_id), column_ids
             ):
                 yield ShardSlot(shard_id, slot), row
 
     def live_tuple_count(self) -> int:
-        if self._cluster.router.route(self.name).replicated:
-            return self._local(0).live_tuple_count()
         return sum(
-            self._local(s).live_tuple_count() for s in range(self._cluster.n_shards)
+            self._local(s).live_tuple_count()
+            for s in self._cluster.read_shards(self.name)
         )
 
     def block_states(self) -> dict:
         merged: dict = {}
-        for shard_id in range(self._cluster.n_shards):
+        for shard_id in self._cluster.read_shards(self.name):
             for state, count in self._local(shard_id).block_states().items():
                 merged[state] = merged.get(state, 0) + count
         return merged
@@ -245,24 +220,17 @@ class ShardedIndex:
             self.table_name, self.index_name
         )
 
-    def _single_shard_for(self, txn: DistributedTransaction, key: tuple) -> int | None:
-        router = self._cluster.router
-        if router.route(self.table_name).replicated:
-            return txn.read_shard()
-        if router.is_routable(self.table_name, self.index_name):
-            return router.shard_for_key(self.table_name, self.index_name, key)
-        return None
-
     def lookup(
         self,
         txn: DistributedTransaction,
         key: tuple,
         column_ids: list[int] | None = None,
     ) -> list[tuple[ShardSlot, ProjectedRow]]:
-        shard_id = self._single_shard_for(txn, key)
-        shard_ids = (
-            [shard_id] if shard_id is not None else range(self._cluster.n_shards)
-        )
+        router = self._cluster.router
+        if router.is_routable(self.table_name, self.index_name):
+            shard_ids = [router.shard_for_key(self.table_name, self.index_name, key)]
+        else:
+            shard_ids = self._cluster.read_shards(self.table_name, txn)
         results: list[tuple[ShardSlot, ProjectedRow]] = []
         for sid in shard_ids:
             results.extend(
@@ -281,22 +249,14 @@ class ShardedIndex:
         column_ids: list[int] | None = None,
     ) -> Iterable[tuple[tuple, ShardSlot, ProjectedRow]]:
         router = self._cluster.router
-        shard_id: int | None = None
-        if router.route(self.table_name).replicated:
-            shard_id = txn.read_shard()
-        elif (
+        shard_ids = self._cluster.read_shards(self.table_name, txn)
+        if (
             router.is_routable(self.table_name, self.index_name)
             and low is not None
             and high is not None
             and router.shard_of(low[0]) == router.shard_of(high[0])
         ):
-            shard_id = router.shard_of(low[0])
-        if shard_id is not None:
-            for key, slot, row in self._local(shard_id).range_scan(
-                txn.on_shard(shard_id), low, high, column_ids
-            ):
-                yield key, ShardSlot(shard_id, slot), row
-            return
+            shard_ids = [router.shard_of(low[0])]
 
         def per_shard(sid: int):
             for key, slot, row in self._local(sid).range_scan(
@@ -304,58 +264,46 @@ class ShardedIndex:
             ):
                 yield key, ShardSlot(sid, slot), row
 
+        if len(shard_ids) == 1:
+            yield from per_shard(shard_ids[0])
+            return
         # Keys are totally ordered within each shard; merge preserves the
         # global order a single-node range scan would produce.
         yield from heapq.merge(
-            *(per_shard(sid) for sid in range(self._cluster.n_shards)),
-            key=lambda item: item[0],
+            *(per_shard(sid) for sid in shard_ids), key=lambda item: item[0]
         )
 
     def __len__(self) -> int:
-        if self._cluster.router.route(self.table_name).replicated:
-            return len(self._local(0))
-        return sum(len(self._local(s)) for s in range(self._cluster.n_shards))
-
-
-class ShardedTableInfo:
-    """The slice of :class:`repro.catalog.catalog.TableInfo` consumers use."""
-
-    def __init__(self, cluster: "ShardedDatabase", name: str) -> None:
-        self.name = name
-        self.table = cluster.catalog.table(name)
-        self._info0 = cluster.shards[0].catalog.get(name)
-
-    @property
-    def columns(self) -> list[ColumnSpec]:
-        return self._info0.columns
-
-    def column_id(self, column_name: str) -> int:
-        return self._info0.column_id(column_name)
+        return sum(
+            len(self._local(s)) for s in self._cluster.read_shards(self.table_name)
+        )
 
 
 class ShardedCatalog:
-    """Name → sharded-table/index facade registry."""
+    """Name → :class:`TableInfo` over the sharded table and index facades."""
 
     def __init__(self, cluster: "ShardedDatabase") -> None:
         self._cluster = cluster
-        self._tables: dict[str, ShardedTable] = {}
-        self._indexes: dict[tuple[str, str], ShardedIndex] = {}
+        self._tables: dict[str, TableInfo] = {}
+
+    def get(self, name: str) -> TableInfo:
+        info = self._tables.get(name)
+        if info is None:
+            columns = self._cluster.shards[0].catalog.get(name).columns
+            info = TableInfo(name, ShardedTable(self._cluster, name), columns)
+            self._tables[name] = info
+        return info
 
     def table(self, name: str) -> ShardedTable:
-        if name not in self._tables:
-            self._cluster.shards[0].catalog.get(name)  # existence check
-            self._tables[name] = ShardedTable(self._cluster, name)
-        return self._tables[name]
+        return self.get(name).table
 
     def index(self, table_name: str, index_name: str) -> ShardedIndex:
-        key = (table_name, index_name)
-        if key not in self._indexes:
-            self._cluster.shards[0].catalog.index(table_name, index_name)
-            self._indexes[key] = ShardedIndex(self._cluster, table_name, index_name)
-        return self._indexes[key]
-
-    def get(self, name: str) -> ShardedTableInfo:
-        return ShardedTableInfo(self._cluster, name)
+        try:
+            return self.get(table_name).indexes[index_name]
+        except KeyError:
+            raise CatalogError(
+                f"table {table_name!r} has no index {index_name!r}"
+            ) from None
 
     def table_names(self) -> list[str]:
         return self._cluster.shards[0].catalog.table_names()
@@ -367,7 +315,7 @@ class ShardedCatalog:
         return len(self._cluster.shards[0].catalog)
 
 
-class ShardedDatabase:
+class ShardedDatabase(Engine):
     """N hash-sharded engine instances behind one database facade."""
 
     def __init__(
@@ -393,19 +341,11 @@ class ShardedDatabase:
         #: when no explicit ``shard_key`` is passed (tables absent from
         #: the map are replicated).
         self._shard_keys = dict(shard_keys or {})
-        #: Cluster-level registry: per-shard gauges plus 2PC counters.
-        #: Shard-internal metrics stay in each shard's own registry.
-        self.obs = MetricRegistry()
-        #: One flight recorder shared by every shard and the coordinator,
-        #: so cross-shard timelines interleave in causal order.
-        self.recorder = Recorder(
-            registry=self.obs, slow_txn_threshold=slow_txn_threshold
-        )
-        #: Per-tenant SLO accounting + completed-request breakdowns for
-        #: the whole cluster (the service front door feeds both; the obs
-        #: server serves them at /slo and /request/<id>).
-        self.slo = SloTracker(registry=self.obs)
-        self.request_log = RequestLog()
+        # ``obs`` is the cluster-level registry (per-shard gauges plus 2PC
+        # counters; shard-internal metrics stay in each shard's own), and
+        # the one ``recorder`` is shared by every shard and the
+        # coordinator, so cross-shard timelines interleave in causal order.
+        super().__init__(slow_txn_threshold=slow_txn_threshold)
         devices: list[BinaryIO | None] = (
             list(log_devices) if log_devices is not None else [None] * n_shards
         )
@@ -426,7 +366,6 @@ class ShardedDatabase:
         )
         self._txn_seq = itertools.count(1)
         self._gid_seq = itertools.count(1)
-        self._obs_server = None
         #: In-doubt transactions resolved by the last ``recover_from``.
         self.indoubt_resolved = {"commit": 0, "abort": 0}
         reg = self.obs
@@ -491,7 +430,7 @@ class ShardedDatabase:
         block_size: int = BLOCK_SIZE,
         watch_cold: bool = False,
         shard_key: str | None = None,
-    ) -> ShardedTableInfo:
+    ) -> TableInfo:
         """Create a table on every shard and register its route.
 
         ``shard_key`` names the shard column; when omitted the
@@ -499,19 +438,14 @@ class ShardedDatabase:
         neither is *replicated* (broadcast writes, single-replica reads).
         """
         key = shard_key if shard_key is not None else self._shard_keys.get(name)
-        info0 = None
         for shard in self.shards:
-            info = shard.create_table(
+            shard.create_table(
                 name, columns, block_size=block_size, watch_cold=watch_cold
             )
-            if info0 is None:
-                info0 = info
-        assert info0 is not None
-        if key is None:
-            self.router.register_table(name, None, None)
-        else:
-            self.router.register_table(name, info0.column_id(key), key)
-        return self.catalog.get(name)
+        info = self.catalog.get(name)
+        column = None if key is None else info.column_id(key)
+        self.router.register_table(name, column, key)
+        return info
 
     def create_index(
         self,
@@ -523,7 +457,9 @@ class ShardedDatabase:
         for shard in self.shards:
             shard.create_index(table_name, index_name, key_columns, kind)
         self.router.register_index(table_name, index_name, key_columns)
-        return self.catalog.index(table_name, index_name)
+        index = ShardedIndex(self, table_name, index_name)
+        self.catalog.get(table_name).indexes[index_name] = index
+        return index
 
     # ------------------------------------------------------------------ #
     # transactions                                                        #
@@ -590,26 +526,30 @@ class ShardedDatabase:
         dtxn.state = TxnState.ABORTED
         dtxn.signal_durable()
 
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator[DistributedTransaction]:
-        """Context manager committing on success, aborting on exception."""
-        dtxn = self.begin()
-        try:
-            yield dtxn
-        except BaseException:
-            if dtxn.is_active:
-                self.abort(dtxn)
-            raise
-        else:
-            if dtxn.is_active:
-                self.commit(dtxn)
+    def read_shards(
+        self, name: str, txn: DistributedTransaction | None = None, replica: int = 0
+    ) -> range | list[int]:
+        """The shards whose copies of ``name`` hold its rows once: every
+        shard for a sharded table; for a replicated one the replica
+        ``txn.read_shard()`` picks, or without a transaction the one
+        ``replica`` picks (modulo the shard count)."""
+        if not self.router.route(name).replicated:
+            return range(self.n_shards)
+        return [txn.read_shard() if txn is not None else replica % self.n_shards]
 
-    def run_transaction(self, body, retries: int = 3):
-        """Run ``body(txn)`` with retry on conflicts *and* 2PC
-        coordination aborts (see :func:`repro.txn.retry.retry_transaction`)."""
-        from repro.txn.retry import retry_transaction
-
-        return retry_transaction(self, body, retries=retries, base_backoff=0.0)
+    def partitions(
+        self, name: str, txn: DistributedTransaction | None = None, replica: int = 0
+    ) -> Iterator[tuple[Any, DataTable]]:
+        """Each local ``(txn or txn manager, DataTable)`` of ``name`` over
+        :meth:`read_shards`: under ``txn`` its participant on that shard,
+        begun only when the iteration reaches it; without one the shard's
+        txn manager.  The service's export passes its request id as
+        ``replica``, so exports of a replicated table spread over the
+        shards."""
+        for shard_id in self.read_shards(name, txn, replica):
+            shard = self.shards[shard_id]
+            local = shard.txn_manager if txn is None else txn.on_shard(shard_id)
+            yield local, shard.catalog.table(name)
 
     # ------------------------------------------------------------------ #
     # maintenance                                                         #
@@ -626,8 +566,7 @@ class ShardedDatabase:
         """Flush every shard's WAL queue (coordinator log needs none —
         commit decisions are forced at decision time)."""
         for shard in self.shards:
-            if shard.log_manager is not None:
-                shard.log_manager.flush()
+            shard.flush_all()
 
     def close(self) -> None:
         self.stop_serving_obs()
@@ -656,7 +595,9 @@ class ShardedDatabase:
 
         ``status`` is ``"degraded"`` as soon as *any* shard (or the
         coordinator log) is degraded — the obs HTTP server turns that
-        into a 503 on ``/healthz``.
+        into a 503 on ``/healthz``.  ``wal`` rolls the shards' sections
+        up into ``Database.health()``'s shape (see :func:`_roll_up_wal`);
+        the per-shard reports stay under ``shards``.
         """
         shards = {str(i): shard.health() for i, shard in enumerate(self.shards)}
         degraded_shards = [
@@ -683,27 +624,9 @@ class ShardedDatabase:
                 "aborts_logged": self.coordinator_log.aborts_logged,
                 "in_doubt_resolved": dict(self.indoubt_resolved),
             },
-            "wal": None,
+            "wal": _roll_up_wal([s["wal"] for s in shards.values() if s["wal"]]),
             "slo": self.slo.health_summary(),
         }
-
-    def timeline(self, txn_id: int) -> dict:
-        return self.recorder.timeline(txn_id)
-
-    def serve_obs(self, port: int = 0, host: str = "127.0.0.1"):
-        """Start the standard obs HTTP server against the cluster facade
-        (same endpoints as ``Database.serve_obs``; ``/healthz`` reports
-        the aggregated cluster health)."""
-        if self._obs_server is None:
-            from repro.obs.server import ObsServer
-
-            self._obs_server = ObsServer(self, host=host, port=port).start()
-        return self._obs_server
-
-    def stop_serving_obs(self) -> None:
-        server, self._obs_server = self._obs_server, None
-        if server is not None:
-            server.stop()
 
     # ------------------------------------------------------------------ #
     # durability & recovery                                               #
@@ -768,3 +691,25 @@ class ShardedDatabase:
                     "cluster.resolve", gid=gid, shard=shard_id, decision=outcome
                 )
         return stats
+
+
+def _roll_up_wal(wals: list[dict]) -> dict | None:
+    """The shards' ``wal`` health sections in ``Database.health()``'s
+    shape: healthy only while every shard is, summed counts, the worst
+    streak, backlog and fsync age; ``None`` with logging disabled."""
+    if not wals:
+        return None
+
+    def worst(key: str):
+        return max((w[key] for w in wals if w[key] is not None), default=None)
+
+    reasons = [w["degraded_reason"] for w in wals if w["degraded_reason"]]
+    return {
+        "healthy": all(w["healthy"] for w in wals),
+        "flush_failures": sum(w["flush_failures"] for w in wals),
+        "consecutive_flush_failures": worst("consecutive_flush_failures"),
+        "pending": sum(w["pending"] for w in wals),
+        "backlog": worst("backlog"),
+        "last_fsync_age_seconds": worst("last_fsync_age_seconds"),
+        "degraded_reason": reasons[0] if reasons else None,
+    }

@@ -29,7 +29,8 @@ from repro.obs.recorder import Recorder
 from repro.obs.registry import MetricRegistry
 from repro.obs.slo import RequestLog, SloTracker
 from repro.storage.block_store import BlockStore
-from repro.storage.constants import BLOCK_SIZE
+from repro.storage.constants import BLOCK_SIZE, BlockState
+from repro.storage.data_table import DataTable
 from repro.storage.layout import ColumnSpec
 from repro.transform.access_observer import AccessObserver
 from repro.transform.transformer import BlockTransformer
@@ -39,16 +40,20 @@ from repro.wal.manager import LogManager
 from repro.wal.recovery import RecoveryManager
 
 
-class Database:
-    """An in-memory, Arrow-native, multi-versioned OLTP database."""
+class Engine:
+    """The surface both engines share: :class:`Database` (one node) and
+    :class:`~repro.cluster.sharded.ShardedDatabase` (N of them).
+
+    It wires the observability objects every consumer reads (``obs``,
+    ``recorder``, ``slo``, ``request_log``) and runs transactions over
+    the subclass's ``begin``/``commit``/``abort``.  Subclasses also supply
+    ``catalog``, ``health()``, ``flush_all()`` and ``partitions()``, so
+    the service, the obs server and the retry helper never ask which
+    engine they hold.
+    """
 
     def __init__(
         self,
-        log_device: BinaryIO | None = None,
-        logging_enabled: bool = True,
-        cold_threshold_epochs: int = 1,
-        compaction_group_size: int = 50,
-        cold_format: Literal["gather", "dictionary"] = "gather",
         obs_registry: MetricRegistry | None = None,
         recorder: Recorder | None = None,
         slow_txn_threshold: float | None = None,
@@ -73,6 +78,79 @@ class Database:
         #: /request/<id> by the obs HTTP server).
         self.slo = SloTracker(registry=self.obs)
         self.request_log = RequestLog()
+        self._obs_server = None
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[TransactionContext]:
+        """Context manager committing on success, aborting on exception."""
+        txn = self.begin()
+        try:
+            yield txn
+        except BaseException:
+            if txn.is_active:
+                self.abort(txn)
+            raise
+        else:
+            if txn.is_active:
+                self.commit(txn)
+
+    def run_transaction(self, body, retries: int = 3):
+        """Run ``body(txn)`` with automatic retry on write-write conflicts
+        (and, on a cluster, on 2PC coordination aborts).
+
+        ``body`` must be safe to re-execute (it is rerun from scratch on
+        conflict, against a fresh snapshot).  Returns ``body``'s result.
+        Raises :class:`~repro.errors.TransactionAborted` once retries are
+        exhausted.  Immediate retries, no backoff — workloads wanting
+        jittered backoff use :func:`repro.txn.retry.retry_transaction`
+        directly.
+        """
+        from repro.txn.retry import retry_transaction
+
+        return retry_transaction(self, body, retries=retries, base_backoff=0.0)
+
+    def timeline(self, txn_id: int) -> dict:
+        """The causal timeline of one transaction from the flight recorder:
+        the begin→(retries)→commit/abort event chain plus the trace spans
+        that ran inside it.  See :meth:`repro.obs.Recorder.timeline`."""
+        return self.recorder.timeline(txn_id)
+
+    def serve_obs(self, port: int = 0, host: str = "127.0.0.1"):
+        """Start the HTTP monitoring server (``/metrics``, ``/healthz``,
+        ``/varz``, ``/events``, ``/timeline/<txn_id>``, ``/trace``).
+
+        ``port=0`` binds an ephemeral port — read the bound one from the
+        returned :class:`~repro.obs.server.ObsServer`'s ``.port``.
+        Idempotent; ``close()`` stops it.
+        """
+        if self._obs_server is None:
+            from repro.obs.server import ObsServer
+
+            self._obs_server = ObsServer(self, host=host, port=port).start()
+        return self._obs_server
+
+    def stop_serving_obs(self) -> None:
+        """Stop the monitoring server if one is running (idempotent)."""
+        server, self._obs_server = self._obs_server, None
+        if server is not None:
+            server.stop()
+
+
+class Database(Engine):
+    """An in-memory, Arrow-native, multi-versioned OLTP database."""
+
+    def __init__(
+        self,
+        log_device: BinaryIO | None = None,
+        logging_enabled: bool = True,
+        cold_threshold_epochs: int = 1,
+        compaction_group_size: int = 50,
+        cold_format: Literal["gather", "dictionary"] = "gather",
+        obs_registry: MetricRegistry | None = None,
+        recorder: Recorder | None = None,
+        slow_txn_threshold: float | None = None,
+    ) -> None:
+        super().__init__(obs_registry, recorder, slow_txn_threshold)
         self.block_store = BlockStore(registry=self.obs)
         self.catalog = Catalog(self.block_store)
         self.log_manager = (
@@ -107,7 +185,6 @@ class Database:
             registry=self.obs,
             recorder=self.recorder,
         )
-        self._obs_server = None
         if self.log_manager is not None:
             self.log_manager.on_degrade = self._enter_degraded
         self._register_db_gauges()
@@ -197,33 +274,14 @@ class Database:
         """Roll back."""
         self.txn_manager.abort(txn)
 
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator[TransactionContext]:
-        """Context manager committing on success, aborting on exception."""
-        txn = self.begin()
-        try:
-            yield txn
-        except BaseException:
-            if txn.is_active:
-                self.abort(txn)
-            raise
-        else:
-            if txn.is_active:
-                self.commit(txn)
-
-    def run_transaction(self, body, retries: int = 3):
-        """Run ``body(txn)`` with automatic retry on write-write conflicts.
-
-        ``body`` must be safe to re-execute (it is rerun from scratch on
-        conflict, against a fresh snapshot).  Returns ``body``'s result.
-        Raises :class:`~repro.errors.TransactionAborted` once retries are
-        exhausted.  Immediate retries, no backoff — workloads wanting
-        jittered backoff use :func:`repro.txn.retry.retry_transaction`
-        directly.
-        """
-        from repro.txn.retry import retry_transaction
-
-        return retry_transaction(self, body, retries=retries, base_backoff=0.0)
+    def partitions(
+        self, name: str, txn: TransactionContext | None = None, replica: int = 0
+    ) -> Iterator[tuple[TransactionContext | TransactionManager, DataTable]]:
+        """Each local ``(txn or txn manager, DataTable)`` holding ``name``'s
+        rows: on one node the table itself, under ``txn`` when one is
+        given.  ``replica`` matters only on a cluster (see
+        :meth:`repro.cluster.sharded.ShardedDatabase.partitions`)."""
+        yield (self.txn_manager if txn is None else txn), self.catalog.table(name)
 
     # ------------------------------------------------------------------ #
     # background work                                                     #
@@ -245,6 +303,10 @@ class Database:
     def quiesce(self, max_passes: int = 16) -> None:
         """Drain GC and deferred work (tests and orderly shutdown)."""
         self.gc.run_until_quiet(max_passes)
+        self.flush_all()
+
+    def flush_all(self) -> None:
+        """Flush the WAL queue (a no-op with logging disabled)."""
         if self.log_manager is not None:
             self.log_manager.flush()
 
@@ -256,8 +318,6 @@ class Database:
         frozen = 0
         for _ in range(max_passes):
             frozen += self.run_maintenance()
-            from repro.storage.constants import BlockState
-
             states = info.table.block_states()
             if states[BlockState.HOT] == 0 and states[BlockState.COOLING] == 0:
                 break
@@ -425,8 +485,7 @@ class Database:
         """
         from repro.wal.checkpoint import write_checkpoint
 
-        if self.log_manager is not None:
-            self.log_manager.flush()
+        self.flush_all()
         snapshot = write_checkpoint(self)
         if self.log_manager is not None:
             self.log_manager.truncate(new_log_device or io.BytesIO())
@@ -450,32 +509,6 @@ class Database:
 
         return check_database(self)
 
-    def timeline(self, txn_id: int) -> dict:
-        """The causal timeline of one transaction from the flight recorder:
-        the begin→(retries)→commit/abort event chain plus the trace spans
-        that ran inside it.  See :meth:`repro.obs.Recorder.timeline`."""
-        return self.recorder.timeline(txn_id)
-
-    def serve_obs(self, port: int = 0, host: str = "127.0.0.1"):
-        """Start the HTTP monitoring server (``/metrics``, ``/healthz``,
-        ``/varz``, ``/events``, ``/timeline/<txn_id>``, ``/trace``).
-
-        ``port=0`` binds an ephemeral port — read the bound one from the
-        returned :class:`~repro.obs.server.ObsServer`'s ``.port``.
-        Idempotent; :meth:`close` stops it.
-        """
-        if self._obs_server is None:
-            from repro.obs.server import ObsServer
-
-            self._obs_server = ObsServer(self, host=host, port=port).start()
-        return self._obs_server
-
-    def stop_serving_obs(self) -> None:
-        """Stop the monitoring server if one is running (idempotent)."""
-        server, self._obs_server = self._obs_server, None
-        if server is not None:
-            server.stop()
-
     def metrics(self) -> dict:
         """One snapshot of every component's counters.
 
@@ -487,8 +520,6 @@ class Database:
         that ``obs.configure(enabled=False)`` freezes the counter-backed
         values here along with every other instrument.
         """
-        from repro.storage.constants import BlockState
-
         states = {state.name: 0 for state in BlockState}
         for name in self.catalog.table_names():
             for state, count in self.catalog.table(name).block_states().items():

@@ -57,8 +57,3 @@ class SimulatedNetwork:
         self.wire_seconds += seconds
         return seconds
 
-    def reset(self) -> None:
-        """Zero the accumulated counters."""
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.wire_seconds = 0.0

@@ -195,13 +195,6 @@ class IndexManager:
         self._indexes[name] = index
         return index
 
-    def get(self, name: str) -> TableIndex:
-        """Look up an index by name."""
-        try:
-            return self._indexes[name]
-        except KeyError:
-            raise IndexError_(f"no index named {name!r}") from None
-
     def total_maintenance_ops(self) -> int:
         """Sum of maintenance operations across all indexes (Fig. 13)."""
         return sum(i.maintenance_ops for i in self._indexes.values())

@@ -1,4 +1,4 @@
-"""The stdlib-only HTTP monitoring server: live scrape of one Database.
+"""The stdlib-only HTTP monitoring server: live scrape of one engine.
 
 ``db.serve_obs(port)`` starts a daemon :class:`ObsServer` exposing:
 
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs, urlparse
 
 if TYPE_CHECKING:
-    from repro.db import Database
+    from repro.db import Engine
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -173,37 +173,24 @@ class _ObsHandler(BaseHTTPRequestHandler):
         from repro.obs.recorder import render_chrome_trace
 
         db = self.server.db
-        request_log = getattr(db, "request_log", None)
-        requests = request_log.recent(limit=250) if request_log is not None else None
         self._respond(
             200,
             render_chrome_trace(
                 db.recorder,
                 trace_id=_int_param(params, "trace"),
-                requests=requests,
+                requests=db.request_log.recent(limit=250),
             ),
             "application/json; charset=utf-8",
         )
 
     def _serve_slo(self) -> None:
-        slo = getattr(self.server.db, "slo", None)
-        if slo is None:
-            self._respond_json(
-                404, {"error": "this database has no SLO tracker"}
-            )
-            return
-        self._respond_json(200, slo.report())
+        self._respond_json(200, self.server.db.slo.report())
 
     def _serve_request(self, raw_id: str) -> None:
         """The critical-path breakdown of one service request, addressable
         by request id or by trace id (``/request/trace:<hex>`` — the form
         an exemplar or response envelope hands you)."""
-        request_log = getattr(self.server.db, "request_log", None)
-        if request_log is None:
-            self._respond_json(
-                404, {"error": "this database has no request log"}
-            )
-            return
+        request_log = self.server.db.request_log
         if raw_id.startswith("trace:"):
             lifecycle = request_log.by_trace(raw_id.removeprefix("trace:"))
         else:
@@ -228,7 +215,6 @@ class _ObsHandler(BaseHTTPRequestHandler):
 
         from repro.obs.profiler import SamplingProfiler, render_collapsed
 
-        db = self.server.db
         seconds = _float_param(params, "seconds")
         seconds = 1.0 if seconds is None else seconds
         if seconds <= 0:
@@ -240,19 +226,17 @@ class _ObsHandler(BaseHTTPRequestHandler):
             raise ValueError("query parameter 'interval' must be positive")
 
         profiler = SamplingProfiler(interval=interval)
-        recorder = getattr(db, "recorder", None)
-        previous = getattr(recorder, "profiler", None) if recorder else None
+        recorder = self.server.db.recorder
+        previous = recorder.profiler
         # Publish the live profiler so slow-txn events recorded during the
         # window pick up top-of-stack attribution.
-        if recorder is not None:
-            recorder.profiler = profiler
+        recorder.profiler = profiler
         try:
             profiler.start()
             _time.sleep(seconds)
             profiler.stop()
         finally:
-            if recorder is not None:
-                recorder.profiler = previous
+            recorder.profiler = previous
         self._respond(
             200, render_collapsed(profiler.snapshot()), "text/plain; charset=utf-8"
         )
@@ -290,7 +274,7 @@ class _ObsHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], db: "Database") -> None:
+    def __init__(self, address: tuple[str, int], db: "Engine") -> None:
         super().__init__(address, _ObsHandler)
         self.db = db
 
@@ -302,7 +286,7 @@ class ObsServer:
     :attr:`port` (or :attr:`url`).  ``stop()`` is idempotent.
     """
 
-    def __init__(self, db: "Database", host: str = "127.0.0.1", port: int = 0) -> None:
+    def __init__(self, db: "Engine", host: str = "127.0.0.1", port: int = 0) -> None:
         self.db = db
         self.host = host
         self._httpd = _ObsHTTPServer((host, port), db)

@@ -124,13 +124,6 @@ class ArrowColumnView(Sequence):
         """Materialized copy as a plain Python list."""
         return list(self._materialize())
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ArrowColumnView):
-            return self._materialize() == other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"ArrowColumnView(length={len(self)}, materialized={self._values is not None})"
 
@@ -168,10 +161,6 @@ class ColumnBatch:
             return self.columns[column_id]
         except KeyError:
             raise StorageError(f"column {column_id} not in this scan") from None
-
-    def null_mask(self, column_id: int) -> np.ndarray | None:
-        """Boolean NULL mask for a fixed-width column, or ``None``."""
-        return self.null_masks.get(column_id)
 
     @property
     def selected_count(self) -> int:

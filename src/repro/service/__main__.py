@@ -34,18 +34,18 @@ import time
 
 
 def _build_db(shards: int, logging_enabled: bool = True):
-    from repro import ColumnSpec, Database
+    from repro import ColumnSpec, Database, ShardedDatabase
     from repro.arrowfmt.datatypes import INT64, UTF8
 
-    columns = [ColumnSpec("key", INT64), ColumnSpec("field0", UTF8)]
     if shards > 1:
-        from repro.cluster import ShardedDatabase
-
-        db = ShardedDatabase(n_shards=shards, logging_enabled=logging_enabled)
-        db.create_table("usertable", columns, shard_key="key")
+        db = ShardedDatabase(
+            n_shards=shards,
+            shard_keys={"usertable": "key"},
+            logging_enabled=logging_enabled,
+        )
     else:
         db = Database(logging_enabled=logging_enabled)
-        db.create_table("usertable", columns)
+    db.create_table("usertable", [ColumnSpec("key", INT64), ColumnSpec("field0", UTF8)])
     db.create_index("usertable", "by_key", ["key"])
     return db
 

@@ -17,9 +17,9 @@ closes at ``backlog_high`` but reopens only once backlog has drained to
 checks.
 
 **Sharded health.**  On a :class:`~repro.cluster.sharded.ShardedDatabase`
-the top-level report carries ``wal: None`` with per-shard reports nested
-under ``shards``; one shard over the watermark closes the gate for the
-whole cluster (a 2PC write touching that shard would stall anyway).
+the top-level ``wal`` section already rolls the shards up to the worst
+backlog, so one shard over the watermark closes the gate for the whole
+cluster (a 2PC write touching that shard would stall anyway).
 
 A sticky-degraded engine (``status != "ok"``) keeps the gate closed no
 matter the backlog — that state never self-heals, and the gate mirrors
@@ -37,16 +37,9 @@ if TYPE_CHECKING:
 
 
 def wal_backlog(health: dict[str, Any]) -> int:
-    """Worst WAL backlog in a health report (max across shards when the
-    top-level ``wal`` section is absent, as on a sharded cluster)."""
+    """The WAL backlog in a health report (0 with logging disabled)."""
     wal = health.get("wal")
-    if wal is not None:
-        return int(wal.get("backlog", 0))
-    worst = 0
-    for shard in (health.get("shards") or {}).values():
-        shard_wal = shard.get("wal") or {}
-        worst = max(worst, int(shard_wal.get("backlog", 0)))
-    return worst
+    return int(wal.get("backlog", 0)) if wal is not None else 0
 
 
 class HealthGate:

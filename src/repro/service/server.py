@@ -2,7 +2,7 @@
 
 One :class:`TransactionalServer` fronts one engine — a plain
 :class:`~repro.db.Database` or a :class:`~repro.cluster.sharded.ShardedDatabase`
-(the request path only touches the surface the two share) — and speaks the
+(the request path only touches :class:`~repro.db.Engine`'s surface) — and speaks the
 framed protocol of :mod:`repro.service.protocol`: point reads and scans
 answered through the postgres-wire row codec, whole-table exports through
 the Flight encoder, and simple write transactions (upsert/delete through
@@ -53,8 +53,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
+from repro.db import Engine
 from repro.errors import (
     DegradedError,
     ReproError,
@@ -65,7 +66,7 @@ from repro.errors import (
 )
 from repro.export import flight, postgres_wire
 from repro.obs.registry import STATE
-from repro.obs.slo import RequestLifecycle, RequestLog, SloTracker
+from repro.obs.slo import RequestLifecycle
 from repro.obs.trace import TailSampler, current_trace_id, get_tracer, span
 from repro.query.scan import TableScanner
 from repro.service import protocol
@@ -101,44 +102,14 @@ class ServiceConfig:
                                         # this (None = keep every trace)
 
 
-def _shard_tables(db: Any, table_name: str, request_id: int) -> list[tuple[Any, Any]]:
-    """``(txn_manager, table)`` for each local table holding ``table_name``'s
-    rows: the table itself on a plain database, every shard's partition on
-    a sharded one — and one replica of a replicated table, the row set
-    ``ShardedTable.scan`` returns.  The replica rotates with the request id,
-    as ``DistributedTransaction.read_shard`` rotates with the txn id, so
-    exports of a replicated table spread over the shards."""
-    shards = getattr(db, "shards", None)
-    if shards is None:
-        return [(db.txn_manager, db.catalog.table(table_name))]
-    if db.router.route(table_name).replicated:
-        shards = [shards[request_id % len(shards)]]
-    return [(shard.txn_manager, shard.catalog.table(table_name)) for shard in shards]
-
-
-def _local_reads(db: Any, table_name: str, txn: Any) -> Iterator[tuple[Any, Any]]:
-    """``(local transaction, table)`` for each local table holding the rows
-    ``ShardedTable.scan`` returns under ``txn``: the table itself on a plain
-    database, every shard's partition on a sharded one, and the replica
-    ``txn.read_shard()`` picks for a replicated table.  A shard's
-    participant is begun only when its table is reached."""
-    shards = getattr(db, "shards", None)
-    if shards is None:
-        yield txn, db.catalog.table(table_name)
-        return
-    replicated = db.router.route(table_name).replicated
-    for shard_id in [txn.read_shard()] if replicated else range(len(shards)):
-        yield txn.on_shard(shard_id), shards[shard_id].catalog.table(table_name)
-
-
 class TransactionalServer:
     """The asyncio front door over one database (or sharded cluster)."""
 
-    def __init__(self, db: Any, config: ServiceConfig | None = None) -> None:
+    def __init__(self, db: Engine, config: ServiceConfig | None = None) -> None:
         self.db = db
         self.config = config or ServiceConfig()
         self.registry = db.obs
-        self.recorder = getattr(db, "recorder", None)
+        self.recorder = db.recorder
         cfg = self.config
         self.admission = AdmissionController(
             max_inflight=cfg.max_inflight,
@@ -160,17 +131,7 @@ class TransactionalServer:
         # engine's request log (so /request/<id> works on db.serve_obs()),
         # and completions feed the engine's per-tenant SLO tracker.
         self._request_ids = itertools.count(1)
-        # NB: ``is None`` checks — an empty RequestLog is falsy (len 0),
-        # and the whole point is sharing the engine's (initially empty) one.
-        db_request_log = getattr(db, "request_log", None)
-        self.request_log: RequestLog = (
-            db_request_log if db_request_log is not None else RequestLog()
-        )
-        db_slo = getattr(db, "slo", None)
-        self.slo: SloTracker = (
-            db_slo if db_slo is not None else SloTracker(registry=self.registry)
-        )
-        self.slo.configure_defaults(
+        db.slo.configure_defaults(
             target_latency=cfg.slo_target_ms / 1e3,
             availability=cfg.slo_availability,
         )
@@ -228,8 +189,7 @@ class TransactionalServer:
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop()
         )
-        if self.recorder is not None:
-            self.recorder.record("service.start", port=self.port)
+        self.recorder.record("service.start", port=self.port)
         return self
 
     @property
@@ -267,8 +227,7 @@ class TransactionalServer:
         """
         timeout = self.config.drain_timeout if timeout is None else timeout
         self._draining = True
-        if self.recorder is not None:
-            self.recorder.record("service.drain", timeout=timeout)
+        self.recorder.record("service.drain", timeout=timeout)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -287,18 +246,12 @@ class TransactionalServer:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         loop = asyncio.get_running_loop()
         try:
-            flush = getattr(self.db, "flush_all", None)
-            if flush is None:
-                lm = getattr(self.db, "log_manager", None)
-                flush = lm.flush if lm is not None else None
-            if flush is not None:
-                await loop.run_in_executor(self._executor, flush)
+            await loop.run_in_executor(self._executor, self.db.flush_all)
         except Exception:
             # A failing final flush cannot retract already-sent acks (they
             # were durable before being sent); it is not a drain failure.
             pass
-        if self.recorder is not None:
-            self.recorder.record("service.drained", clean=clean)
+        self.recorder.record("service.drained", clean=clean)
         return clean
 
     async def stop(self) -> None:
@@ -599,24 +552,23 @@ class TransactionalServer:
             lifecycle.total_seconds, exemplar=lifecycle.trace_hex
         )
         if lifecycle.op != "ping":
-            self.slo.record(
+            self.db.slo.record(
                 lifecycle.tenant,
                 lifecycle.total_seconds,
                 ok=outcome == "ok",
                 shed=outcome in protocol.SHED_CODES,
             )
-            self.request_log.add(lifecycle)
-        if self.recorder is not None:
-            self.recorder.record(
-                "service.response",
-                request_id=lifecycle.request_id,
-                op=lifecycle.op,
-                tenant=lifecycle.tenant,
-                outcome=outcome,
-                duration_seconds=lifecycle.total_seconds,
-                trace_id=lifecycle.trace_id,
-                dominant_phase=lifecycle.dominant_phase(),
-            )
+            self.db.request_log.add(lifecycle)
+        self.recorder.record(
+            "service.response",
+            request_id=lifecycle.request_id,
+            op=lifecycle.op,
+            tenant=lifecycle.tenant,
+            outcome=outcome,
+            duration_seconds=lifecycle.total_seconds,
+            trace_id=lifecycle.trace_id,
+            dominant_phase=lifecycle.dominant_phase(),
+        )
 
     # ------------------------------------------------------------------ #
     # engine work (executor threads)                                      #
@@ -704,7 +656,7 @@ class TransactionalServer:
             columns: list[list] = [[] for _ in range(width)]
             num_rows = 0
             with self.db.transaction() as txn:
-                for local_txn, table in _local_reads(self.db, request.table, txn):
+                for local_txn, table in self.db.partitions(request.table, txn):
                     if num_rows == limit:
                         break
                     scanner = TableScanner(None, table, column_ids, txn=local_txn)
@@ -732,7 +684,9 @@ class TransactionalServer:
         under one snapshot per shard (none when every block is frozen)."""
         self._require(request, "table")
         with span("service.export", table=request.table):
-            tables = _shard_tables(self.db, request.table, lifecycle.request_id)
+            tables = list(
+                self.db.partitions(request.table, replica=lifecycle.request_id)
+            )
             stream = flight.encode_blocks(
                 tables[0][1].layout,
                 [(tm, lambda table=table: table.blocks) for tm, table in tables],
@@ -844,14 +798,13 @@ class TransactionalServer:
     def _record_txn(self, request: Request, txn_id: int | None) -> None:
         """Link this request to the transaction it spawned in the journal
         (the span → txn edge the flight recorder's timeline view joins)."""
-        if self.recorder is not None:
-            self.recorder.record(
-                "service.request",
-                txn_id=txn_id,
-                op=request.op,
-                tenant=request.tenant,
-                table=request.table,
-            )
+        self.recorder.record(
+            "service.request",
+            txn_id=txn_id,
+            op=request.op,
+            tenant=request.tenant,
+            table=request.table,
+        )
 
 
 class ServerThread:
@@ -863,7 +816,7 @@ class ServerThread:
     calls :meth:`request_drain` from the signal frame and joins.
     """
 
-    def __init__(self, db: Any, config: ServiceConfig | None = None) -> None:
+    def __init__(self, db: Engine, config: ServiceConfig | None = None) -> None:
         self.db = db
         self.config = config or ServiceConfig()
         self.server: TransactionalServer | None = None

@@ -26,13 +26,13 @@ from repro.errors import TransactionAborted
 from repro.obs.slo import stamp_phase
 
 if TYPE_CHECKING:
-    from repro.db import Database
+    from repro.db import Engine
     from repro.obs.registry import Counter
     from repro.txn.context import TransactionContext
 
 
 def retry_transaction(
-    db: "Database",
+    db: "Engine",
     body: Callable[["TransactionContext"], Any],
     *,
     retries: int = 5,
@@ -69,14 +69,13 @@ def retry_transaction(
     """
     draw = rng.random if rng is not None else random.random
     attempts = retries + 1
-    recorder = getattr(db, "recorder", None)
     prev_txn_id: int | None = None
     for attempt in range(attempts):
         txn = db.begin()
-        if prev_txn_id is not None and recorder is not None:
+        if prev_txn_id is not None:
             # Link the fresh attempt to the aborted one so the flight
             # recorder can reconstruct the begin→(retries)→commit chain.
-            recorder.record(
+            db.recorder.record(
                 "txn.retry",
                 txn_id=txn.txn_id,
                 prev_txn_id=prev_txn_id,

@@ -49,12 +49,6 @@ class TpccRun:
         """Committed transactions per second."""
         return self.committed / self.seconds if self.seconds else 0.0
 
-    def frozen_fraction(self, table: str) -> float:
-        """Fraction of a table's blocks frozen at the end of the run."""
-        states = self.block_states[table]
-        total = sum(states.values())
-        return states.get("FROZEN", 0) / total if total else 0.0
-
 
 class TpccDriver:
     """Loads and drives a TPC-C database."""

@@ -7,7 +7,9 @@ import urllib.request
 import pytest
 
 from repro import INT64, UTF8, ColumnSpec, TransactionAborted, obs
+from repro.catalog.catalog import TableInfo
 from repro.cluster import ShardedDatabase
+from repro.errors import StorageError
 
 
 @pytest.fixture
@@ -126,6 +128,44 @@ class TestRoutingSurfaces:
         cluster.abort(reader)
         assert len(rows) == 1
         assert cluster.catalog.table("ref").live_tuple_count() == 1
+        # Block states count one replica too, not every shard's copy.
+        replica = cluster.shards[0].catalog.table("ref").block_states()
+        assert cluster.catalog.table("ref").block_states() == replica
+
+
+    def test_partitions_are_the_shard_tables(self, cluster):
+        kv = [shard.catalog.table("kv") for shard in cluster.shards]
+        assert list(cluster.partitions("kv")) == [
+            (shard.txn_manager, table) for shard, table in zip(cluster.shards, kv)
+        ]
+        txn = cluster.begin()
+        walk = cluster.partitions("kv", txn)
+        assert next(walk) == (txn.participants[0], kv[0])
+        assert list(txn.participants) == [0]  # shard 1 not reached yet
+        assert list(walk) == [(txn.participants[1], kv[1])]
+        cluster.abort(txn)
+
+    def test_replicated_partitions_are_one_replica(self, cluster):
+        ref = [shard.catalog.table("ref") for shard in cluster.shards]
+        for replica in range(4):
+            [(_, table)] = cluster.partitions("ref", replica=replica)
+            assert table is ref[replica % 2]
+        txn = cluster.begin()
+        _insert(cluster, txn, 5)  # a participant on shard 1
+        [(local, table)] = cluster.partitions("ref", txn)
+        assert (local, table) == (txn.participants[1], ref[1])
+        cluster.abort(txn)
+
+    def test_catalog_get_is_a_table_info(self, cluster):
+        info = cluster.catalog.get("kv")
+        assert isinstance(info, TableInfo)
+        assert info is cluster.catalog.get("kv")
+        assert info.table is cluster.catalog.table("kv")
+        assert info.column_id("v") == 1
+        with pytest.raises(StorageError):
+            info.column_id("missing")
+        assert sorted(info.indexes) == ["by_id", "pk"]
+        assert info.indexes["pk"] is cluster.catalog.index("kv", "pk")
 
 
 class TestHealthAndObs:

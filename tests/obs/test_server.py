@@ -6,8 +6,9 @@ import urllib.request
 
 import pytest
 
-from repro import ColumnSpec, Database, INT64, UTF8, obs
+from repro import ColumnSpec, Database, INT64, ShardedDatabase, UTF8, obs
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE
+from repro.obs.slo import RequestLifecycle
 
 
 @pytest.fixture(autouse=True)
@@ -267,3 +268,67 @@ def test_events_request_filter(served_db):
     kinds = [e["kind"] for e in payload["events"]]
     assert "test.tagged" in kinds and "test.untagged" not in kinds
     assert all(e["request_id"] == 42 for e in payload["events"])
+
+
+# --------------------------------------------------------------------- #
+# the same endpoints on both engines                                    #
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(
+    params=[Database, lambda: ShardedDatabase(n_shards=2)],
+    ids=["database", "sharded"],
+)
+def served_engine(request):
+    """A served engine of either kind with one committed row."""
+    db = request.param()
+    info = db.create_table("t", [ColumnSpec("id", INT64), ColumnSpec("v", UTF8)])
+    with db.transaction() as txn:
+        info.table.insert(txn, {0: 1, 1: "hello"})
+    yield db, db.serve_obs()
+    db.close()
+
+
+def test_healthz_on_both_engines(served_engine):
+    _, server = served_engine
+    status, payload = _get_json(server, "/healthz")
+    assert status == 200 and payload["status"] == "ok"
+    assert payload["wal"]["healthy"] is True
+    assert payload["wal"]["backlog"] == 0
+    assert payload["wal"]["last_fsync_age_seconds"] >= 0
+
+
+def test_slo_on_both_engines(served_engine):
+    db, server = served_engine
+    db.slo.record("acme", 0.01, ok=True)
+    status, payload = _get_json(server, "/slo")
+    assert status == 200
+    assert payload["tenants"]["acme"]["windows"]["60s"]["total"] == 1
+
+
+def test_request_and_trace_on_both_engines(served_engine):
+    db, server = served_engine
+    lifecycle = RequestLifecycle(7, op="read", tenant="acme")
+    lifecycle.trace_id = 0xBEEF
+    with lifecycle.activate():
+        db.recorder.record("test.tagged", txn_id=1)
+    lifecycle.finish("ok")
+    lifecycle.close()
+    db.request_log.add(lifecycle)
+
+    status, payload = _get_json(server, "/request/7")
+    assert status == 200 and payload["trace_id"] == "beef"
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _get(server, "/request/8")
+    assert err.value.code == 404
+
+    status, payload = _get_json(server, "/events?request=7")
+    assert status == 200
+    assert [e["kind"] for e in payload["events"]] == ["test.tagged"]
+
+    status, _, body = _get(server, "/trace")
+    assert status == 200
+    requests = [
+        e for e in json.loads(body)["traceEvents"] if e.get("cat") == "request"
+    ]
+    assert [e["args"]["request_id"] for e in requests] == [7]

@@ -9,7 +9,7 @@ from repro.cluster import ShardedDatabase
 from repro.export import flight, postgres_wire
 from repro.service import ServiceClient
 from repro.query.scan import TableScanner
-from repro.service.server import ServerThread, _shard_tables
+from repro.service.server import ServerThread
 from repro.storage.constants import BlockState
 from repro.storage.data_table import rowwise_scan
 
@@ -114,11 +114,12 @@ def test_replicated_table_is_exported_once():
 
 def test_replicated_exports_rotate_over_the_replicas():
     db = make_db(shards=2, rows=10, shard_key=None)
+    # The export passes its request id as the replica to read.
     picked = [
-        _shard_tables(db, "usertable", request_id)[0][1]
+        [table for _, table in db.partitions("usertable", replica=request_id)]
         for request_id in range(1, 5)
     ]
-    replicas = [shard.catalog.table("usertable") for shard in db.shards]
+    replicas = [[shard.catalog.table("usertable")] for shard in db.shards]
     assert picked == [replicas[1], replicas[0], replicas[1], replicas[0]]
     db.close()
 

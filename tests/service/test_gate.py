@@ -1,5 +1,7 @@
 """Tests for the hysteretic write gate over health reports."""
 
+from repro import INT64, ColumnSpec
+from repro.cluster import ShardedDatabase
 from repro.obs.recorder import Recorder
 from repro.obs.registry import MetricRegistry
 from repro.service.gate import HealthGate, wal_backlog
@@ -11,14 +13,19 @@ def report(status="ok", backlog=0):
     return {"status": status, "wal": {"backlog": backlog}}
 
 
-def sharded_report(status="ok", backlogs=(0, 0)):
-    return {
-        "status": status,
-        "wal": None,
-        "shards": {
-            str(i): {"wal": {"backlog": b}} for i, b in enumerate(backlogs)
-        },
-    }
+def sharded_report(backlog_on_shard_1=0):
+    """A real 2-shard cluster's health with ``backlog_on_shard_1`` commits
+    left unflushed on shard 1 (shard 0's log stays drained)."""
+    cluster = ShardedDatabase(n_shards=2)
+    cluster.create_table("kv", [ColumnSpec("id", INT64)], shard_key="id")
+    cluster.shards[1].log_manager.synchronous = False
+    table = cluster.catalog.table("kv")
+    for i in range(backlog_on_shard_1):
+        with cluster.transaction() as txn:
+            table.insert(txn, {0: 2 * i + 1})  # odd ids route to shard 1
+    health = cluster.health()
+    cluster.close()
+    return health
 
 
 class TestWalBacklog:
@@ -26,11 +33,14 @@ class TestWalBacklog:
         assert wal_backlog(report(backlog=7)) == 7
 
     def test_sharded_takes_the_worst_shard(self):
-        assert wal_backlog(sharded_report(backlogs=(3, 11))) == 11
+        health = sharded_report(backlog_on_shard_1=3)
+        assert health["shards"]["0"]["wal"]["backlog"] == 0
+        assert health["wal"]["backlog"] == 3
+        assert wal_backlog(health) == 3
 
     def test_logging_disabled_is_zero(self):
         assert wal_backlog({"status": "ok", "wal": None}) == 0
-        assert wal_backlog({"status": "ok", "wal": None, "shards": {}}) == 0
+        assert ShardedDatabase(n_shards=2, logging_enabled=False).health()["wal"] is None
 
 
 class TestHealthGate:
@@ -65,9 +75,10 @@ class TestHealthGate:
 
     def test_sharded_one_bad_shard_closes_the_cluster_gate(self):
         gate = HealthGate(backlog_high=4, backlog_low=0, reopen_after=1)
-        assert gate.observe(sharded_report(backlogs=(0, 0)))
-        assert not gate.observe(sharded_report(backlogs=(0, 4)))
-        assert gate.observe(sharded_report(backlogs=(0, 0)))
+        assert gate.observe(sharded_report(backlog_on_shard_1=0))
+        assert not gate.observe(sharded_report(backlog_on_shard_1=4))
+        assert gate.reason == "wal backlog 4"
+        assert gate.observe(sharded_report(backlog_on_shard_1=0))
 
     def test_transition_counters_and_events(self):
         registry = MetricRegistry()
