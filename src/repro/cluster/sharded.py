@@ -597,9 +597,13 @@ class ShardedDatabase(Engine):
         coordinator log) is degraded — the obs HTTP server turns that
         into a 503 on ``/healthz``.  ``wal`` rolls the shards' sections
         up into ``Database.health()``'s shape (see :func:`_roll_up_wal`);
-        the per-shard reports stay under ``shards``.
+        the per-shard reports stay under ``shards``, without an ``slo``
+        section: the service records into the cluster's tracker, never a
+        shard's, so ``slo`` appears once, at the top.
         """
         shards = {str(i): shard.health() for i, shard in enumerate(self.shards)}
+        for report in shards.values():
+            del report["slo"]
         degraded_shards = [
             i for i, shard in enumerate(self.shards) if shard.degraded
         ]

@@ -5,6 +5,9 @@ reads and writes through indexes and the Data Table API, and commits —
 or aborts and reports failure when it loses a write-write conflict.  The
 NewOrder profile also performs the spec's 1% deliberate rollback through an
 unused item id.
+
+Every read is projected (Section 3.1's ``ProjectedRow``): it materializes
+only the columns :data:`READS` lists for it, never the whole tuple.
 """
 
 from __future__ import annotations
@@ -13,13 +16,70 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import TransactionAborted
+from repro.errors import TransactionAborted, WorkloadError
 from repro.workloads.tpcc.random_gen import TpccRandom
 from repro.workloads.tpcc.schema import TPCC_TABLES, TpccConfig
 
 if TYPE_CHECKING:
     from repro.db import Database
     from repro.txn.context import TransactionContext
+
+
+#: The columns each profile reads from each table: the SELECT list of the
+#: spec clause, plus the columns the profile's UPDATE increments.  Resolved
+#: to column ids once, when :class:`TpccTransactions` is built.
+READS: dict[str, dict[str, tuple[str, ...]]] = {
+    # Clause 2.4.2.2.  The stock read also takes the district's
+    # S_DIST_xx column (:func:`_dist_column`).
+    "new_order": {
+        "warehouse": ("w_tax",),
+        "district": ("d_tax", "d_next_o_id"),
+        "customer": ("c_discount", "c_last", "c_credit"),
+        "item": ("i_price", "i_name", "i_data"),
+        "stock": ("s_quantity", "s_data", "s_ytd", "s_order_cnt", "s_remote_cnt"),
+    },
+    # Clause 2.5.2.2.
+    "payment": {
+        "warehouse": (
+            "w_name", "w_street_1", "w_street_2", "w_city", "w_state", "w_zip", "w_ytd",
+        ),
+        "district": (
+            "d_name", "d_street_1", "d_street_2", "d_city", "d_state", "d_zip", "d_ytd",
+        ),
+        "customer": (
+            "c_id", "c_first", "c_middle", "c_last", "c_street_1", "c_street_2",
+            "c_city", "c_state", "c_zip", "c_phone", "c_since", "c_credit",
+            "c_credit_lim", "c_discount", "c_balance",
+            "c_ytd_payment", "c_payment_cnt", "c_data",
+        ),
+    },
+    # Clause 2.6.2.2.
+    "order_status": {
+        "customer": ("c_id", "c_balance", "c_first", "c_middle", "c_last"),
+        "oorder": ("o_id", "o_entry_d", "o_carrier_id"),
+        "order_line": (
+            "ol_i_id", "ol_supply_w_id", "ol_quantity", "ol_amount", "ol_delivery_d",
+        ),
+    },
+    # Clause 2.7.4.2.
+    "delivery": {
+        "new_order": ("no_o_id",),
+        "oorder": ("o_c_id",),
+        "order_line": ("ol_amount",),
+        "customer": ("c_balance", "c_delivery_cnt"),
+    },
+    # Clause 2.8.2.2.
+    "stock_level": {
+        "district": ("d_next_o_id",),
+        "order_line": ("ol_i_id",),
+        "stock": ("s_quantity",),
+    },
+}
+
+
+def _dist_column(d_id: int) -> str:
+    """NewOrder's S_DIST_xx: the stock column for district ``d_id``."""
+    return f"s_dist_{d_id:02d}" if d_id <= 10 else "s_dist_01"
 
 
 @dataclass
@@ -67,6 +127,19 @@ class TpccTransactions:
             table: {spec.name: i for i, spec in enumerate(columns)}
             for table, columns in TPCC_TABLES.items()
         }
+        self._names = {
+            table: [spec.name for spec in columns]
+            for table, columns in TPCC_TABLES.items()
+        }
+        self._reads = {
+            profile: {table: self._column_ids(table, names) for table, names in tables.items()}
+            for profile, tables in READS.items()
+        }
+        stock = READS["new_order"]["stock"]
+        self._new_order_stock = {
+            d_id: self._column_ids("stock", stock + (_dist_column(d_id),))
+            for d_id in range(1, config.districts_per_warehouse + 1)
+        }
 
     # ------------------------------------------------------------------ #
     # helpers                                                             #
@@ -76,13 +149,19 @@ class TpccTransactions:
         ids = self._cols[table]
         return {ids[name]: value for name, value in fields.items()}
 
-    def _named(self, table: str, row) -> dict[str, Any]:
+    def _column_ids(self, table: str, names: tuple[str, ...]) -> list[int]:
         ids = self._cols[table]
-        by_id = row.to_dict()
-        return {name: by_id[i] for name, i in ids.items() if i in by_id}
+        unknown = [name for name in names if name not in ids]
+        if unknown:
+            raise WorkloadError(f"table {table!r} has no columns {unknown}")
+        return [ids[name] for name in names]
 
-    def _lookup_one(self, txn, table: str, index: str, key: tuple):
-        hits = self.db.catalog.index(table, index).lookup(txn, key)
+    def _named(self, table: str, row) -> dict[str, Any]:
+        names = self._names[table]
+        return {names[i]: value for i, value in row.to_dict().items()}
+
+    def _lookup_one(self, txn, table: str, index: str, key: tuple, column_ids: list[int]):
+        hits = self.db.catalog.index(table, index).lookup(txn, key, column_ids)
         if not hits:
             return None, None
         return hits[0]
@@ -133,19 +212,19 @@ class TpccTransactions:
         if txn.state is TxnState.COMMITTED and len(txn.redo_buffer) > 0:
             self.acked_writes += 1
 
-    def _pick_customer(self, txn, w_id: int, d_id: int):
+    def _pick_customer(self, txn, w_id: int, d_id: int, column_ids: list[int]):
         """60/40 by-id vs by-last-name customer selection (clause 2.5.1.2)."""
         if self.rand.random() < 0.6:
             c_id = self.rand.nurand(1023, 1, self.config.customers_per_district)
-            return self._lookup_one(txn, "customer", "pk", (w_id, d_id, c_id))
+            return self._lookup_one(txn, "customer", "pk", (w_id, d_id, c_id), column_ids)
         last = self.rand.random_last_name(self.config.customers_per_district)
         index = self.db.catalog.index("customer", "by_name")
-        matches = list(
-            index.range_scan(txn, (w_id, d_id, last), (w_id, d_id, last + "￿"))
-        )
+        matches = list(index.range_scan(
+            txn, (w_id, d_id, last), (w_id, d_id, last + "￿"), column_ids
+        ))
         if not matches:
             c_id = self.rand.uniform(1, self.config.customers_per_district)
-            return self._lookup_one(txn, "customer", "pk", (w_id, d_id, c_id))
+            return self._lookup_one(txn, "customer", "pk", (w_id, d_id, c_id), column_ids)
         # Clause 2.5.2.2: the row at ceil(n/2) in first-name order.
         _, slot, row = matches[(len(matches) - 1) // 2]
         return slot, row
@@ -173,11 +252,19 @@ class TpccTransactions:
                 else w_id
             )
             lines.append((number, i_id, supply_w, r.uniform(1, 10)))
+        reads = self._reads["new_order"]
+        stock_columns = self._new_order_stock[d_id]
 
         def body(txn: "TransactionContext") -> bool:
-            warehouse_slot, warehouse = self._lookup_one(txn, "warehouse", "pk", (w_id,))
-            district_slot, district = self._lookup_one(txn, "district", "pk", (w_id, d_id))
-            _, customer = self._lookup_one(txn, "customer", "pk", (w_id, d_id, c_id))
+            _, warehouse = self._lookup_one(
+                txn, "warehouse", "pk", (w_id,), reads["warehouse"]
+            )
+            district_slot, district = self._lookup_one(
+                txn, "district", "pk", (w_id, d_id), reads["district"]
+            )
+            _, customer = self._lookup_one(
+                txn, "customer", "pk", (w_id, d_id, c_id), reads["customer"]
+            )
             if None in (warehouse, district, customer):
                 return False
             d = self._named("district", district)
@@ -200,12 +287,12 @@ class TpccTransactions:
             stock_table = self.db.catalog.table("stock")
             ol_table = self.db.catalog.table("order_line")
             for number, i_id, supply_w, quantity in lines:
-                _, item = self._lookup_one(txn, "item", "pk", (i_id,))
+                _, item = self._lookup_one(txn, "item", "pk", (i_id,), reads["item"])
                 if item is None:
                     # The spec's deliberate rollback: unused item id.
                     return False
                 stock_slot, stock = self._lookup_one(
-                    txn, "stock", "pk", (supply_w, i_id)
+                    txn, "stock", "pk", (supply_w, i_id), stock_columns
                 )
                 if stock is None:
                     return False
@@ -230,7 +317,7 @@ class TpccTransactions:
                     ol_number=number, ol_i_id=i_id, ol_supply_w_id=supply_w,
                     ol_delivery_d=0, ol_quantity=quantity,
                     ol_amount=quantity * i["i_price"],
-                    ol_dist_info=s[f"s_dist_{d_id:02d}"] if d_id <= 10 else s["s_dist_01"],
+                    ol_dist_info=s[_dist_column(d_id)],
                 ))
             return True
 
@@ -256,11 +343,18 @@ class TpccTransactions:
             c_d_id = r.uniform(1, self.config.districts_per_warehouse)
         else:
             c_w_id, c_d_id = w_id, d_id
+        reads = self._reads["payment"]
 
         def body(txn: "TransactionContext") -> bool:
-            warehouse_slot, warehouse = self._lookup_one(txn, "warehouse", "pk", (w_id,))
-            district_slot, district = self._lookup_one(txn, "district", "pk", (w_id, d_id))
-            customer_slot, customer = self._pick_customer(txn, c_w_id, c_d_id)
+            warehouse_slot, warehouse = self._lookup_one(
+                txn, "warehouse", "pk", (w_id,), reads["warehouse"]
+            )
+            district_slot, district = self._lookup_one(
+                txn, "district", "pk", (w_id, d_id), reads["district"]
+            )
+            customer_slot, customer = self._pick_customer(
+                txn, c_w_id, c_d_id, reads["customer"]
+            )
             if None in (warehouse, district, customer):
                 return False
             w = self._named("warehouse", warehouse)
@@ -287,7 +381,7 @@ class TpccTransactions:
                 return False
             self.db.catalog.table("history").insert(txn, self._values(
                 "history",
-                h_c_id=c["c_id"], h_c_d_id=c["c_d_id"], h_c_w_id=c["c_w_id"],
+                h_c_id=c["c_id"], h_c_d_id=c_d_id, h_c_w_id=c_w_id,
                 h_d_id=d_id, h_w_id=w_id, h_date=self._now(),
                 h_amount=amount, h_data=f"{w['w_name']}    {d['d_name']}"[:24],
             ))
@@ -300,15 +394,16 @@ class TpccTransactions:
         r = self.rand
         w_id = w_id or r.uniform(1, self.config.warehouses)
         d_id = r.uniform(1, self.config.districts_per_warehouse)
+        reads = self._reads["order_status"]
 
         def body(txn: "TransactionContext") -> bool:
-            _, customer = self._pick_customer(txn, w_id, d_id)
+            _, customer = self._pick_customer(txn, w_id, d_id, reads["customer"])
             if customer is None:
                 return False
             c_id = self._named("customer", customer)["c_id"]
             by_customer = self.db.catalog.index("oorder", "by_customer")
             orders = list(by_customer.range_scan(
-                txn, (w_id, d_id, c_id), (w_id, d_id, c_id + 1), column_ids=None,
+                txn, (w_id, d_id, c_id), (w_id, d_id, c_id + 1), reads["oorder"]
             ))
             if not orders:
                 return True  # a customer with no orders is a valid outcome
@@ -316,7 +411,7 @@ class TpccTransactions:
             o = self._named("oorder", order)
             ol_pk = self.db.catalog.index("order_line", "pk")
             lines = list(ol_pk.range_scan(
-                txn, (w_id, d_id, o["o_id"]), (w_id, d_id, o["o_id"] + 1)
+                txn, (w_id, d_id, o["o_id"]), (w_id, d_id, o["o_id"] + 1), reads["order_line"]
             ))
             return True
 
@@ -327,20 +422,23 @@ class TpccTransactions:
         r = self.rand
         w_id = w_id or r.uniform(1, self.config.warehouses)
         carrier = r.uniform(1, 10)
+        reads = self._reads["delivery"]
 
         def body(txn: "TransactionContext") -> bool:
             no_index = self.db.catalog.index("new_order", "pk")
             for d_id in range(1, self.config.districts_per_warehouse + 1):
-                pending = list(
-                    no_index.range_scan(txn, (w_id, d_id, 0), (w_id, d_id + 1, 0))
-                )
+                pending = list(no_index.range_scan(
+                    txn, (w_id, d_id, 0), (w_id, d_id + 1, 0), reads["new_order"]
+                ))
                 if not pending:
                     continue
                 _, no_slot, no_row = pending[0]
                 o_id = self._named("new_order", no_row)["no_o_id"]
                 if not self.db.catalog.table("new_order").delete(txn, no_slot):
                     return False
-                order_slot, order = self._lookup_one(txn, "oorder", "pk", (w_id, d_id, o_id))
+                order_slot, order = self._lookup_one(
+                    txn, "oorder", "pk", (w_id, d_id, o_id), reads["oorder"]
+                )
                 if order is None:
                     continue
                 o = self._named("oorder", order)
@@ -351,7 +449,7 @@ class TpccTransactions:
                 total = 0.0
                 ol_table = self.db.catalog.table("order_line")
                 for _, ol_slot, ol_row in self.db.catalog.index("order_line", "pk").range_scan(
-                    txn, (w_id, d_id, o_id), (w_id, d_id, o_id + 1)
+                    txn, (w_id, d_id, o_id), (w_id, d_id, o_id + 1), reads["order_line"]
                 ):
                     ol = self._named("order_line", ol_row)
                     total += ol["ol_amount"]
@@ -360,7 +458,7 @@ class TpccTransactions:
                     ):
                         return False
                 customer_slot, customer = self._lookup_one(
-                    txn, "customer", "pk", (w_id, d_id, o["o_c_id"])
+                    txn, "customer", "pk", (w_id, d_id, o["o_c_id"]), reads["customer"]
                 )
                 if customer is None:
                     continue
@@ -383,20 +481,24 @@ class TpccTransactions:
         w_id = w_id or r.uniform(1, self.config.warehouses)
         d_id = r.uniform(1, self.config.districts_per_warehouse)
         threshold = r.uniform(10, 20)
+        reads = self._reads["stock_level"]
 
         def body(txn: "TransactionContext") -> bool:
-            _, district = self._lookup_one(txn, "district", "pk", (w_id, d_id))
+            _, district = self._lookup_one(
+                txn, "district", "pk", (w_id, d_id), reads["district"]
+            )
             if district is None:
                 return False
             next_o_id = self._named("district", district)["d_next_o_id"]
             seen: set[int] = set()
             for _, _, ol_row in self.db.catalog.index("order_line", "pk").range_scan(
-                txn, (w_id, d_id, max(1, next_o_id - 20)), (w_id, d_id, next_o_id)
+                txn, (w_id, d_id, max(1, next_o_id - 20)), (w_id, d_id, next_o_id),
+                reads["order_line"],
             ):
                 seen.add(self._named("order_line", ol_row)["ol_i_id"])
             low = 0
             for i_id in seen:
-                _, stock = self._lookup_one(txn, "stock", "pk", (w_id, i_id))
+                _, stock = self._lookup_one(txn, "stock", "pk", (w_id, i_id), reads["stock"])
                 if stock is not None:
                     if self._named("stock", stock)["s_quantity"] < threshold:
                         low += 1

@@ -182,6 +182,12 @@ class TestHealthAndObs:
         assert sorted(health["shards"]) == ["0", "1"]
         assert health["coordinator"]["healthy"]
 
+    def test_slo_is_reported_once_for_the_cluster(self, cluster):
+        cluster.slo.record("t1", 0.002, ok=True)
+        health = cluster.health()
+        assert health["slo"]["tenants"] == 1
+        assert all("slo" not in shard for shard in health["shards"].values())
+
     def test_any_degraded_shard_degrades_the_cluster(self, cluster):
         cluster.shards[1].txn_manager.enter_degraded("disk gone")
         health = cluster.health()
