@@ -21,8 +21,9 @@ import pytest
 from repro import Database, obs
 from repro.bench.harness import RegistryDelta
 from repro.bench.reporting import format_table
+from repro.obs.recorder import Recorder
 from repro.obs.registry import Counter, Histogram
-from repro.obs.trace import Tracer
+from repro.obs.trace import span
 from repro.workloads.tpcc import TpccConfig, TpccDriver
 
 from conftest import publish, publish_deltas, scaled
@@ -113,13 +114,15 @@ def test_disabled_path_is_near_noop(benchmark):
     obs.configure(enabled=False)
     counter = Counter("bench.noop_total")
     hist = Histogram("bench.noop_seconds")
-    tracer = Tracer(capacity=8)
+    recorder = Recorder(capacity=8)
 
     costs = benchmark.pedantic(
         lambda: {
             "counter.inc": _per_call_cost(counter.inc),
             "histogram.observe": _per_call_cost(lambda: hist.observe(0.1)),
-            "span": _per_call_cost(lambda: tracer.span("bench.noop").__enter__()),
+            "span": _per_call_cost(
+                lambda: span("bench.noop", recorder).__enter__()
+            ),
         },
         rounds=1,
         iterations=1,
@@ -134,6 +137,6 @@ def test_disabled_path_is_near_noop(benchmark):
     )
     assert counter.value == 0
     assert hist.snapshot().count == 0
-    assert len(tracer) == 0
+    assert len(recorder) == 0
     for name, cost in costs.items():
         assert cost < 5e-7, f"disabled {name} costs {cost * 1e9:.0f} ns/call"

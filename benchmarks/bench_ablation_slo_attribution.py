@@ -1,8 +1,8 @@
 """Ablation: cost of request-scoped tail-latency attribution.
 
 The attribution stack added for the SLO work rides every request: a
-phase-stamped :class:`~repro.obs.slo.RequestLifecycle`, histogram
-exemplars, tail-sampled traces, and per-tenant SLO accounting.  Like the
+phase-stamped :class:`~repro.obs.slo.RequestLifecycle` journaled in the
+flight recorder, histogram exemplars, and per-tenant SLO accounting.  Like the
 flight recorder before it, the design bet is that all of it rides along
 for (nearly) free — this benchmark enforces the same <5% gate on two
 paths:
@@ -11,8 +11,8 @@ paths:
   lifecycle: every deep ``stamp_phase`` site (retry backoff, fsync waits)
   flips from the null fast path to live stamping;
 * **service path** — closed-loop reads through the real socket server
-  with the full stack on (exemplars, tail sampler, SLO tracking) vs.
-  observability disabled entirely.
+  with the full stack on (exemplars, SLO tracking) vs. the lean
+  baseline, with observability disabled entirely as context.
 
 A microbench pins the per-call cost of ``stamp_phase`` itself in both
 states, because that is the branch every engine layer now carries.
@@ -75,9 +75,8 @@ def _engine_trial(active: bool) -> tuple[float, int]:
 
 def _service_trial(config: str) -> tuple[float, int]:
     """One closed-loop read run: ``disabled`` (obs off entirely, context
-    only), ``lean`` (obs on, no exemplars, no tail sampler — the
-    established baseline), ``full`` (exemplars + a deciding tail
-    sampler)."""
+    only), ``lean`` (obs on, no exemplars — the established baseline),
+    ``full`` (exemplars on)."""
     full = config == "full"
     obs.configure(enabled=config != "disabled")
     columns = [ColumnSpec("key", INT64), ColumnSpec("field0", UTF8)]
@@ -89,13 +88,7 @@ def _service_trial(config: str) -> tuple[float, int]:
     with db.transaction() as txn:
         for key in range(keys):
             info.table.insert(txn, {0: key, 1: f"v{key}"})
-    config = ServiceConfig(
-        exemplars=full,
-        # A threshold forces the sampler to *decide* per trace (the
-        # expensive shape); most traces drop, as in production.
-        tail_sample_threshold_ms=50.0 if full else None,
-    )
-    server = ServerThread(db, config).start()
+    server = ServerThread(db, ServiceConfig(exemplars=full)).start()
     served = 0
     try:
         with ServiceClient(port=server.port) as client:
@@ -162,7 +155,7 @@ def test_attribution_overhead_under_five_percent(benchmark, measurements):
                 ),
                 ("service, obs on (baseline)", f"{rates['service lean']:,.0f}", "—"),
                 (
-                    "service, + exemplars + tail sampler",
+                    "service, + exemplars",
                     f"{rates['service full']:,.0f}",
                     f"{service_overhead * 100:+.1f}%",
                 ),

@@ -59,14 +59,15 @@ def hybrid_pass(db, info, compress: bool = False) -> tuple[float, float, float]:
 
     Phase timings are sourced from ``repro.obs`` trace spans — the same
     instrumentation the engine's transformer emits — rather than one-off
-    ``perf_counter`` bookkeeping (the Fig. 12b panel is a span summary).
+    ``perf_counter`` bookkeeping (the Fig. 12b panel sums the spans a
+    private flight recorder journals, by name).
     """
     obs.configure(enabled=True)
-    tracer = trace.Tracer(capacity=16)
+    recorder = obs.Recorder(capacity=16)
     gather_phase = "transform.dictionary" if compress else "transform.gather"
     blocks = list(info.table.blocks)
-    with tracer.span("transform.pass"):
-        with tracer.span("transform.compaction"):
+    with trace.span("transform.pass", recorder):
+        with trace.span("transform.compaction"):
             plan = plan_compaction(blocks)
             txn = execute_compaction(db.txn_manager, info.table, plan)
             assert txn is not None
@@ -77,7 +78,7 @@ def hybrid_pass(db, info, compress: bool = False) -> tuple[float, float, float]:
                 block.compare_and_swap_state(BlockState.HOT, BlockState.COOLING)
             db.txn_manager.commit(txn)
             db.gc.run_until_quiet()
-        with tracer.span(gather_phase):
+        with trace.span(gather_phase):
             for block in keep:
                 block.set_state(BlockState.FREEZING)
                 if compress:
@@ -85,11 +86,13 @@ def hybrid_pass(db, info, compress: bool = False) -> tuple[float, float, float]:
                 else:
                     gather_block(block)
                 block.set_state(BlockState.FROZEN)
-    summary = tracer.summarize()
+    seconds: dict[str, float] = {}
+    for span in recorder.spans():
+        seconds[span.name] = seconds.get(span.name, 0.0) + span.duration
     return (
-        summary["transform.pass"].total_seconds,
-        summary["transform.compaction"].total_seconds,
-        summary[gather_phase].total_seconds,
+        seconds["transform.pass"],
+        seconds["transform.compaction"],
+        seconds[gather_phase],
     )
 
 

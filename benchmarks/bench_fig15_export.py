@@ -40,6 +40,9 @@ _SLOTS = BlockLayout(TPCC_TABLES["order_line"], BLOCK_SIZE).num_slots
 #: Whole blocks only: a partly filled insertion block never freezes, so
 #: the 100 %-frozen point would still materialize it tuple by tuple.
 ROWS = _SLOTS * max(1, round(scaled(6000, minimum=2000) / _SLOTS))
+#: Export rounds per point; the report takes their median, so one round
+#: slowed by another process on the machine does not flip an assertion.
+ROUNDS = 3
 
 
 def build_order_line(**db_kwargs):
@@ -134,8 +137,11 @@ def test_report_figure_15(benchmark, order_line_db):
             set_frozen_fraction(info, frozen_pct / 100.0)
             exporter = TableExporter(db.txn_manager, info.table)
             for method in METHODS:
-                result = exporter.export(_METHOD_KEY[method])
-                series[method].append(round(result.throughput_mb_per_sec, 2))
+                rates = sorted(
+                    exporter.export(_METHOD_KEY[method]).throughput_mb_per_sec
+                    for _ in range(ROUNDS)
+                )
+                series[method].append(round(rates[ROUNDS // 2], 2))
         return series
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -176,7 +176,7 @@ class TwoPhaseCoordinator:
         # one on this thread), and the journal events carry its trace id,
         # so timelines and Chrome traces show coordinator and per-shard
         # work as one causal tree.
-        with trace.span("cluster.2pc", gid=gid) as root_span:
+        with trace.span("cluster.2pc", self.recorder, gid=gid) as root_span:
             trace_id = trace.current_trace_id()
             self.recorder.record(
                 "cluster.prepare", gid=gid,
@@ -187,7 +187,9 @@ class TwoPhaseCoordinator:
             reason: BaseException | None = None
             with stamp_phase("cluster.prepare"):
                 for shard_id, txn in participants:
-                    with trace.span("cluster.2pc.prepare", shard=shard_id):
+                    with trace.span(
+                        "cluster.2pc.prepare", self.recorder, shard=shard_id
+                    ):
                         crash_point("coordinator.prepare")
                         self._m_prepares.inc()
                         try:
@@ -207,7 +209,7 @@ class TwoPhaseCoordinator:
 
             # ---- decide: force commit decisions before phase 2 ---- #
             with stamp_phase("cluster.decide"), trace.span(
-                "cluster.2pc.decide"
+                "cluster.2pc.decide", self.recorder
             ) as decide_span:
                 crash_point("coordinator.decide")
                 if decision == DECISION_COMMIT:
@@ -247,7 +249,8 @@ class TwoPhaseCoordinator:
                 commit_ts = 0
                 for shard_id, txn in participants:
                     with trace.span(
-                        "cluster.2pc.commit_prepared", shard=shard_id
+                        "cluster.2pc.commit_prepared", self.recorder,
+                        shard=shard_id,
                     ):
                         commit_ts = max(
                             commit_ts,
@@ -262,7 +265,9 @@ class TwoPhaseCoordinator:
             root_span.set_attr("aborted", True)
             for shard_id, txn in participants:
                 if txn.state in (TxnState.ACTIVE, TxnState.PREPARED):
-                    with trace.span("cluster.2pc.abort", shard=shard_id):
+                    with trace.span(
+                        "cluster.2pc.abort", self.recorder, shard=shard_id
+                    ):
                         self.cluster.shards[shard_id].txn_manager.abort(txn)
                         crash_point("participant.ack")
             self._m_aborts.inc()

@@ -273,11 +273,6 @@ class ShardedIndex:
             *(per_shard(sid) for sid in shard_ids), key=lambda item: item[0]
         )
 
-    def __len__(self) -> int:
-        return sum(
-            len(self._local(s)) for s in self._cluster.read_shards(self.table_name)
-        )
-
 
 class ShardedCatalog:
     """Name → :class:`TableInfo` over the sharded table and index facades."""
@@ -304,15 +299,6 @@ class ShardedCatalog:
             raise CatalogError(
                 f"table {table_name!r} has no index {index_name!r}"
             ) from None
-
-    def table_names(self) -> list[str]:
-        return self._cluster.shards[0].catalog.table_names()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._cluster.shards[0].catalog
-
-    def __len__(self) -> int:
-        return len(self._cluster.shards[0].catalog)
 
 
 class ShardedDatabase(Engine):

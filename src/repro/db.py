@@ -27,7 +27,7 @@ from repro.catalog.catalog import Catalog, TableInfo
 from repro.gc_engine.collector import GarbageCollector
 from repro.obs.recorder import Recorder
 from repro.obs.registry import MetricRegistry
-from repro.obs.slo import RequestLog, SloTracker
+from repro.obs.slo import SloTracker
 from repro.storage.block_store import BlockStore
 from repro.storage.constants import BLOCK_SIZE, BlockState
 from repro.storage.data_table import DataTable
@@ -45,7 +45,7 @@ class Engine:
     :class:`~repro.cluster.sharded.ShardedDatabase` (N of them).
 
     It wires the observability objects every consumer reads (``obs``,
-    ``recorder``, ``slo``, ``request_log``) and runs transactions over
+    ``recorder``, ``slo``) and runs transactions over
     the subclass's ``begin``/``commit``/``abort``.  Subclasses also supply
     ``catalog``, ``health()``, ``flush_all()`` and ``partitions()``, so
     the service, the obs server and the retry helper never ask which
@@ -64,20 +64,19 @@ class Engine:
         #: independent databases never mix counts.
         self.obs = obs_registry if obs_registry is not None else MetricRegistry()
         #: The flight recorder (see :mod:`repro.obs.recorder`): every
-        #: component journals its interesting edges here; ``timeline()``,
-        #: ``serve_obs()``'s ``/events``, and the Chrome-trace export read
-        #: from it.  ``slow_txn_threshold`` (seconds) enables the
-        #: slow-transaction log.
+        #: component journals its events and trace spans here, and the
+        #: service front door its completed requests; ``timeline()``,
+        #: ``serve_obs()``'s ``/events``, ``/trace`` and ``/request``, and
+        #: the Chrome-trace export read from it.  ``slow_txn_threshold``
+        #: (seconds) enables ``txn.slow`` captures.
         self.recorder = (
             recorder
             if recorder is not None
             else Recorder(registry=self.obs, slow_txn_threshold=slow_txn_threshold)
         )
-        #: Per-tenant SLO accounting + completed-request critical-path
-        #: breakdowns (fed by the service front door; served at /slo and
-        #: /request/<id> by the obs HTTP server).
+        #: Per-tenant SLO accounting (fed by the service front door;
+        #: served at /slo by the obs HTTP server).
         self.slo = SloTracker(registry=self.obs)
-        self.request_log = RequestLog()
         self._obs_server = None
 
     @contextlib.contextmanager

@@ -19,7 +19,6 @@ from repro.fault.crashpoints import crash_point
 from repro.export import postgres_wire, rdma, vectorized
 from repro.export.network import NetworkProfile, SimulatedNetwork
 from repro.obs import trace
-from repro.obs.recorder import broadcast as recorder_broadcast
 from repro.obs.registry import DEFAULT_SIZE_BUCKETS, STATE, MetricRegistry
 
 if TYPE_CHECKING:
@@ -87,8 +86,9 @@ class TableExporter:
         re-raised so the serving layer can drop the client cleanly.
         """
         crash_point("export.serialize")
+        recorder = self.txn_manager.recorder
         try:
-            with trace.span(f"export.{method}"):
+            with trace.span(f"export.{method}", recorder):
                 if method == "postgres":
                     result = self._export_postgres()
                 elif method == "vectorized":
@@ -105,7 +105,7 @@ class TableExporter:
             self.registry.counter(
                 "export.failures_total", "export runs ended by an error"
             ).inc()
-            recorder_broadcast(
+            recorder.record(
                 "export.failed",
                 method=method,
                 table=self.table.name,
@@ -113,7 +113,7 @@ class TableExporter:
             )
             raise
         self._record(result)
-        recorder_broadcast(
+        recorder.record(
             "export.serve",
             method=method,
             table=self.table.name,

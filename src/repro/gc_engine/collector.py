@@ -109,7 +109,7 @@ class GarbageCollector:
     def run(self) -> int:
         """One GC pass; returns the number of records unlinked."""
         began = perf_counter() if STATE.enabled else 0.0
-        with trace.span("gc.pass"):
+        with trace.span("gc.pass", self.recorder):
             self.epoch += 1
             horizon = self.txn_manager.oldest_active_start()
             deferred_run = self.deferred.process(horizon, on_error=self._on_deferred_error)

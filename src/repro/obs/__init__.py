@@ -1,21 +1,27 @@
 """repro.obs: the engine-wide observability layer.
 
-Five pieces, one principle — statistics collection stays off the
+Seven pieces, one principle — statistics collection stays off the
 transaction critical path (the paper's Section 4.2 ride-along idea,
 generalized):
 
 - :mod:`repro.obs.registry` — named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments that aggregate in thread-local shards and
   merge only on read,
-- :mod:`repro.obs.trace` — nestable ``span("wal.group_commit")`` scopes
-  feeding a bounded ring buffer with parent/child time attribution,
+- :mod:`repro.obs.recorder` — the flight recorder: the one bounded
+  journal.  Its ring holds events, finished trace spans and completed
+  service requests, evicts oldest-first whatever the kind and counts
+  every eviction in ``obs.events_dropped_total``; per-transaction causal
+  timelines, slow-transaction captures and the Chrome-trace export are
+  views of it,
+- :mod:`repro.obs.trace` — nestable ``span("wal.group_commit", recorder)``
+  scopes with parent/child time attribution, journaled as records,
+- :mod:`repro.obs.slo` — per-request critical-path attribution and
+  per-tenant SLO burn rates,
 - :mod:`repro.obs.expo` — Prometheus text and stable-JSON exposition,
-- :mod:`repro.obs.recorder` — the flight recorder: a bounded structured
-  event journal with per-transaction causal timelines, a slow-transaction
-  log, and Chrome-trace export,
 - :mod:`repro.obs.server` — the stdlib HTTP monitoring server behind
   ``db.serve_obs(port)`` (``/metrics``, ``/healthz``, ``/varz``,
-  ``/events``, ``/timeline/<txn_id>``, ``/pprof``),
+  ``/events``, ``/timeline/<txn_id>``, ``/trace``, ``/request/<id>``,
+  ``/slo``, ``/pprof``),
 - :mod:`repro.obs.profiler` — a stdlib wall-clock sampling profiler
   (``sys._current_frames()``) rendering collapsed flamegraph stacks.
 
@@ -30,15 +36,15 @@ Quick tour::
     db.serve_obs(port=8642)              # live HTTP monitoring
     db.timeline(txn_id)                  # causal txn timeline
     obs.render_chrome_trace(db.recorder) # chrome://tracing document
-    with obs.span("my.phase"):           # trace a scope
-        ...
+    with obs.span("my.phase", db.recorder):
+        ...                              # a span journaled in db.recorder
     obs.configure(enabled=False)         # near-no-op everywhere
 
 Each ``Database`` owns its own :class:`MetricRegistry` (``db.obs``) and
 :class:`Recorder` (``db.recorder``) so independent instances never mix
-counts or events; ``obs.get_registry()`` / ``obs.get_recorder()`` are the
-process defaults for component-less callers.  The naming convention is
-``<component>.<event>[_seconds|_bytes|_total]``.
+counts, events or spans; ``obs.get_registry()`` / ``obs.get_recorder()``
+are the process defaults for component-less callers.  The naming
+convention is ``<component>.<event>[_seconds|_bytes|_total]``.
 """
 
 from __future__ import annotations
@@ -70,21 +76,12 @@ from repro.obs.registry import (
 )
 from repro.obs.slo import (
     RequestLifecycle,
-    RequestLog,
     SloTracker,
     current_lifecycle,
     current_request_id,
     stamp_phase,
 )
-from repro.obs.trace import (
-    Span,
-    SpanSummary,
-    TailSampler,
-    Tracer,
-    current_trace_id,
-    get_tracer,
-    span,
-)
+from repro.obs.trace import Span, current_trace_id, span
 
 #: Process-default registry for callers without a Database in hand.
 _DEFAULT_REGISTRY = MetricRegistry()
@@ -130,20 +127,15 @@ __all__ = [
     "MetricRegistry",
     "Recorder",
     "RequestLifecycle",
-    "RequestLog",
     "SamplingProfiler",
     "SloTracker",
     "Span",
-    "SpanSummary",
-    "TailSampler",
-    "Tracer",
     "configure",
     "current_lifecycle",
     "current_request_id",
     "current_trace_id",
     "get_recorder",
     "get_registry",
-    "get_tracer",
     "is_enabled",
     "render_chrome_trace",
     "render_collapsed",

@@ -17,7 +17,10 @@ Two subcommands:
     a Chrome-trace artifact.  A second phase boots a two-shard cluster,
     scrapes ``/metrics`` and ``/pprof`` while scans and cross-shard
     commits are in flight, and writes the merged Chrome trace
-    (``--cluster-trace-out``).  Exits non-zero on any failed check.
+    (``--cluster-trace-out``).  A third phase serves requests through the
+    front door on that cluster and reads the slowest one back over
+    ``/request/<id>``, ``/request/trace:<hex>`` and ``/trace?trace=<id>``
+    (``--slow-trace-out``).  Exits non-zero on any failed check.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ def _smoke(args: argparse.Namespace) -> int:
             failures,
         )
     slow = db.recorder.slow_transactions()
-    _check(len(slow) > 0, "slow-transaction log captured timelines", failures)
+    _check(len(slow) > 0, "txn.slow events captured timelines", failures)
 
     db.stop_background()
     trace_json = obs.render_chrome_trace(db.recorder)
@@ -236,7 +239,7 @@ def _smoke_cluster(args: argparse.Namespace, failures: list[str]) -> None:
 
     def churn() -> None:
         executor = TpccTransactions(cluster, config, seed=11)
-        with obs.span("smoke.cluster"):
+        with obs.span("smoke.cluster", cluster.recorder):
             while not stop.is_set():
                 if executor.payment(1):
                     totals["payments"] += 1
@@ -296,15 +299,15 @@ def _smoke_cluster(args: argparse.Namespace, failures: list[str]) -> None:
 
 def _smoke_cluster_front_door(args, cluster, failures: list[str]) -> None:
     """Phase three: the service front door on the cluster — `/slo` must
-    account for the traffic, and the tail sampler must keep (only) the
-    interesting traces, one of which ships as the slow-request artifact."""
-    from repro import ColumnSpec, obs
+    account for the traffic, and the slowest request must read the same
+    over `/request/<id>`, `/request/trace:<hex>` and `/trace?trace=<id>`;
+    its served trace ships as the slow-request artifact."""
+    from repro import ColumnSpec
     from repro.arrowfmt.datatypes import INT64, UTF8
-    from repro.obs.trace import get_tracer
     from repro.service.client import ServiceClient
     from repro.service.server import ServerThread, ServiceConfig
 
-    print("front-door phase: /slo + tail-sampled slow-request trace ...")
+    print("front-door phase: /slo + /request + slow-request trace ...")
     cluster.create_table(
         "usertable",
         [ColumnSpec("key", INT64), ColumnSpec("field0", UTF8)],
@@ -316,10 +319,7 @@ def _smoke_cluster_front_door(args, cluster, failures: list[str]) -> None:
         for key in range(50):
             info.table.insert(txn, {0: key, 1: f"v{key}"})
 
-    service = ServerThread(
-        cluster,
-        ServiceConfig(exemplars=True, tail_sample_threshold_ms=1.0),
-    ).start()
+    service = ServerThread(cluster, ServiceConfig(exemplars=True)).start()
     decided = 0
     with ServiceClient(port=service.port) as client:
         for key in range(30):
@@ -327,8 +327,9 @@ def _smoke_cluster_front_door(args, cluster, failures: list[str]) -> None:
             decided += 1
         client.scan("usertable", limit=50)  # the slow shape
         decided += 1
-        errored = client.read("usertable", "nope", (1,))  # marked → kept
+        errored = client.read("usertable", "nope", (1,))
         decided += 1
+    service.stop()  # completion bookkeeping has run for every request
     _check(errored.code == "bad_request", "errored request answered", failures)
 
     cluster_obs = cluster.serve_obs()
@@ -348,53 +349,45 @@ def _smoke_cluster_front_door(args, cluster, failures: list[str]) -> None:
     )
     _check("slo" in cluster.health(), "db.health() carries the SLO summary", failures)
 
-    sampler = service.server._sampler
-    stats = sampler.stats()
-    _check(
-        stats["kept_traces"] >= 1,
-        f"tail sampler kept the interesting traces ({stats['kept_traces']})",
-        failures,
-    )
-    _check(
-        stats["kept_traces"] + stats["dropped_traces"] == decided,
-        f"tail sampler accounting is exact ({stats['kept_traces']} kept "
-        f"+ {stats['dropped_traces']} dropped == {decided} decided)",
-        failures,
-    )
-
-    # The artifact: the slowest request whose trace survived sampling,
-    # rendered as a single-trace Chrome document with its waterfall track.
-    kept_ids = {
-        span.trace_id
-        for span in get_tracer().spans()
-        if span.name == "service.request" and span.trace_id is not None
-    }
+    # The slowest request that ran engine work, read three ways over HTTP.
     slowest = max(
-        (
-            lifecycle
-            for lifecycle in cluster.request_log.recent(limit=250)
-            if lifecycle.trace_id in kept_ids
-        ),
+        (r for r in cluster.recorder.requests() if r.trace_id is not None),
         key=lambda lifecycle: lifecycle.total_seconds,
         default=None,
     )
     _check(
-        slowest is not None,
-        "a kept trace resolves to a request breakdown",
-        failures,
+        slowest is not None, "the journal holds the served requests", failures
     )
     if slowest is not None:
-        slow_doc = obs.render_chrome_trace(
-            cluster.recorder,
-            trace_id=slowest.trace_id,
-            requests=[slowest],
+        status, raw = _fetch(f"{cluster_obs.url}/request/{slowest.request_id}")
+        by_id = json.loads(raw)
+        status_hex, raw = _fetch(
+            f"{cluster_obs.url}/request/trace:{slowest.trace_hex}"
+        )
+        by_trace = json.loads(raw)
+        _check(
+            status == status_hex == 200 and by_id == by_trace
+            and by_id["trace_id"] == slowest.trace_hex,
+            f"/request/{slowest.request_id} and /request/trace:"
+            f"{slowest.trace_hex} agree",
+            failures,
+        )
+        status, slow_doc = _fetch(
+            f"{cluster_obs.url}/trace?trace={slowest.trace_id}"
         )
         parsed = json.loads(slow_doc)
         slices = [e for e in parsed["traceEvents"] if e["ph"] == "X"]
-        names = {e["name"] for e in slices}
+        roots = [e for e in slices if e["name"] == "service.request"]
+        waterfall = [e for e in slices if e.get("cat") == "request"]
         _check(
-            "service.request" in names and f"request:{slowest.op}" in names,
-            "slow-request trace carries the root span + waterfall track",
+            status == 200
+            and [e["args"]["request_id"] for e in roots]
+            == [e["args"]["request_id"] for e in waterfall]
+            == [by_id["request_id"]]
+            and waterfall[0]["name"] == f"request:{by_id['op']}"
+            and waterfall[0]["args"]["dominant_phase"]
+            == by_id["dominant_phase"],
+            "/trace?trace= carries the request's root span + waterfall track",
             failures,
         )
         if args.slow_trace_out:
@@ -405,7 +398,14 @@ def _smoke_cluster_front_door(args, cluster, failures: list[str]) -> None:
                 f"{slowest.trace_hex}) written to {args.slow_trace_out}"
             )
 
-    service.stop()
+    status, raw = _fetch(f"{cluster_obs.url}/events?limit=0")
+    dropped = json.loads(raw)["dropped_total"]
+    counted = cluster.obs.counter("obs.events_dropped_total").value
+    _check(
+        status == 200 and dropped == counted,
+        f"/events dropped_total matches obs.events_dropped_total ({dropped})",
+        failures,
+    )
     cluster.stop_serving_obs()
 
 
@@ -438,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     smoke.add_argument(
         "--slow-trace-out",
         default=None,
-        help="write one tail-sampled slow-request Chrome trace here",
+        help="write the slowest front-door request's served Chrome trace here",
     )
 
     args = parser.parse_args(argv)

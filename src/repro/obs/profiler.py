@@ -126,9 +126,6 @@ class SamplingProfiler:
     def snapshot(self) -> dict[str, int]:
         return dict(self.stacks)
 
-    def collapsed(self) -> str:
-        return render_collapsed(self.stacks)
-
     def top_of_stack(self, thread_name: str | None = None) -> str | None:
         """The hottest leaf frame, optionally restricted to one thread."""
         leaves: dict[str, int] = {}

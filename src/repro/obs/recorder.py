@@ -1,31 +1,38 @@
-"""The flight recorder: a bounded, lock-light structured event journal.
+"""The flight recorder: one bounded, lock-light journal of typed records.
 
 Every engine layer emits typed :class:`Event` records at its interesting
 edges — transaction begin/commit/abort/retry, WAL flush batches and fsyncs,
 degraded-mode flips, GC passes, block state transitions with the heat
 statistics that triggered them, crash-point fires, export requests.  The
-journal answers the operator questions metrics cannot: *what happened,
-in what order, around this incident?*
+same ring holds the other two record kinds: finished trace spans
+(:class:`~repro.obs.trace.Span`, staged by :func:`repro.obs.trace.span`)
+and completed service requests
+(:class:`~repro.obs.slo.RequestLifecycle`, staged by the front door).
+The journal answers the operator questions metrics cannot: *what
+happened, in what order, around this incident?*
 
 The same off-critical-path principle as the metric registry applies
-(Section 4.2's ride-along idea): the hot-path ``record`` call appends to a
-**thread-local buffer** (no lock), and buffers spill into the shared ring
-only every ``local_buffer`` events.  A thread that exits with a partly
-filled buffer has it folded into the ring by the next spill or read.  The
-ring is bounded and drops oldest under pressure; every eviction is counted
-in ``obs.events_dropped_total`` so a scrape can tell how much history the
-journal actually holds.  With
-``obs.configure(enabled=False)`` the whole path is one attribute load and
+(Section 4.2's ride-along idea): the hot-path ``record``/``add`` call
+appends to a **thread-local buffer** (no lock), and buffers spill into the
+shared ring only every ``local_buffer`` records.  A thread that exits with
+a partly filled buffer has it folded into the ring by the next spill or
+read.  The ring is bounded and drops oldest under pressure, whatever the
+record kind; every eviction is counted in ``obs.events_dropped_total`` so a
+scrape can tell how much history the journal actually holds.  With
+``obs.configure(enabled=False)`` the event path is one attribute load and
 a branch.
 
-On top of the journal sit the forensic views:
+Every view is a filter over that one ring:
 
+- :meth:`Recorder.events`, :meth:`Recorder.spans` and
+  :meth:`Recorder.requests` — the records of one kind,
 - :meth:`Recorder.timeline` — the causal begin→(retries)→commit/abort
   chain of one transaction, with the trace spans that ran inside it,
-- :meth:`Recorder.slow_transactions` — auto-captured timelines of every
-  transaction that exceeded ``slow_txn_threshold`` seconds,
-- :func:`render_chrome_trace` — spans + events as a Chrome/Perfetto
-  ``chrome://tracing`` JSON document.
+- :meth:`Recorder.slow_transactions` — the ``txn.slow`` events: timelines
+  auto-captured for every transaction that exceeded
+  ``slow_txn_threshold`` seconds,
+- :func:`render_chrome_trace` — spans, events and request waterfalls as a
+  Chrome/Perfetto ``chrome://tracing`` JSON document.
 """
 
 from __future__ import annotations
@@ -37,17 +44,15 @@ import time
 import weakref
 from collections import deque
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any
 
 from repro.obs.registry import STATE, Counter, MetricRegistry
 from repro.obs.slo import CURRENT as _REQUEST
-
-if TYPE_CHECKING:
-    from repro.obs.trace import Span, Tracer
+from repro.obs.slo import RequestLifecycle
+from repro.obs.trace import Span
 
 DEFAULT_CAPACITY = 8192
 DEFAULT_LOCAL_BUFFER = 32
-DEFAULT_SLOW_LOG_CAPACITY = 64
 
 #: Every live recorder, for rare broadcast events (block reheats, crash
 #: fires) emitted from layers that have no recorder handle of their own.
@@ -130,27 +135,29 @@ class _LocalBuffer:
     ``threading.current_thread()`` lookup on every event; the thread itself
     is kept so the recorder can tell when the owner has exited."""
 
-    __slots__ = ("events", "thread", "thread_name")
+    __slots__ = ("records", "thread", "thread_name")
 
     def __init__(self) -> None:
-        self.events: list[Event] = []
+        self.records: list = []
         self.thread = threading.current_thread()
         self.thread_name = self.thread.name
 
 
 class Recorder:
-    """A bounded ring of :class:`Event` with thread-local write buffering.
+    """A bounded ring of journal records with thread-local write buffering.
 
-    The write path is lock-free: each thread owns a staging list and only
-    takes the ring lock when the list reaches ``local_buffer`` entries.
-    Readers merge the ring with every live thread's staging list (a live
-    buffer is cleared only by its owner, so reads never lose events) and
-    sort by the global sequence number.  Under the ring lock, every spill
-    and read first folds the staging lists of threads that have exited
-    into the ring and forgets their buffers, so short-lived threads stay
-    inside ``capacity`` and are not tracked forever.  When a fold would
-    overflow ``capacity``, the oldest ring entries are evicted and counted
-    in ``obs.events_dropped_total``.
+    A record is an :class:`Event`, a :class:`~repro.obs.trace.Span` or a
+    :class:`~repro.obs.slo.RequestLifecycle`; each carries the recorder's
+    global sequence number in ``seq``.  The write path is lock-free: each
+    thread owns a staging list and only takes the ring lock when the list
+    reaches ``local_buffer`` entries.  Readers merge the ring with every
+    live thread's staging list (a live buffer is cleared only by its
+    owner, so reads never lose records) and sort by ``seq``.  Under the
+    ring lock, every spill and read first folds the staging lists of
+    threads that have exited into the ring and forgets their buffers, so
+    short-lived threads stay inside ``capacity`` and are not tracked
+    forever.  When a fold would overflow ``capacity``, the oldest ring
+    entries are evicted and counted in ``obs.events_dropped_total``.
     """
 
     def __init__(
@@ -158,7 +165,6 @@ class Recorder:
         capacity: int = DEFAULT_CAPACITY,
         registry: MetricRegistry | None = None,
         slow_txn_threshold: float | None = None,
-        slow_log_capacity: int = DEFAULT_SLOW_LOG_CAPACITY,
         local_buffer: int = DEFAULT_LOCAL_BUFFER,
     ) -> None:
         if capacity < 1:
@@ -168,9 +174,9 @@ class Recorder:
         self.capacity = capacity
         self.local_buffer = local_buffer
         #: Latency (seconds) above which a finished transaction's timeline
-        #: is auto-captured into the slow log; ``None`` disables capture.
+        #: is captured as a ``txn.slow`` event; ``None`` disables capture.
         self.slow_txn_threshold = slow_txn_threshold
-        self._ring: deque[Event] = deque()
+        self._ring: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._buffers: list[_LocalBuffer] = []
@@ -178,7 +184,6 @@ class Recorder:
         #: Wall-clock anchor: (time.time(), perf_counter()) at creation, so
         #: renderers can map monotonic timestamps to calendar time.
         self.wall_base = (time.time(), perf_counter())
-        self._slow_log: deque[dict[str, Any]] = deque(maxlen=slow_log_capacity)
         #: Optional live :class:`~repro.obs.profiler.SamplingProfiler`; when
         #: set, slow-transaction captures get ``top_stack`` attribution.
         self.profiler = None
@@ -187,23 +192,26 @@ class Recorder:
         if registry is not None:
             self._m_dropped = registry.counter(
                 "obs.events_dropped_total",
-                "journal events evicted from the ring under pressure",
+                "journal records evicted from the ring under pressure",
             )
             registry.gauge(
                 "obs.journal_events",
-                "events currently held by the journal",
+                "records currently held by the journal",
                 callback=lambda: float(len(self)),
-            )
-            registry.gauge(
-                "obs.slow_transactions",
-                "timelines held by the slow-transaction log",
-                callback=lambda: float(len(self._slow_log)),
             )
         _LIVE.add(self)
 
     # ------------------------------------------------------------------ #
     # write path                                                          #
     # ------------------------------------------------------------------ #
+
+    def _new_buffer(self) -> _LocalBuffer:
+        """Register this thread's staging list (first record only)."""
+        buf = _LocalBuffer()
+        with self._lock:
+            self._buffers.append(buf)
+        self._local.buf = buf
+        return buf
 
     def record(
         self,
@@ -229,11 +237,8 @@ class Recorder:
         try:
             buf = self._local.buf
         except AttributeError:
-            buf = _LocalBuffer()
-            with self._lock:
-                self._buffers.append(buf)
-            self._local.buf = buf
-        buf.events.append(
+            buf = self._new_buffer()
+        buf.records.append(
             Event(
                 next(self._seq),
                 perf_counter(),
@@ -245,34 +250,41 @@ class Recorder:
                 request_id=request_id,
             )
         )
-        if len(buf.events) >= self.local_buffer:
+        if len(buf.records) >= self.local_buffer:
+            self._spill(buf)
+
+    def add(self, record: Any) -> None:
+        """Stage a finished span, a completed request lifecycle or a
+        ready-made event, stamping its ``seq``."""
+        try:
+            buf = self._local.buf
+        except AttributeError:
+            buf = self._new_buffer()
+        record.seq = next(self._seq)
+        buf.records.append(record)
+        if len(buf.records) >= self.local_buffer:
             self._spill(buf)
 
     def _spill(self, buf: _LocalBuffer) -> None:
-        """Move a thread's staged events into the ring (owner thread only)."""
+        """Move a thread's staged records into the ring (owner thread only)."""
         with self._lock:
             self._fold_exited()
             self._fold(buf)
 
     def _fold(self, buf: _LocalBuffer) -> None:
-        """Append ``buf``'s events to the ring, evicting the oldest beyond
+        """Append ``buf``'s records to the ring, evicting the oldest beyond
         ``capacity`` (caller holds ``_lock``; ``buf``'s owner is this
         thread or has exited)."""
-        staged = buf.events
+        staged = buf.records
         if not staged:
             return
-        ring = self._ring
-        overflow = len(ring) + len(staged) - self.capacity
+        # The ring's maxlen evicts; staged records beyond capacity never
+        # land at all, and both count as dropped.
+        overflow = len(self._ring) + len(staged) - self.capacity
         if overflow > 0:
-            evict = min(overflow, len(ring))
-            for _ in range(evict):
-                ring.popleft()
-            dropped = overflow  # staged beyond capacity also never land
-            if len(staged) > self.capacity:
-                staged = staged[-self.capacity:]
-            self._dropped_counter().inc(dropped)
-        ring.extend(staged)
-        buf.events.clear()
+            self._dropped_counter().inc(overflow)
+        self._ring.extend(staged)
+        staged.clear()
 
     def _fold_exited(self) -> None:
         """Fold and forget the buffers of threads that have exited (caller
@@ -290,13 +302,13 @@ class Recorder:
                 self._registry = get_registry()
             self._m_dropped = self._registry.counter(
                 "obs.events_dropped_total",
-                "journal events evicted from the ring under pressure",
+                "journal records evicted from the ring under pressure",
             )
         return self._m_dropped
 
     @property
     def events_dropped(self) -> int:
-        """Total events evicted so far (0 until the first eviction)."""
+        """Total records evicted so far (0 until the first eviction)."""
         if self._m_dropped is None:
             return 0
         return int(self._m_dropped.value)
@@ -304,6 +316,16 @@ class Recorder:
     # ------------------------------------------------------------------ #
     # read path                                                           #
     # ------------------------------------------------------------------ #
+
+    def _records(self) -> list:
+        """Every held record, oldest first."""
+        with self._lock:
+            self._fold_exited()
+            merged = list(self._ring)
+            for buf in self._buffers:
+                merged.extend(list(buf.records))
+        merged.sort(key=lambda r: r.seq)
+        return merged
 
     def events(
         self,
@@ -314,16 +336,11 @@ class Recorder:
         request_id: int | None = None,
         limit: int | None = None,
     ) -> list[Event]:
-        """Merged, filtered journal contents, oldest first.
+        """Merged, filtered journal events, oldest first.
 
         ``limit`` keeps the *newest* matches.  Filters compose (AND).
         """
-        with self._lock:
-            self._fold_exited()
-            merged = list(self._ring)
-            for buf in self._buffers:
-                merged.extend(list(buf.events))
-        merged.sort(key=lambda e: e.seq)
+        merged = [r for r in self._records() if type(r) is Event]
         if component is not None:
             merged = [e for e in merged if e.component == component]
         if kind is not None:
@@ -335,40 +352,58 @@ class Recorder:
         if request_id is not None:
             merged = [e for e in merged if e.request_id == request_id]
         if limit is not None and limit >= 0:
-            merged = merged[-limit:]
+            merged = merged[max(0, len(merged) - limit):]
         return merged
+
+    def spans(self, trace_id: int | None = None) -> list[Span]:
+        """Finished trace spans held by the journal, in close order."""
+        return [
+            r
+            for r in self._records()
+            if type(r) is Span and (trace_id is None or r.trace_id == trace_id)
+        ]
+
+    def requests(
+        self, request_id: int | None = None, trace_id: int | None = None
+    ) -> list[RequestLifecycle]:
+        """Completed service requests held by the journal, oldest first;
+        ``request_id`` / ``trace_id`` narrow to one request."""
+        return [
+            r
+            for r in self._records()
+            if type(r) is RequestLifecycle
+            and (request_id is None or r.request_id == request_id)
+            and (trace_id is None or r.trace_id == trace_id)
+        ]
 
     def __len__(self) -> int:
         with self._lock:
             self._fold_exited()
-            return len(self._ring) + sum(len(b.events) for b in self._buffers)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events())
+            return len(self._ring) + sum(len(b.records) for b in self._buffers)
 
     def clear(self) -> None:
-        """Drop every buffered event and slow-log entry (test isolation)."""
+        """Drop every held record (test isolation)."""
         with self._lock:
             self._ring.clear()
             for buf in self._buffers:
-                buf.events.clear()
-        self._slow_log.clear()
+                buf.records.clear()
 
     # ------------------------------------------------------------------ #
     # transaction timelines                                               #
     # ------------------------------------------------------------------ #
 
-    def timeline(self, txn_id: int, tracer: "Tracer | None" = None) -> dict[str, Any]:
+    def timeline(self, txn_id: int) -> dict[str, Any]:
         """The causal timeline of one transaction.
 
         Follows ``txn.retry`` links both directions, so the timeline of
         *any* attempt in a retry chain covers the whole
-        begin→(retries)→commit/abort history.  Trace spans recorded on the
-        same thread within an attempt's lifetime are attached under
+        begin→(retries)→commit/abort history.  Trace spans journaled on
+        the same thread within an attempt's lifetime are attached under
         ``spans`` (best-effort: spans carry no txn ids, so attribution is
         by thread + time overlap).
         """
-        all_events = self.events()
+        records = self._records()
+        all_events = [r for r in records if type(r) is Event]
         chain = self._retry_chain(txn_id, all_events)
         events = [e for e in all_events if e.txn_id in chain]
         began = next((e for e in events if e.kind == "txn.begin"), None)
@@ -379,7 +414,9 @@ class Recorder:
         status = "unknown"
         if ended is not None:
             status = "committed" if ended.kind == "txn.commit" else "aborted"
-        spans = self._attached_spans(events, began, ended, tracer)
+        spans = self._attached_spans(
+            [r for r in records if type(r) is Span], events, began, ended
+        )
         return {
             "txn_id": txn_id,
             "chain": chain,
@@ -421,17 +458,13 @@ class Recorder:
 
     def _attached_spans(
         self,
+        spans: list[Span],
         events: list[Event],
         began: Event | None,
         ended: Event | None,
-        tracer: "Tracer | None",
     ) -> list[dict[str, Any]]:
         if began is None:
             return []
-        if tracer is None:
-            from repro.obs.trace import get_tracer
-
-            tracer = get_tracer()
         end_ts = ended.ts if ended is not None else float("inf")
         threads = {e.thread for e in events}
         # Events that ran under a propagated trace (2PC) carry the trace
@@ -443,7 +476,7 @@ class Recorder:
             if e.attrs and e.attrs.get("trace_id") is not None
         }
         out = []
-        for span in tracer.spans():
+        for span in spans:
             by_thread = span.thread in threads and span.start < end_ts and (
                 span.start + span.duration > began.ts
             )
@@ -462,30 +495,35 @@ class Recorder:
         return out
 
     # ------------------------------------------------------------------ #
-    # slow-transaction log                                                 #
+    # slow-transaction captures                                           #
     # ------------------------------------------------------------------ #
 
     def note_txn_complete(
         self, txn_id: int, duration: float, status: str
     ) -> None:
-        """Called by the transaction manager after commit/abort; captures
-        the timeline when the transaction exceeded the slow threshold."""
+        """Called by the transaction manager after commit/abort; journals
+        the timeline as one ``txn.slow`` event when the transaction
+        exceeded the slow threshold.  The event carries no ``txn_id`` of
+        its own (the captured timeline names it), so it never shows up in
+        a later timeline of the same transaction."""
         threshold = self.slow_txn_threshold
         if threshold is None or duration < threshold:
             return
         entry = self.timeline(txn_id)
         entry["captured_status"] = status
         entry["captured_duration_seconds"] = duration
+        thread = threading.current_thread().name
         profiler = self.profiler
         if profiler is not None and profiler.running:
-            top = profiler.top_of_stack(threading.current_thread().name)
+            top = profiler.top_of_stack(thread)
             if top is not None:
                 entry["top_stack"] = top
-        self._slow_log.append(entry)
+        self.add(Event(0, perf_counter(), "txn.slow", thread, None, None, entry))
 
     def slow_transactions(self) -> list[dict[str, Any]]:
-        """Captured slow-transaction timelines, oldest first."""
-        return list(self._slow_log)
+        """Captured slow-transaction timelines still in the ring, oldest
+        first."""
+        return [e.attrs for e in self.events(kind="txn.slow")]
 
 
 # ---------------------------------------------------------------------- #
@@ -529,49 +567,42 @@ def broadcast(
 
 def render_chrome_trace(
     recorder: Recorder | None = None,
-    tracer: "Tracer | None" = None,
     indent: int | None = None,
     trace_id: int | None = None,
-    requests: list | None = None,
 ) -> str:
-    """Spans + journal events as a ``chrome://tracing`` JSON document.
+    """The journal as a ``chrome://tracing`` JSON document.
 
-    Spans become complete (``ph: "X"``) slices; journal events become
+    Spans become complete (``ph: "X"``) slices; events become
     thread-scoped instants (``ph: "i"``).  Timestamps are microseconds on
     the shared ``perf_counter`` axis, so the two interleave correctly on
     the coordinator's process track (pid 1).  Span slices carry
     ``trace_id``/``span_id``/``parent_id`` in ``args``, so one distributed
-    transaction is greppable across every track.  Load the output in
-    ``chrome://tracing`` or https://ui.perfetto.dev.
+    transaction is greppable across every track.  Each completed
+    :class:`~repro.obs.slo.RequestLifecycle` renders as a per-request
+    **waterfall track** on a ``requests`` process: the request as an
+    enclosing slice, its phase stamps as slices inside it.  Load the
+    output in ``chrome://tracing`` or https://ui.perfetto.dev.
 
-    ``trace_id`` narrows the document to one trace: only spans of that
-    trace and journal events tagged with it (via attrs or the request ids
-    in ``requests``) are kept — the shape of the tail-sampled slow-request
-    artifact.  ``requests`` adds a per-request **waterfall track**: each
-    :class:`~repro.obs.slo.RequestLifecycle` renders its phase stamps as
-    slices on a dedicated ``requests`` process track.
+    ``trace_id`` narrows the document to one trace: only spans and
+    requests of that trace and events tagged with it (via attrs or the
+    matching requests' ids) are kept — the slow-request artifact's shape.
     """
     if recorder is None:
         recorder = get_recorder()
-    if tracer is None:
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-    events = recorder.events()
-    spans = tracer.spans()
-    requests = requests or []
+    records = recorder._records()
+    events = [r for r in records if type(r) is Event]
+    spans = [r for r in records if type(r) is Span]
+    requests = [r for r in records if type(r) is RequestLifecycle]
     if trace_id is not None:
         spans = [s for s in spans if s.trace_id == trace_id]
-        request_ids = {
-            r.request_id for r in requests if r.trace_id == trace_id
-        }
+        requests = [r for r in requests if r.trace_id == trace_id]
+        request_ids = {r.request_id for r in requests}
         events = [
             e
             for e in events
             if (e.attrs or {}).get("trace_id") == trace_id
             or (e.request_id is not None and e.request_id in request_ids)
         ]
-        requests = [r for r in requests if r.trace_id == trace_id]
     base = min(
         [e.ts for e in events]
         + [s.start for s in spans]
@@ -633,8 +664,8 @@ def render_chrome_trace(
             }
         )
     # Per-request waterfall tracks: every lifecycle gets its own thread
-    # row under one "requests" process, phases as slices, the request as
-    # an enclosing slice so the critical path reads left to right.
+    # row under one "requests" process, so the critical path reads left
+    # to right.
     for lifecycle in requests:
         row = tid("requests", f"request {lifecycle.request_id}")
         request_pid = pid("requests")

@@ -9,8 +9,13 @@
   ``?component=wal&kind=wal.flush&txn=123&block=7&limit=100``,
 - ``/timeline/<txn_id>`` — the causal timeline of one transaction,
 - ``/trace``    — the Chrome-trace document (drop into chrome://tracing),
+- ``/request/<id>`` — one completed service request's breakdown,
+- ``/slo``      — per-tenant burn rates and error budgets,
 - ``/pprof``    — collapsed-stack wall-clock profile (``?seconds=N``),
 - ``/``         — an endpoint index.
+
+Every journal endpoint (``/events``, ``/timeline``, ``/trace``,
+``/request``) is a filtered view of the one recorder ring.
 
 Scrapes run on short-lived handler threads (``ThreadingHTTPServer``) and
 only ever *read*: a merge of metric shards, a snapshot of the journal ring.
@@ -172,13 +177,10 @@ class _ObsHandler(BaseHTTPRequestHandler):
     def _serve_trace(self, params: dict[str, list[str]]) -> None:
         from repro.obs.recorder import render_chrome_trace
 
-        db = self.server.db
         self._respond(
             200,
             render_chrome_trace(
-                db.recorder,
-                trace_id=_int_param(params, "trace"),
-                requests=db.request_log.recent(limit=250),
+                self.server.db.recorder, trace_id=_int_param(params, "trace")
             ),
             "application/json; charset=utf-8",
         )
@@ -190,23 +192,23 @@ class _ObsHandler(BaseHTTPRequestHandler):
         """The critical-path breakdown of one service request, addressable
         by request id or by trace id (``/request/trace:<hex>`` — the form
         an exemplar or response envelope hands you)."""
-        request_log = self.server.db.request_log
-        if raw_id.startswith("trace:"):
-            lifecycle = request_log.by_trace(raw_id.removeprefix("trace:"))
-        else:
-            try:
-                lifecycle = request_log.get(int(raw_id))
-            except ValueError:
-                raise ValueError(
-                    "request id must be an integer or trace:<hex>, got "
-                    f"{raw_id!r}"
-                )
-        if lifecycle is None:
+        try:
+            if raw_id.startswith("trace:"):
+                trace_id = int(raw_id.removeprefix("trace:"), 16)
+                found = self.server.db.recorder.requests(trace_id=trace_id)
+            else:
+                found = self.server.db.recorder.requests(request_id=int(raw_id))
+        except ValueError:
+            raise ValueError(
+                "request id must be an integer or trace:<hex>, got "
+                f"{raw_id!r}"
+            )
+        if not found:
             self._respond_json(
                 404, {"error": f"no recorded request {raw_id!r}"}
             )
             return
-        self._respond_json(200, lifecycle.to_dict())
+        self._respond_json(200, found[-1].to_dict())
 
     def _serve_pprof(self, params: dict[str, list[str]]) -> None:
         """Profile every thread for ``?seconds=N`` and respond with

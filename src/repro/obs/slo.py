@@ -1,6 +1,6 @@
 """Request-scoped critical-path attribution and per-tenant SLO tracking.
 
-Three pieces, same off-critical-path principle as the rest of ``repro.obs``:
+Two pieces, same off-critical-path principle as the rest of ``repro.obs``:
 
 :class:`RequestLifecycle`
     One service request's phase-stamped lifetime.  Each phase
@@ -19,12 +19,11 @@ Three pieces, same off-critical-path principle as the rest of ``repro.obs``:
     plumbing: when no request is active the stamp is one thread-local
     ``getattr`` and a branch (the same disabled-cost discipline the metric
     registry holds itself to, measured by
-    ``benchmarks/bench_ablation_slo_attribution.py``).
-
-:class:`RequestLog`
-    A bounded ring of completed lifecycles keyed by request id (and by
-    trace id, which is how a histogram exemplar's ``trace_id`` resolves
-    back to a breakdown).  Serves ``/request/<id>``.
+    ``benchmarks/bench_ablation_slo_attribution.py``).  A completed
+    lifecycle is a flight-recorder record: the service front door stages
+    it in the engine's :class:`~repro.obs.recorder.Recorder`, where
+    ``/request/<id>`` and ``/request/trace:<hex>`` find it by request or
+    trace id (how a histogram exemplar resolves back to a breakdown).
 
 :class:`SloTracker`
     Per-tenant service-level objectives (target latency + availability)
@@ -149,13 +148,15 @@ class RequestLifecycle:
     """
 
     __slots__ = (
-        "request_id", "op", "tenant", "trace_id", "started", "ended",
+        "seq", "request_id", "op", "tenant", "trace_id", "started", "ended",
         "outcome", "terminal_phase", "phases",
     )
 
     def __init__(
         self, request_id: int, op: str = "unknown", tenant: str = "default"
     ) -> None:
+        #: Journal order, stamped when the recorder takes the lifecycle.
+        self.seq = 0
         self.request_id = request_id
         self.op = op
         self.tenant = tenant
@@ -285,61 +286,6 @@ class RequestLifecycle:
             },
             "dominant_phase": self.dominant_phase(),
         }
-
-
-class RequestLog:
-    """A bounded ring of completed lifecycles, addressable by request id
-    and by trace id (how an exemplar resolves to a breakdown)."""
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("request log capacity must be positive")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._order: deque[int] = deque()
-        self._by_id: dict[int, RequestLifecycle] = {}
-        self._by_trace: dict[int, int] = {}
-
-    def add(self, lifecycle: RequestLifecycle) -> None:
-        with self._lock:
-            if lifecycle.request_id in self._by_id:
-                return
-            while len(self._order) >= self.capacity:
-                evicted = self._order.popleft()
-                old = self._by_id.pop(evicted, None)
-                if old is not None and old.trace_id is not None:
-                    if self._by_trace.get(old.trace_id) == evicted:
-                        del self._by_trace[old.trace_id]
-            self._order.append(lifecycle.request_id)
-            self._by_id[lifecycle.request_id] = lifecycle
-            if lifecycle.trace_id is not None:
-                self._by_trace[lifecycle.trace_id] = lifecycle.request_id
-
-    def get(self, request_id: int) -> RequestLifecycle | None:
-        with self._lock:
-            return self._by_id.get(request_id)
-
-    def by_trace(self, trace_id: int | str) -> RequestLifecycle | None:
-        """Lookup by trace id — accepts the raw int or the hex string an
-        exemplar / response envelope carries."""
-        if isinstance(trace_id, str):
-            try:
-                trace_id = int(trace_id, 16)
-            except ValueError:
-                return None
-        with self._lock:
-            request_id = self._by_trace.get(trace_id)
-            return self._by_id.get(request_id) if request_id is not None else None
-
-    def recent(self, limit: int = 50) -> list[RequestLifecycle]:
-        """Newest-last recent completions."""
-        with self._lock:
-            ids = list(self._order)[-limit:]
-            return [self._by_id[i] for i in ids]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_id)
 
 
 class _TenantSlo:

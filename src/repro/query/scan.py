@@ -224,6 +224,9 @@ class TableScanner:
         Pass a :class:`~repro.obs.registry.MetricRegistry` (e.g. ``db.obs``)
         to publish ``query.*`` scan counters."""
         self.txn_manager = txn_manager
+        #: Where the scan's spans are journaled: the transaction manager's
+        #: recorder, or (``None``) the enclosing span's.
+        self.recorder = txn_manager.recorder if txn_manager is not None else None
         self.table = table
         self.column_ids = (
             column_ids
@@ -270,14 +273,17 @@ class TableScanner:
         early and late see the same committed state.
         """
         walk = BlockWalk(self.txn_manager, lambda: self.table.blocks, self.txn)
-        with walk, trace.span("query.scan"):
+        with walk, trace.span("query.scan", self.recorder):
             for block, frozen in walk:
                 if self._pruned_by_zone_map(
                     block.zone_maps if frozen else block.hot_zone_maps
                 ):
                     self._count_pruned()
                     continue
-                with trace.span("query.scan.frozen" if frozen else "query.scan.hot"):
+                with trace.span(
+                    "query.scan.frozen" if frozen else "query.scan.hot",
+                    self.recorder,
+                ):
                     batch = (
                         self._frozen_batch(block)
                         if frozen
@@ -376,7 +382,7 @@ class TableScanner:
         the caller)."""
         if not self.range_filters or not batch.num_rows:
             return
-        with trace.span("query.scan.selection"):
+        with trace.span("query.scan.selection", self.recorder):
             batch.selection = compute_selection(
                 batch.columns, batch.null_masks, self.range_filters, batch.num_rows
             )

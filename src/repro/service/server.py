@@ -38,8 +38,8 @@ wait, engine time, and the engine-internal waits stamped by deeper layers
 — retry backoff, fsync waits, 2PC phases — plus the
 response write), and a root ``service.request`` trace span whose id rides
 the response envelope and the latency histogram's exemplars.  Completions
-feed the engine's per-tenant :class:`~repro.obs.slo.SloTracker` and its
-request log, so ``/slo`` and ``/request/<id>`` on ``db.serve_obs()``
+feed the engine's per-tenant :class:`~repro.obs.slo.SloTracker` and land
+in its flight recorder, so ``/slo`` and ``/request/<id>`` on ``db.serve_obs()``
 answer "who is burning budget" and "where did this request's time go".
 """
 
@@ -67,7 +67,7 @@ from repro.errors import (
 from repro.export import flight, postgres_wire
 from repro.obs.registry import STATE
 from repro.obs.slo import RequestLifecycle
-from repro.obs.trace import TailSampler, current_trace_id, get_tracer, span
+from repro.obs.trace import current_trace_id, span
 from repro.query.scan import TableScanner
 from repro.service import protocol
 from repro.service.admission import AdmissionController
@@ -98,8 +98,6 @@ class ServiceConfig:
     slo_target_ms: float = 250.0        # per-tenant latency objective
     slo_availability: float = 0.999     # per-tenant availability objective
     exemplars: bool = True              # trace ids on p99 histogram buckets
-    tail_sample_threshold_ms: float | None = None  # keep traces slower than
-                                        # this (None = keep every trace)
 
 
 class TransactionalServer:
@@ -127,15 +125,14 @@ class TransactionalServer:
             registry=self.registry,
             recorder=self.recorder,
         )
-        # Request attribution: ids are minted here, lifecycles live in the
-        # engine's request log (so /request/<id> works on db.serve_obs()),
+        # Request attribution: ids are minted here, lifecycles land in the
+        # engine's recorder (so /request/<id> works on db.serve_obs()),
         # and completions feed the engine's per-tenant SLO tracker.
         self._request_ids = itertools.count(1)
         db.slo.configure_defaults(
             target_latency=cfg.slo_target_ms / 1e3,
             availability=cfg.slo_availability,
         )
-        self._sampler: TailSampler | None = None
         self._prev_exemplars: bool | None = None
         self._executor = ThreadPoolExecutor(
             max_workers=cfg.max_inflight, thread_name_prefix="service"
@@ -177,12 +174,6 @@ class TransactionalServer:
         if self.config.exemplars:
             self._prev_exemplars = STATE.exemplars
             STATE.exemplars = True
-        if self.config.tail_sample_threshold_ms is not None:
-            self._sampler = TailSampler(
-                threshold=self.config.tail_sample_threshold_ms / 1e3,
-                registry=self.registry,
-            )
-            get_tracer().set_tail_sampler(self._sampler)
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
         )
@@ -269,10 +260,6 @@ class TransactionalServer:
             self._health_task = None
         self._server = None
         self._executor.shutdown(wait=True)
-        if self._sampler is not None:
-            get_tracer().set_tail_sampler(None)
-            self._sampler.flush_pending()
-            self._sampler = None
         if self._prev_exemplars is not None:
             STATE.exemplars = self._prev_exemplars
             self._prev_exemplars = None
@@ -485,29 +472,16 @@ class TransactionalServer:
             with lifecycle.activate():
                 with span(
                     "service.request",
+                    self.recorder,
                     op=request.op,
                     tenant=request.tenant,
                     request_id=lifecycle.request_id,
                 ):
                     lifecycle.trace_id = current_trace_id()
-                    try:
-                        with lifecycle.phase("engine"):
-                            response = work()
-                    except BaseException:
-                        # Mark before the root span closes: the tail
-                        # sampler decides keep/drop exactly then.
-                        self._mark_trace(lifecycle, "error")
-                        raise
-                    if deadline is not None and time.monotonic() >= deadline:
-                        self._mark_trace(lifecycle, "deadline")
-                    return response
+                    with lifecycle.phase("engine"):
+                        return work()
 
         return run
-
-    def _mark_trace(self, lifecycle: RequestLifecycle, reason: str) -> None:
-        sampler = self._sampler
-        if sampler is not None and lifecycle.trace_id is not None:
-            sampler.mark(lifecycle.trace_id, reason)
 
     def _finish(
         self,
@@ -543,9 +517,9 @@ class TransactionalServer:
     def _complete(self, lifecycle: RequestLifecycle) -> None:
         """Post-write bookkeeping: seal the latency clock, feed the
         histogram (with the trace id as its exemplar) and the SLO tracker,
-        journal a completion event, and file the lifecycle for
-        ``/request/<id>``.  Pings stay out of the SLO and the request log —
-        they are liveness probes, not served work."""
+        journal a completion event, and stage the lifecycle in the
+        recorder for ``/request/<id>``.  Pings stay out of the SLO and the
+        journal's requests — they are liveness probes, not served work."""
         lifecycle.close()
         outcome = lifecycle.outcome or "unknown"
         self._m_latency.observe(
@@ -558,7 +532,7 @@ class TransactionalServer:
                 ok=outcome == "ok",
                 shed=outcome in protocol.SHED_CODES,
             )
-            self.db.request_log.add(lifecycle)
+            self.recorder.add(lifecycle)
         self.recorder.record(
             "service.response",
             request_id=lifecycle.request_id,
@@ -626,7 +600,7 @@ class TransactionalServer:
 
     def _do_read(self, request: Request, lifecycle: RequestLifecycle) -> bytes:
         self._require(request, "table", "index", "key")
-        with span("service.read", table=request.table):
+        with span("service.read", self.recorder, table=request.table):
             info = self.db.catalog.get(request.table)
             index = self.db.catalog.index(request.table, request.index)
             column_ids = self._column_ids(info, request.columns)
@@ -649,7 +623,7 @@ class TransactionalServer:
         holds no pin.  ``limit=0`` opens no walk and answers zero rows."""
         self._require(request, "table")
         limit = request.limit
-        with span("service.scan", table=request.table):
+        with span("service.scan", self.recorder, table=request.table):
             info = self.db.catalog.get(request.table)
             column_ids = self._column_ids(info, request.columns)
             width = len(info.columns) if column_ids is None else len(column_ids)
@@ -683,7 +657,7 @@ class TransactionalServer:
         encoder: frozen blocks ship their own buffers, hot blocks are read
         under one snapshot per shard (none when every block is frozen)."""
         self._require(request, "table")
-        with span("service.export", table=request.table):
+        with span("service.export", self.recorder, table=request.table):
             tables = list(
                 self.db.partitions(request.table, replica=lifecycle.request_id)
             )
@@ -729,7 +703,10 @@ class TransactionalServer:
             info.table.insert(txn, updates)
             return "inserted"
 
-        with span("service.write", table=request.table, tenant=request.tenant):
+        with span(
+            "service.write", self.recorder,
+            table=request.table, tenant=request.tenant,
+        ):
             action = retry_transaction(
                 self.db, body, retries=self.config.retries, deadline=deadline
             )
@@ -768,7 +745,10 @@ class TransactionalServer:
                 deleted += 1
             return deleted
 
-        with span("service.delete", table=request.table, tenant=request.tenant):
+        with span(
+            "service.delete", self.recorder,
+            table=request.table, tenant=request.tenant,
+        ):
             deleted = retry_transaction(
                 self.db, body, retries=self.config.retries, deadline=deadline
             )

@@ -166,7 +166,7 @@ class BlockTransformer:
             self.stats.groups_attempted += 1
         blocks = [b for b in blocks if b.state is BlockState.HOT]
         began = time.perf_counter()
-        with trace.span("transform.compaction"):
+        with trace.span("transform.compaction", self.recorder):
             plan = plan_compaction(blocks) if blocks else CompactionPlan(blocks=[])
             if not blocks:
                 return GroupResult(plan, compacted=False)
@@ -288,10 +288,10 @@ class BlockTransformer:
             defer = lambda action, ts=unlink_ts: self.gc.deferred.register(ts, action)
             crash_point("transform.gather")
             if self.cold_format == "dictionary":
-                with trace.span("transform.dictionary"):
+                with trace.span("transform.dictionary", self.recorder):
                     dictionary_compress_block(block, defer)
             else:
-                with trace.span("transform.gather"):
+                with trace.span("transform.gather", self.recorder):
                     gather_block(block, defer)
             block.frozen_at = self.txn_manager.timestamps.checkpoint()
             # Built once here, under exclusive access; every frozen reader

@@ -135,7 +135,7 @@ class TransactionContext(DurabilitySignal):
         self.commit_ts: int | None = None
         #: ``perf_counter()`` at begin (0.0 while observability is off);
         #: commit/abort derive the whole-transaction latency the flight
-        #: recorder's slow-transaction log thresholds on.
+        #: recorder's slow-transaction captures threshold on.
         self.began_at = 0.0
         #: Undo records in write order; abort applies them newest first.
         self.undo_buffer: list[UndoRecord] = []

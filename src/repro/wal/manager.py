@@ -169,7 +169,7 @@ class LogManager:
                     return 0
                 batch, self._queue = list(self._queue), deque()
             try:
-                with trace.span("wal.group_commit"):
+                with trace.span("wal.group_commit", self.recorder):
                     flushed_bytes = 0
                     for txn in batch:
                         raw = (

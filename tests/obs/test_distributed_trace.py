@@ -23,7 +23,6 @@ from repro.workloads.tpcc.transactions import TpccTransactions
 def _obs_enabled():
     was = obs.is_enabled()
     obs.configure(enabled=True)
-    obs.get_tracer().reset()
     yield
     obs.configure(enabled=was)
 

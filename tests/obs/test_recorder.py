@@ -1,6 +1,8 @@
-"""Flight recorder: journal semantics, timelines, slow log, Chrome trace."""
+"""Flight recorder: journal semantics, timelines, slow-transaction
+captures, Chrome trace, and one journal per database."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -9,7 +11,8 @@ from repro import ColumnSpec, Database, INT64, UTF8, obs
 from repro.errors import TransactionAborted
 from repro.obs.recorder import Event, Recorder, broadcast, render_chrome_trace
 from repro.obs.registry import MetricRegistry
-from repro.obs.trace import Tracer
+from repro.obs.slo import RequestLifecycle
+from repro.obs.trace import span
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +66,7 @@ def test_limit_keeps_newest(recorder):
         recorder.record("gc.pass", epoch=i)
     kept = recorder.events(limit=3)
     assert [e.attrs["epoch"] for e in kept] == [7, 8, 9]
+    assert recorder.events(limit=0) == []
 
 
 def test_thread_local_buffer_visible_before_spill():
@@ -161,7 +165,7 @@ def test_timeline_single_attempt(recorder):
     recorder.record("txn.begin", txn_id=5, start_ts=10)
     recorder.record("wal.flush", txns=1)
     recorder.record("txn.commit", txn_id=5, commit_ts=11)
-    tl = recorder.timeline(5, tracer=Tracer())
+    tl = recorder.timeline(5)
     assert tl["chain"] == [5]
     assert tl["retries"] == 0
     assert tl["status"] == "committed"
@@ -181,7 +185,7 @@ def test_timeline_follows_retry_chain_both_directions(recorder):
     recorder.record("txn.commit", txn_id=3)
     # Asking for any attempt reconstructs the whole chain.
     for attempt in (1, 2, 3):
-        tl = recorder.timeline(attempt, tracer=Tracer())
+        tl = recorder.timeline(attempt)
         assert tl["chain"] == [1, 2, 3]
         assert tl["retries"] == 2
         assert tl["status"] == "committed"
@@ -190,22 +194,21 @@ def test_timeline_follows_retry_chain_both_directions(recorder):
 
 def test_timeline_incomplete_transaction(recorder):
     recorder.record("txn.begin", txn_id=9)
-    tl = recorder.timeline(9, tracer=Tracer())
+    tl = recorder.timeline(9)
     assert tl["status"] == "unknown"
     assert tl["complete"] is False
     assert tl["end_ts"] is None and tl["duration_seconds"] is None
 
 
 def test_timeline_attaches_overlapping_spans(recorder):
-    tracer = Tracer()
     recorder.record("txn.begin", txn_id=4)
-    with tracer.span("wal.flush"):
+    with span("wal.flush", recorder):
         pass
     recorder.record("txn.commit", txn_id=4)
-    tl = recorder.timeline(4, tracer=tracer)
+    tl = recorder.timeline(4)
     assert [s["name"] for s in tl["spans"]] == ["wal.flush"]
-    span = tl["spans"][0]
-    assert span["duration_seconds"] >= 0 and span["thread"]
+    attached = tl["spans"][0]
+    assert attached["duration_seconds"] >= 0 and attached["thread"]
 
 
 def test_slow_log_captures_only_above_threshold():
@@ -226,18 +229,23 @@ def test_slow_log_captures_only_above_threshold():
 
 
 def test_slow_log_bounded():
+    """A capture is one ``txn.slow`` event in the ring: the ring's
+    capacity bounds it, it is evicted with everything else, and it
+    carries no txn id of its own (later timelines never nest it)."""
     recorder = Recorder(
-        capacity=64,
+        capacity=4,
         registry=MetricRegistry(),
         slow_txn_threshold=0.0,
-        slow_log_capacity=3,
         local_buffer=1,
     )
     for txn_id in range(6):
         recorder.record("txn.begin", txn_id=txn_id)
         recorder.note_txn_complete(txn_id, 1.0, "committed")
     slow = recorder.slow_transactions()
-    assert [t["txn_id"] for t in slow] == [3, 4, 5]
+    assert [t["txn_id"] for t in slow] == [4, 5]
+    assert all(e.txn_id is None for e in recorder.events(kind="txn.slow"))
+    assert [e["kind"] for e in recorder.timeline(5)["events"]] == ["txn.begin"]
+    assert recorder.events_dropped == 8
 
 
 # ---------------------------------------------------------------------- #
@@ -246,11 +254,10 @@ def test_slow_log_bounded():
 
 
 def test_chrome_trace_document_shape(recorder):
-    tracer = Tracer()
-    with tracer.span("gc.pass"):
+    with span("gc.pass", recorder):
         recorder.record("gc.pass", epoch=1)
     recorder.record("txn.commit", txn_id=2, block_id=None)
-    doc = json.loads(render_chrome_trace(recorder=recorder, tracer=tracer))
+    doc = json.loads(render_chrome_trace(recorder=recorder))
     assert set(doc) >= {"traceEvents", "displayTimeUnit", "otherData"}
     phases = {e["ph"] for e in doc["traceEvents"]}
     assert phases == {"X", "i", "M"}
@@ -382,3 +389,127 @@ def test_crash_point_fire_is_journaled(tmp_path):
     fires = db.recorder.events(kind="fault.crash_point")
     assert fires and fires[0].attrs["point"] == "wal.flush.pre_fsync"
     db.close()
+
+
+# ---------------------------------------------------------------------- #
+# one journal per database                                                #
+# ---------------------------------------------------------------------- #
+
+
+def _db_with_rows(rows=10):
+    db = Database()
+    info = db.create_table("t", [ColumnSpec("id", INT64), ColumnSpec("v", UTF8)])
+    with db.transaction() as txn:
+        for i in range(rows):
+            info.table.insert(txn, {0: i, 1: f"row-{i}"})
+    return db, info
+
+
+def test_export_journals_only_into_its_own_database():
+    from repro.export import TableExporter
+
+    a, info = _db_with_rows()
+    b = Database()
+    TableExporter(a.txn_manager, info.table, registry=a.obs).export("arrow-wire")
+    assert [e.kind for e in a.recorder.events(component="export")] == [
+        "export.serve"
+    ]
+    assert b.recorder.events(component="export") == []
+    a.close()
+    b.close()
+
+
+def test_chrome_trace_holds_only_its_own_databases_spans():
+    from repro.query.scan import TableScanner
+
+    a = Database()
+    b, info = _db_with_rows()
+    scanner = TableScanner(b.txn_manager, info.table)
+    assert sum(batch.num_rows for batch in scanner.batches()) == 10
+
+    def span_names(db):
+        doc = json.loads(render_chrome_trace(db.recorder))
+        return {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+
+    assert {"query.scan", "query.scan.hot"} <= span_names(b)
+    assert not {n for n in span_names(a) if n.startswith("query.scan")}
+    a.close()
+    b.close()
+
+
+# ---------------------------------------------------------------------- #
+# one bound for every record kind                                         #
+# ---------------------------------------------------------------------- #
+
+
+def test_bounded_journal_under_four_threads():
+    """Events, spans, finished requests and slow-transaction captures
+    from 4 threads share one 64-record ring: at most 64 are held, every
+    other one offered is counted as dropped, and an evicted request or
+    capture is gone from every view, ``/request/<id>`` included."""
+    import urllib.error
+    import urllib.request
+
+    registry = MetricRegistry()
+    recorder = Recorder(capacity=64, registry=registry, slow_txn_threshold=0.0)
+    db = Database(obs_registry=registry, recorder=recorder)
+    offered_before = len(recorder) + recorder.events_dropped
+    per_thread = 50
+
+    def work(thread_index):
+        for i in range(per_thread):
+            key = thread_index * 1000 + i
+            recorder.record("test.event", txn_id=key)
+            with span("test.span", recorder):
+                pass
+            lifecycle = RequestLifecycle(key)
+            lifecycle.trace_id = key
+            lifecycle.finish("ok")
+            lifecycle.close()
+            recorder.add(lifecycle)
+            recorder.note_txn_complete(key, 1.0, "committed")
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    offered = offered_before + 4 * per_thread * 4
+    held = len(recorder)
+    assert held <= 64
+    dropped = registry.counter("obs.events_dropped_total").value
+    assert dropped == offered - held == recorder.events_dropped
+    assert (
+        len(recorder.events()) + len(recorder.spans()) + len(recorder.requests())
+        == held
+    )
+
+    keys = {t * 1000 + i for t in range(4) for i in range(per_thread)}
+    kept_requests = {r.request_id for r in recorder.requests()}
+    kept_captures = {entry["txn_id"] for entry in recorder.slow_transactions()}
+    evicted_requests = sorted(keys - kept_requests)
+    assert evicted_requests and len(keys - kept_captures) > 0
+    assert len(recorder.slow_transactions()) == len(kept_captures) < len(keys)
+    assert all(recorder.requests(request_id=k) == [] for k in evicted_requests)
+
+    server = db.serve_obs()
+    try:
+        for key in evicted_requests[:3]:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{server.url}/request/{key}", timeout=5)
+            assert err.value.code == 404
+        if kept_requests:
+            key = max(kept_requests)
+            with urllib.request.urlopen(
+                f"{server.url}/request/{key}", timeout=5
+            ) as response:
+                assert json.loads(response.read())["request_id"] == key
+    finally:
+        db.close()

@@ -235,7 +235,7 @@ def test_request_endpoint(served_db):
         pass
     lifecycle.finish("ok")
     lifecycle.close()
-    db.request_log.add(lifecycle)
+    db.recorder.add(lifecycle)
 
     status, payload = _get_json(server, "/request/7")
     assert status == 200
@@ -314,7 +314,7 @@ def test_request_and_trace_on_both_engines(served_engine):
         db.recorder.record("test.tagged", txn_id=1)
     lifecycle.finish("ok")
     lifecycle.close()
-    db.request_log.add(lifecycle)
+    db.recorder.add(lifecycle)
 
     status, payload = _get_json(server, "/request/7")
     assert status == 200 and payload["trace_id"] == "beef"

@@ -1,20 +1,18 @@
-"""Request attribution: lifecycles, the request log, SLO math, and the
-tail sampler's exact accounting (including under concurrency)."""
-
-import threading
+"""Request attribution: lifecycles, completed requests as flight-recorder
+records, and SLO math."""
 
 import pytest
 
 from repro import obs
+from repro.obs.recorder import Recorder
+from repro.obs.registry import MetricRegistry
 from repro.obs.slo import (
     RequestLifecycle,
-    RequestLog,
     SloTracker,
     current_lifecycle,
     current_request_id,
     stamp_phase,
 )
-from repro.obs.trace import TailSampler, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -108,34 +106,35 @@ class TestRequestLifecycle:
 
 
 class TestRequestLog:
+    """Completed requests are journaled in the flight recorder and
+    looked up there by request id or trace id."""
+
+    def _recorder(self, capacity=64):
+        return Recorder(
+            capacity=capacity, registry=MetricRegistry(), local_buffer=1
+        )
+
     def test_lookup_by_id_and_trace(self):
-        log = RequestLog(capacity=4)
+        recorder = self._recorder()
         lc = RequestLifecycle(1)
         lc.trace_id = 0xDEAD
-        log.add(lc)
-        assert log.get(1) is lc
-        assert log.by_trace(0xDEAD) is lc
-        assert log.by_trace("dead") is lc
-        assert log.by_trace("not-hex") is None
-        assert log.get(99) is None
+        recorder.add(lc)
+        assert recorder.requests(request_id=1) == [lc]
+        assert recorder.requests(trace_id=0xDEAD) == [lc]
+        assert recorder.requests(request_id=99) == []
+        assert recorder.events() == [] and recorder.spans() == []
 
     def test_eviction_keeps_bound_and_cleans_trace_index(self):
-        log = RequestLog(capacity=2)
+        recorder = self._recorder(capacity=2)
         for i in range(1, 5):
             lc = RequestLifecycle(i)
             lc.trace_id = i * 100
-            log.add(lc)
-        assert len(log) == 2
-        assert log.get(1) is None and log.by_trace(100) is None
-        assert log.get(4) is not None and log.by_trace(400) is not None
-        assert [r.request_id for r in log.recent()] == [3, 4]
-
-    def test_duplicate_ids_are_ignored(self):
-        log = RequestLog()
-        first, dup = RequestLifecycle(1), RequestLifecycle(1)
-        log.add(first)
-        log.add(dup)
-        assert log.get(1) is first and len(log) == 1
+            recorder.add(lc)
+        assert len(recorder) == 2 and recorder.events_dropped == 2
+        assert recorder.requests(request_id=1) == []
+        assert recorder.requests(trace_id=100) == []
+        assert recorder.requests(trace_id=400)[0].request_id == 4
+        assert [r.request_id for r in recorder.requests()] == [3, 4]
 
 
 class TestSloTracker:
@@ -221,125 +220,3 @@ class TestSloTracker:
         assert burn is not None and budget is not None
         assert burn.value == pytest.approx(0.0)
         assert budget.value == pytest.approx(1.0)
-
-
-class TestTailSampler:
-    def _tracer(self):
-        return Tracer(capacity=4096)
-
-    def test_threshold_keeps_slow_drops_fast(self):
-        tracer = self._tracer()
-        sampler = TailSampler(threshold=0.05)
-        tracer.set_tail_sampler(sampler)
-        with tracer.span("fast-root"):
-            with tracer.span("fast-child"):
-                pass
-        assert len(tracer._buffer) == 0
-        assert sampler.dropped_traces == 1 and sampler.dropped_spans == 2
-        # Forge a slow root by marking: marked traces keep regardless.
-        with tracer.span("slow-root") as root:
-            sampler.mark(root.trace_id, "shed")
-            with tracer.span("slow-child"):
-                pass
-        assert {s.name for s in tracer._buffer} == {"slow-root", "slow-child"}
-        assert sampler.kept_traces == 1 and sampler.kept_spans == 2
-
-    def test_top_k_reservoir_keeps_slowest(self):
-        tracer = self._tracer()
-        sampler = TailSampler(top_k=1)
-        tracer.set_tail_sampler(sampler)
-        import time as _time
-
-        with tracer.span("first"):
-            pass  # fills the reservoir → kept
-        with tracer.span("slower"):
-            _time.sleep(0.01)  # displaces the reservoir min → kept
-        with tracer.span("fast-again"):
-            pass  # not slower than the reservoir → dropped
-        names = [s.name for s in tracer._buffer]
-        assert "first" in names and "slower" in names
-        assert "fast-again" not in names
-
-    def test_requires_a_policy(self):
-        with pytest.raises(ValueError):
-            TailSampler()
-
-    def test_max_pending_eviction_is_counted(self):
-        tracer = self._tracer()
-        sampler = TailSampler(threshold=0.0, max_pending=1)
-        tracer.set_tail_sampler(sampler)
-        # Two interleaved traces on two threads: the second trace's first
-        # span evicts the first trace from the pending table.
-        barrier = threading.Barrier(2)
-        release = threading.Event()
-
-        def holder():
-            with tracer.span("held-root"):
-                with tracer.span("held-child"):
-                    pass  # non-root close → pends the trace
-                barrier.wait()
-                release.wait(5.0)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        barrier.wait()
-        with tracer.span("evictor"):
-            pass
-        release.set()
-        thread.join()
-        stats = sampler.stats()
-        # Every offered span is accounted: held-child (evicted) +
-        # held-root (root closed after eviction, judged alone) + evictor.
-        assert stats["kept_spans"] + stats["dropped_spans"] == 3
-        assert stats["pending_traces"] == 0
-
-    def test_flush_pending_counts_orphans(self):
-        tracer = self._tracer()
-        sampler = TailSampler(threshold=0.0)
-        tracer.set_tail_sampler(sampler)
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-            # Root still open: the child pends.
-            assert sampler.flush_pending() == 1
-        # The root then closes into a fresh pending entry and is kept
-        # (threshold 0.0): exactly one span survives.
-        assert [s.name for s in tracer._buffer] == ["root"]
-        assert sampler.dropped_spans == 1
-
-    def test_exact_accounting_under_concurrency(self):
-        tracer = self._tracer()
-        sampler = TailSampler(threshold=0.005, max_pending=4096)
-        tracer.set_tail_sampler(sampler)
-        spans_per_trace = 3
-        traces_per_thread = 25
-        threads = 8
-        import time as _time
-
-        def worker(slow: bool):
-            for _ in range(traces_per_thread):
-                with tracer.span("root"):
-                    for _ in range(spans_per_trace - 1):
-                        with tracer.span("child"):
-                            pass
-                    if slow:
-                        _time.sleep(0.006)
-
-        pool = [
-            threading.Thread(target=worker, args=(i % 2 == 0,))
-            for i in range(threads)
-        ]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        total_traces = threads * traces_per_thread
-        total_spans = total_traces * spans_per_trace
-        stats = sampler.stats()
-        assert stats["pending_traces"] == 0
-        assert stats["kept_traces"] + stats["dropped_traces"] == total_traces
-        assert stats["kept_spans"] + stats["dropped_spans"] == total_spans
-        # The slow half (plus any stragglers past the threshold) is kept,
-        # and every kept span actually reached the buffer.
-        assert stats["kept_traces"] >= (threads // 2) * traces_per_thread
-        assert len(tracer._buffer) == stats["kept_spans"]

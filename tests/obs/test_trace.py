@@ -1,11 +1,15 @@
-"""Trace spans: nesting, attribution, bounded buffering, disabled path."""
+"""Trace spans: nesting, attribution, journaling into a bounded recorder,
+disabled path."""
 
+import threading
 import time
 
 import pytest
 
 from repro import obs
-from repro.obs.trace import Tracer, span
+from repro.obs.recorder import Recorder, get_recorder
+from repro.obs.registry import MetricRegistry
+from repro.obs.trace import span
 
 
 @pytest.fixture(autouse=True)
@@ -16,12 +20,16 @@ def _obs_enabled():
     obs.configure(enabled=was)
 
 
+def _recorder(capacity=64):
+    return Recorder(capacity=capacity, registry=MetricRegistry(), local_buffer=1)
+
+
 def test_nested_spans_parent_child_attribution():
-    tracer = Tracer(capacity=16)
-    with tracer.span("outer"):
-        with tracer.span("inner"):
+    recorder = _recorder()
+    with span("outer", recorder):
+        with span("inner", recorder):
             time.sleep(0.01)
-    spans = {s.name: s for s in tracer.spans()}
+    spans = {s.name: s for s in recorder.spans()}
     assert set(spans) == {"outer", "inner"}
     inner, outer = spans["inner"], spans["outer"]
     assert inner.parent_id == outer.span_id
@@ -33,81 +41,115 @@ def test_nested_spans_parent_child_attribution():
 
 
 def test_sibling_spans_accumulate_into_parent():
-    tracer = Tracer(capacity=16)
-    with tracer.span("parent"):
-        with tracer.span("child"):
+    recorder = _recorder()
+    with span("parent", recorder):
+        with span("child", recorder):
             pass
-        with tracer.span("child"):
+        with span("child", recorder):
             pass
-    summary = tracer.summarize()
-    assert summary["child"].count == 2
-    assert summary["parent"].count == 1
-    parent = [s for s in tracer.spans() if s.name == "parent"][0]
-    assert parent.child_seconds == pytest.approx(summary["child"].total_seconds)
+    children = [s for s in recorder.spans() if s.name == "child"]
+    parents = [s for s in recorder.spans() if s.name == "parent"]
+    assert len(children) == 2 and len(parents) == 1
+    assert parents[0].child_seconds == pytest.approx(
+        sum(s.duration for s in children)
+    )
 
 
 def test_ring_buffer_is_bounded():
-    tracer = Tracer(capacity=8)
-    for i in range(50):
-        with tracer.span("s"):
+    """Spans share the recorder's ring: oldest evicted, every eviction
+    counted in ``obs.events_dropped_total``."""
+    registry = MetricRegistry()
+    recorder = Recorder(capacity=8, registry=registry, local_buffer=1)
+    for _ in range(50):
+        with span("s", recorder):
             pass
-    assert len(tracer) == 8
+    assert len(recorder) == 8
     # Oldest spans fell off: the survivors are the last 8 created.
-    ids = [s.span_id for s in tracer.spans()]
+    ids = [s.span_id for s in recorder.spans()]
     assert ids == sorted(ids) and len(ids) == 8
-    assert min(ids) > 40
+    assert ids[0] == ids[-1] - 7
+    assert registry.counter("obs.events_dropped_total").value == 42
+
+
+def test_spans_and_events_share_one_ring():
+    recorder = _recorder(capacity=4)
+    for i in range(3):
+        recorder.record("gc.pass", epoch=i)
+        with span("s", recorder):
+            pass
+    # Six records offered, four held, newest first to survive, in order.
+    assert len(recorder) == 4
+    assert recorder.events_dropped == 2
+    assert [e.attrs["epoch"] for e in recorder.events()] == [1, 2]
+    assert len(recorder.spans()) == 2
 
 
 def test_drain_clears_buffer():
-    tracer = Tracer(capacity=8)
-    with tracer.span("a"):
+    """Spans have no buffer of their own: clearing the recorder that
+    journals them empties it."""
+    recorder = _recorder()
+    with span("a", recorder):
         pass
-    drained = tracer.drain()
-    assert [s.name for s in drained] == ["a"]
-    assert len(tracer) == 0
+    assert [s.name for s in recorder.spans()] == ["a"]
+    recorder.clear()
+    assert len(recorder) == 0 and recorder.spans() == []
 
 
 def test_exception_still_records_span():
-    tracer = Tracer(capacity=8)
+    recorder = _recorder()
     with pytest.raises(RuntimeError):
-        with tracer.span("boom"):
+        with span("boom", recorder):
             raise RuntimeError("x")
-    assert [s.name for s in tracer.spans()] == ["boom"]
+    assert [s.name for s in recorder.spans()] == ["boom"]
 
 
 def test_disabled_span_is_noop():
-    tracer = Tracer(capacity=8)
+    recorder = _recorder()
     obs.configure(enabled=False)
-    with tracer.span("ghost"):
+    with span("ghost", recorder):
         pass
     with span("ghost.default"):
         pass
-    assert len(tracer) == 0
-    assert all(s.name != "ghost.default" for s in obs.get_tracer().spans())
+    assert len(recorder) == 0
+    assert all(s.name != "ghost.default" for s in get_recorder().spans())
 
 
 def test_module_span_respects_tracer_capacity():
-    tracer = Tracer(capacity=4)
+    """The capacity that bounds a span is its recorder's."""
+    recorder = _recorder(capacity=4)
     for _ in range(10):
-        with span("s", tracer=tracer):
+        with span("s", recorder):
             pass
-    assert len(tracer) == 4
+    assert len(recorder) == 4 and recorder.events_dropped == 6
+
+
+def test_span_without_recorder_joins_its_parents():
+    recorder = _recorder()
+    with span("outer", recorder):
+        with span("inner"):
+            pass
+    assert sorted(s.name for s in recorder.spans()) == ["inner", "outer"]
+    with span("orphan"):
+        pass
+    assert "orphan" not in {s.name for s in recorder.spans()}
+    assert "orphan" in {s.name for s in get_recorder().spans()}
 
 
 def test_threads_get_independent_stacks():
-    import threading
+    recorder = Recorder(capacity=64, registry=MetricRegistry())
 
-    tracer = Tracer(capacity=64)
     def worker():
-        with tracer.span("w"):
+        with span("w", recorder):
             pass
-    with tracer.span("main"):
+
+    with span("main", recorder):
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-    for s in tracer.spans():
-        if s.name == "w":
-            # Worker spans must not attach to the main thread's open span.
-            assert s.parent_id is None
+    workers = [s for s in recorder.spans() if s.name == "w"]
+    assert len(workers) == 4
+    for s in workers:
+        # Worker spans must not attach to the main thread's open span.
+        assert s.parent_id is None

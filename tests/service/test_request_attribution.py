@@ -97,7 +97,9 @@ class TestForensicAttribution:
             assert all(r.ok for r in responses)
             assert all(r.trace_id for r in responses)
             assert wait_until(
-                lambda: db.request_log.by_trace(responses[-1].trace_id) is not None
+                lambda: db.recorder.requests(
+                    trace_id=int(responses[-1].trace_id, 16)
+                )
             )
 
             # The latency histogram's p99 bucket names an offender.
@@ -114,8 +116,9 @@ class TestForensicAttribution:
 
             # The exemplar's trace id resolves to a breakdown, in-process
             # and over HTTP alike, and the breakdown blames the disk.
-            lifecycle = db.request_log.by_trace(trace_hex)
-            assert lifecycle is not None
+            found = db.recorder.requests(trace_id=int(trace_hex, 16))
+            assert found
+            lifecycle = found[-1]
             breakdown = lifecycle.breakdown()
             assert breakdown["wal.fsync_wait"] >= 0.01
             assert breakdown["wal.fsync_wait"] > breakdown.get("engine", 0.0)
@@ -152,11 +155,9 @@ class TestForensicAttribution:
                     "usertable", "by_key", (3,), {"key": 3, "field0": "fine"}
                 )
             assert response.ok and response.trace_id
-            assert wait_until(
-                lambda: db.request_log.by_trace(response.trace_id) is not None
-            )
-            lifecycle = db.request_log.by_trace(response.trace_id)
-            assert lifecycle is not None
+            trace_id = int(response.trace_id, 16)
+            assert wait_until(lambda: db.recorder.requests(trace_id=trace_id))
+            lifecycle = db.recorder.requests(trace_id=trace_id)[-1]
             assert lifecycle.request_id == response.request_id
             assert lifecycle.dominant_phase() == "engine"
             # A synchronous commit is durable before wait_durable runs, so
@@ -181,10 +182,9 @@ class TestForensicAttribution:
             assert second.request_id is not None
 
             assert wait_until(
-                lambda: db.request_log.get(second.request_id) is not None
+                lambda: db.recorder.requests(request_id=second.request_id)
             )
-            lifecycle = db.request_log.get(second.request_id)
-            assert lifecycle is not None
+            lifecycle = db.recorder.requests(request_id=second.request_id)[-1]
             assert lifecycle.outcome == "tenant_rate"
             assert lifecycle.terminal_phase == "admission"
             assert lifecycle.dominant_phase() == "admission"
